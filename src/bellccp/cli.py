@@ -16,7 +16,7 @@ import numpy as np
 
 from . import config as cfg
 from .classical import classical_bound, classical_success_bound
-from .errors import NumericError, ValidationError
+from .errors import NumericError, RandomnessExhaustedError, ValidationError
 from .protocol import exact_success, run_session, write_session_log
 from .quantum import (
     CANONICAL_STRATEGY_NAMES,
@@ -224,7 +224,8 @@ def _cmd_simulate(args) -> int:
     instance = CcpInstance(inequality=ineq)
     source = _make_source(args)
     echo = _dump_config(args, ineq, strategy)
-    log = run_session(instance, strategy, args.rounds, source, config=echo)
+    log = run_session(instance, strategy, args.rounds, source, keep_rounds=bool(args.out),
+                      config=echo)
     if args.out:
         write_session_log(log, args.out)
     print(json.dumps(log.summary()))
@@ -295,7 +296,7 @@ def main(argv=None) -> int:
         if getattr(args, "threads", 1) is not None and getattr(args, "threads", 1) < 1:
             raise ValidationError("--threads must be at least 1")
         return _COMMANDS[args.command](args)
-    except ValidationError as exc:
+    except (ValidationError, RandomnessExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericError, ArithmeticError) as exc:

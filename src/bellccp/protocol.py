@@ -12,6 +12,10 @@ uniform selects x by inverse CDF over the canonical tuple order, then one
 bit per party (party 1 first) sets the y's with bit 0 mapping to +1, then
 for quantum strategies one more uniform selects the joint outcome by
 inverse CDF over the canonical outcome order.
+
+One engine plays every round: sessions, single rounds and input samples
+all draw through ``RandomnessSource.draw_rounds``, which returns what the
+same sequence of ``uniform()``/``bit()`` calls would.
 """
 
 from __future__ import annotations
@@ -25,12 +29,9 @@ import numpy as np
 from .classical import DeterministicStrategy
 from .errors import RandomnessExhaustedError, ValidationError
 from .quantum import QuantumStrategy, outcome_distribution
-from .randomness import RandomnessSource, SeededPrng
-from .scenarios import CcpInstance, input_tuples, sign, tuple_index
+from .randomness import RandomnessSource
+from .scenarios import CcpInstance, input_tuples, sign
 from .config import strategy_fingerprint
-
-# Re-exported here because sessions are where callers encounter sources.
-from .randomness import beacon_load  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -90,14 +91,14 @@ class SessionLog:
                 "estimate": self.estimate, "std_error": self.std_error}
 
 
+# Rounds drawn at once; bounds a session's working memory whatever its length.
+_BLOCK_ROUNDS = 1 << 16
+
+
 def _cumulative(probabilities: np.ndarray) -> np.ndarray:
     cum = np.cumsum(probabilities)
     cum[-1] = 1.0
     return cum
-
-
-def _pick(cumulative: np.ndarray, u: float) -> int:
-    return int(np.searchsorted(cumulative, u, side="right"))
 
 
 def _input_cumulative(instance: CcpInstance) -> np.ndarray:
@@ -108,45 +109,59 @@ def _input_cumulative(instance: CcpInstance) -> np.ndarray:
     return cached
 
 
-def sample_inputs(instance: CcpInstance, rng: RandomnessSource):
-    """Draw (x, y): x by inverse CDF on the instance distribution, fair y's."""
-    n = instance.inequality.n
-    tuples = input_tuples(n)
-    x = tuples[_pick(_input_cumulative(instance), rng.uniform())]
-    y = tuple(1 - 2 * rng.bit() for _ in range(n))
-    return x, y
+class _Tables:
+    """Per-input-tuple tables shared across the rounds of a session; a
+    strategy adds outcome CDFs (quantum) or fixed outcomes (deterministic)."""
 
-
-class _OutcomeSampler:
-    """Per-input-tuple outcome tables, shared across the rounds of a session."""
-
-    def __init__(self, instance: CcpInstance, strategy):
-        self.instance = instance
-        self.strategy = strategy
+    def __init__(self, instance: CcpInstance, strategy=None):
         ineq = instance.inequality
         self.n = ineq.n
-        self.tuples = input_tuples(self.n)
+        self.tuples = np.array(input_tuples(self.n), dtype=np.int8)
         self.cum_inputs = _input_cumulative(instance)
-        self.quantum = isinstance(strategy, QuantumStrategy)
-        if self.quantum:
-            if strategy.scenario != ineq.scenario:
-                raise ValidationError("strategy scenario does not match the instance")
+        self.cum_outcomes = self.fixed_outcomes = None
+        if strategy is None:
+            return
+        if not isinstance(strategy, (QuantumStrategy, DeterministicStrategy)):
+            raise ValidationError(f"unsupported strategy type {type(strategy).__name__}")
+        if strategy.scenario != ineq.scenario:
+            raise ValidationError("strategy scenario does not match the instance")
+        tuples = input_tuples(self.n)
+        if isinstance(strategy, QuantumStrategy):
             self.cum_outcomes = np.array([
-                _cumulative(np.array([outcome_distribution(strategy, x)[a]
-                                      for a in self.tuples]))
-                for x in self.tuples])
-        elif isinstance(strategy, DeterministicStrategy):
-            if strategy.scenario != ineq.scenario:
-                raise ValidationError("strategy scenario does not match the instance")
-            self.fixed_outcomes = [strategy.outputs(x) for x in self.tuples]
+                _cumulative(np.array([outcome_distribution(strategy, x)[a] for a in tuples]))
+                for x in tuples])
         else:
-            raise ValidationError(
-                f"unsupported strategy type {type(strategy).__name__}")
+            self.fixed_outcomes = np.array([strategy.outputs(x) for x in tuples], dtype=np.int8)
+        self.sign_q = np.array([sign(ineq.coeffs[x]) for x in tuples], dtype=np.int8)
 
-    def outcomes(self, x_index: int, rng: RandomnessSource) -> tuple:
-        if self.quantum:
-            return self.tuples[_pick(self.cum_outcomes[x_index], rng.uniform())]
-        return self.fixed_outcomes[x_index]
+
+def _play(tables: _Tables, rounds: int, rng: RandomnessSource):
+    """Yield (x indices, y, a) for ``rounds`` rounds, one ``draw_rounds``
+    call per block; ``a`` is None without a strategy."""
+    quantum = tables.cum_outcomes is not None
+    for start in range(0, rounds, _BLOCK_ROUNDS):
+        try:
+            x_u, y_bits, a_u = rng.draw_rounds(min(_BLOCK_ROUNDS, rounds - start),
+                                               tables.n, quantum)
+        except RandomnessExhaustedError as exc:
+            completed = start + exc.rounds_completed
+            raise RandomnessExhaustedError(
+                f"randomness exhausted after {completed} complete rounds",
+                bits_consumed=exc.bits_consumed, rounds_completed=completed) from exc
+        x_idx = np.searchsorted(tables.cum_inputs, x_u, side="right")
+        if quantum:
+            a = tables.tuples[(tables.cum_outcomes[x_idx] <= a_u[:, None]).sum(axis=1)]
+        elif tables.fixed_outcomes is not None:
+            a = tables.fixed_outcomes[x_idx]
+        else:
+            a = None
+        yield x_idx, 1 - 2 * y_bits, a
+
+
+def sample_inputs(instance: CcpInstance, rng: RandomnessSource):
+    """Draw (x, y): x by inverse CDF on the instance distribution, fair y's."""
+    x_idx, y, _ = next(_play(_Tables(instance), 1, rng))
+    return input_tuples(instance.inequality.n)[int(x_idx[0])], tuple(y[0].tolist())
 
 
 def _build_record(instance: CcpInstance, x, y, a) -> RoundRecord:
@@ -172,89 +187,41 @@ def _build_record(instance: CcpInstance, x, y, a) -> RoundRecord:
                        guess=guess, f_value=f_value, passed=passed)
 
 
+def _records(instance: CcpInstance, x_idx, y, a) -> list:
+    tuples = input_tuples(instance.inequality.n)
+    return [_build_record(instance, tuples[i], tuple(y_k), tuple(a_k))
+            for i, y_k, a_k in zip(x_idx.tolist(), y.tolist(), a.tolist())]
+
+
 def run_round(instance: CcpInstance, strategy, rng: RandomnessSource) -> RoundRecord:
     """Sample inputs, obtain outcomes, broadcast, guess, and score one round."""
-    sampler = _OutcomeSampler(instance, strategy)
-    x, y = sample_inputs(instance, rng)
-    a = sampler.outcomes(tuple_index(x), rng)
-    return _build_record(instance, x, y, a)
+    return _records(instance, *next(_play(_Tables(instance, strategy), 1, rng)))[0]
 
 
 def run_session(instance: CcpInstance, strategy, rounds: int, rng: RandomnessSource,
                 keep_rounds: bool = True, config: dict | None = None) -> SessionLog:
     """Run independent rounds and aggregate the pass statistics.
 
-    The PRNG source admits a vectorized path that consumes the stream in
-    exactly the per-round order documented above, so logs are identical to
-    the scalar loop. Finite sources that run dry raise with the number of
-    completed rounds attached.
+    Finite sources that run dry raise with the number of completed rounds
+    attached.
     """
     if rounds < 1:
         raise ValidationError(f"session needs at least one round, got {rounds}")
-    sampler = _OutcomeSampler(instance, strategy)
+    tables = _Tables(instance, strategy)
     echo = dict(config or {})
     echo.setdefault("rounds", rounds)
     echo.setdefault("randomness", rng.describe())
     echo.setdefault("strategy_sha256", strategy_fingerprint(strategy)
                     if isinstance(strategy, QuantumStrategy) else "deterministic")
 
-    if isinstance(rng, SeededPrng):
-        records, successes = _run_vectorized(instance, sampler, rounds, rng, keep_rounds)
-    else:
-        records, successes = _run_scalar(instance, sampler, rounds, rng, keep_rounds)
-    return SessionLog(rounds=tuple(records), num_rounds=rounds,
-                      successes=successes, config=echo)
-
-
-def _run_scalar(instance, sampler, rounds, rng, keep_rounds):
     records = []
     successes = 0
-    for completed in range(rounds):
-        try:
-            x, y = sample_inputs(instance, rng)
-            a = sampler.outcomes(tuple_index(x), rng)
-        except RandomnessExhaustedError as exc:
-            raise RandomnessExhaustedError(
-                f"randomness exhausted after {completed} complete rounds",
-                bits_consumed=exc.bits_consumed,
-                rounds_completed=completed) from exc
-        record = _build_record(instance, x, y, a)
-        successes += int(record.passed)
+    for x_idx, y, a in _play(tables, rounds, rng):
+        successes += int((a.prod(axis=1) == tables.sign_q[x_idx]).sum())
         if keep_rounds:
-            records.append(record)
-    return records, successes
-
-
-def _run_vectorized(instance, sampler, rounds, rng, keep_rounds):
-    """PRNG fast path; one random() matrix in the scalar consumption order."""
-    ineq = instance.inequality
-    n = ineq.n
-    tuples = sampler.tuples
-    per_round = n + 2 if sampler.quantum else n + 1
-    draws = rng.uniform_array((rounds, per_round))
-    x_idx = np.searchsorted(sampler.cum_inputs, draws[:, 0], side="right")
-    y_bits = (draws[:, 1:n + 1] >= 0.5).astype(np.int8)
-    y = 1 - 2 * y_bits
-    tuple_array = np.array(tuples, dtype=np.int8)
-    if sampler.quantum:
-        outcome_cums = sampler.cum_outcomes[x_idx]
-        a_idx = (outcome_cums <= draws[:, n + 1:n + 2]).sum(axis=1)
-        a = tuple_array[a_idx]
-    else:
-        fixed = np.array(sampler.fixed_outcomes, dtype=np.int8)
-        a = fixed[x_idx]
-
-    sign_q = np.array([sign(ineq.coeffs[x]) for x in tuples], dtype=np.int8)
-    passes = a.prod(axis=1) == sign_q[x_idx]
-    successes = int(passes.sum())
-
-    records = []
-    if keep_rounds:
-        for k in range(rounds):
-            records.append(_build_record(
-                instance, tuples[int(x_idx[k])],
-                tuple(int(v) for v in y[k]), tuple(int(v) for v in a[k])))
-    return records, successes
+            records += _records(instance, x_idx, y, a)
+    return SessionLog(rounds=tuple(records), num_rounds=rounds,
+                      successes=successes, config=echo)
 
 
 def exact_success(instance: CcpInstance, strategy) -> float:

@@ -11,6 +11,14 @@ build uniforms from 53 bits; the PRNG derives bits by thresholding one
 double at 1/2, so every primitive advances the underlying stream by a
 fixed, documented amount. Finite sources raise once exhausted; a bit
 shortfall is never papered over with pseudo-random fill.
+
+Sessions draw through one more primitive, ``draw_rounds(rounds, n,
+outcome)``: whole game rounds at once, each one x uniform, n y bits and,
+when ``outcome`` is set, one outcome uniform. It returns exactly what the
+same sequence of ``uniform()``/``bit()`` calls would, and advances the
+stream by as much. A finite source that cannot fund every requested round
+consumes the rest of its stream and raises with the whole rounds it could
+have funded in ``rounds_completed``.
 """
 
 from __future__ import annotations
@@ -24,6 +32,9 @@ from .errors import RandomnessExhaustedError, ValidationError
 
 RECORD_BITS = 512
 RECORD_HEX_CHARS = RECORD_BITS // 4
+UNIFORM_BITS = 53
+# Place values of a uniform's bits, most significant first.
+_UNIFORM_WEIGHTS = np.uint64(1) << np.arange(UNIFORM_BITS - 1, -1, -1, dtype=np.uint64)
 
 
 class RandomnessSource:
@@ -37,13 +48,10 @@ class RandomnessSource:
     def uniform(self) -> float:
         raise NotImplementedError
 
-    def uniform_array(self, shape) -> np.ndarray:
-        """Uniforms filled in row-major order, one stream draw each."""
-        out = np.empty(shape, dtype=float)
-        flat = out.reshape(-1)
-        for i in range(flat.shape[0]):
-            flat[i] = self.uniform()
-        return out
+    def draw_rounds(self, rounds: int, n: int, outcome: bool):
+        """x uniforms ``(rounds,)``, y bits ``(rounds, n)`` as int8 0/1, and
+        outcome uniforms ``(rounds,)`` if ``outcome`` (else None)."""
+        raise NotImplementedError
 
     def describe(self) -> dict:
         return {"kind": self.kind}
@@ -66,6 +74,11 @@ class SeededPrng(RandomnessSource):
 
     def uniform_array(self, shape) -> np.ndarray:
         return self._rng.random(shape)
+
+    def draw_rounds(self, rounds: int, n: int, outcome: bool):
+        draws = self.uniform_array((rounds, n + 1 + int(outcome)))
+        y = (draws[:, 1:n + 1] >= 0.5).astype(np.int8)
+        return draws[:, 0], y, draws[:, n + 1] if outcome else None
 
     def describe(self) -> dict:
         return {"kind": self.kind, "generator": "pcg64", "seed": self.seed}
@@ -96,12 +109,31 @@ class BitStreamSource(RandomnessSource):
 
     def uniform(self) -> float:
         value = 0
-        for _ in range(53):
+        for _ in range(UNIFORM_BITS):
             value = (value << 1) | self.bit()
-        return value / float(1 << 53)
+        return value / float(1 << UNIFORM_BITS)
+
+    def draw_rounds(self, rounds: int, n: int, outcome: bool):
+        stride = UNIFORM_BITS + n + (UNIFORM_BITS if outcome else 0)
+        funded = (self.bits_total - self.cursor) // stride
+        if funded < rounds:
+            self.cursor = self.bits_total
+            raise RandomnessExhaustedError(
+                f"bit stream from {self.origin} exhausted after {self.cursor} bits",
+                bits_consumed=self.cursor, rounds_completed=funded)
+        block = self._bits[self.cursor:self.cursor + rounds * stride].reshape(rounds, stride)
+        self.cursor += rounds * stride
+        y_end = UNIFORM_BITS + n
+        return (_uniforms(block[:, :UNIFORM_BITS]), block[:, UNIFORM_BITS:y_end].astype(np.int8),
+                _uniforms(block[:, y_end:]) if outcome else None)
 
     def describe(self) -> dict:
         return {"kind": self.kind, "origin": self.origin, "bits": self.bits_total}
+
+
+def _uniforms(bits: np.ndarray) -> np.ndarray:
+    """Uniforms from rows of 53 bits; exact, as the integers stay below 2^53."""
+    return (bits @ _UNIFORM_WEIGHTS) / float(1 << UNIFORM_BITS)
 
 
 class BitFileSource(BitStreamSource):

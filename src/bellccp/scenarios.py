@@ -140,6 +140,10 @@ class BellInequality:
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "_classical_bound_cache", None)
 
+    def __hash__(self) -> int:
+        # Over the fields __eq__ compares; coeffs is always in canonical order.
+        return hash((self.scenario, tuple(self.coeffs.items())))
+
     @property
     def n(self) -> int:
         return self.scenario.n

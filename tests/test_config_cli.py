@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from bellccp import canonical_strategy, gyni_inequality, input_tuples, make_scenario
+from bellccp import (CcpInstance, SeededPrng, canonical_strategy, cli, gyni_inequality,
+                     input_tuples, make_scenario, run_session, write_session_log)
 from bellccp.cli import main
 from bellccp.config import (
     inequality_from_config,
@@ -118,6 +119,40 @@ def test_simulate_with_bit_file_needs_no_seed(tmp_path, capsys):
                            "--rounds", "20", "--randomness", f"file:{bits}")
     assert code == 0
     assert json.loads(out)["rounds"] == 20
+
+
+def test_simulate_on_exhausted_bit_file_reports_error(tmp_path, capsys):
+    bits = tmp_path / "short.bin"
+    bits.write_bytes(bytes(range(64)))
+    code, out, err = run_cli(capsys, "simulate", "--ineq", "gyni", "--strategy", "gyni-paper",
+                             "--rounds", "100", "--randomness", f"file:{bits}")
+    assert code == 1
+    assert out == ""
+    assert err == "error: randomness exhausted after 4 complete rounds\n"
+
+
+def test_simulate_retains_records_only_for_out(tmp_path, capsys, monkeypatch):
+    logs = []
+
+    def recording_session(*args, **kwargs):
+        logs.append(run_session(*args, **kwargs))
+        return logs[-1]
+
+    monkeypatch.setattr(cli, "run_session", recording_session)
+    args = ("simulate", "--ineq", "gyni", "--strategy", "gyni-paper",
+            "--rounds", "300", "--seed", "9")
+    code, bare, _ = run_cli(capsys, *args)
+    assert code == 0 and logs[-1].rounds == ()
+    log_path = tmp_path / "session.jsonl"
+    code, kept, _ = run_cli(capsys, *args, "--out", str(log_path))
+    assert code == 0 and len(logs[-1].rounds) == 300
+    assert kept == bare
+    # The JSONL equals the one written from a session run straight from the library.
+    reference = run_session(CcpInstance(inequality=gyni_inequality()),
+                            canonical_strategy("gyni-paper"), 300, SeededPrng(9),
+                            config=logs[-1].config)
+    write_session_log(reference, tmp_path / "reference.jsonl")
+    assert log_path.read_text() == (tmp_path / "reference.jsonl").read_text()
 
 
 def test_simulate_with_beacon_records(tmp_path, capsys):

@@ -22,7 +22,9 @@ from bellccp import (
     gyni_inequality,
     input_tuples,
     make_scenario,
+    outcome_distribution,
     parse_beacon_records,
+    QuantumStrategy,
     random_strategy,
     run_round,
     run_session,
@@ -30,7 +32,8 @@ from bellccp import (
     success_probability,
     svetlichny_inequality,
 )
-from bellccp.protocol import _build_record, _OutcomeSampler, _run_scalar
+from bellccp import protocol
+from bellccp.protocol import _build_record
 
 
 def _gyni_instance():
@@ -172,14 +175,103 @@ def test_single_round_session():
     assert log.estimate in (0.0, 1.0)
 
 
+def _scalar_replay(instance, strategy, rounds, rng):
+    """Reference session: one uniform()/bit() call at a time, outcomes by
+    inverse CDF over outcome_distribution. Returns the records and the
+    exhaustion error, if the source ran dry."""
+    tuples = input_tuples(instance.inequality.n)
+
+    def pick(probabilities):
+        cum = np.cumsum(probabilities)
+        cum[-1] = 1.0
+        return tuples[int(np.searchsorted(cum, rng.uniform(), side="right"))]
+
+    records = []
+    for _ in range(rounds):
+        try:
+            x = pick(instance.probability_vector())
+            y = tuple(1 - 2 * rng.bit() for _ in tuples[0])
+            if isinstance(strategy, QuantumStrategy):
+                dist = outcome_distribution(strategy, x)
+                a = pick([dist[a] for a in tuples])
+            else:
+                a = strategy.outputs(x)
+        except RandomnessExhaustedError as exc:
+            return records, exc
+        records.append(_build_record(instance, x, y, a))
+    return records, None
+
+
+def _sources(kind, stream_bytes, tmp_path):
+    """Two fresh sources of one kind, replaying the same stream."""
+    if kind == "prng":
+        return SeededPrng(29), SeededPrng(29)
+    data = np.random.default_rng(29).bytes(stream_bytes)
+    if kind == "bit-file":
+        path = tmp_path / "bits.bin"
+        path.write_bytes(data)
+        return BitFileSource(path), BitFileSource(path)
+    records = [data[k:k + 64] for k in range(0, len(data) - 63, 64)]
+    return BeaconRecordsSource(records), BeaconRecordsSource(records)
+
+
+def _strategy(kind):
+    if kind == "quantum":
+        return canonical_strategy("gyni-paper")
+    return classical_bound(gyni_inequality())[1]
+
+
 def test_vectorized_and_scalar_sessions_agree():
     instance = _gyni_instance()
     strategy = canonical_strategy("gyni-paper")
     fast = run_session(instance, strategy, 400, SeededPrng(29))
-    sampler = _OutcomeSampler(instance, strategy)
-    records, successes = _run_scalar(instance, sampler, 400, SeededPrng(29), True)
-    assert successes == fast.successes
+    records, _ = _scalar_replay(instance, strategy, 400, SeededPrng(29))
+    assert sum(r.passed for r in records) == fast.successes
     assert list(fast.rounds) == records
+
+
+@pytest.mark.parametrize("block", [protocol._BLOCK_ROUNDS, 7])
+@pytest.mark.parametrize("sessions", [1, 2])
+@pytest.mark.parametrize("strategy_kind", ["quantum", "deterministic"])
+@pytest.mark.parametrize("source_kind", ["prng", "bit-file", "beacon"])
+def test_every_source_matches_scalar_replay(monkeypatch, tmp_path, source_kind,
+                                            strategy_kind, sessions, block):
+    monkeypatch.setattr(protocol, "_BLOCK_ROUNDS", block)
+    instance = _gyni_instance()
+    strategy = _strategy(strategy_kind)
+    # 11008 bytes fund two back-to-back 400-round sessions at 109 bits a round.
+    fast_rng, scalar_rng = _sources(source_kind, 11008, tmp_path)
+    for _ in range(sessions):
+        fast = run_session(instance, strategy, 400, fast_rng)
+        records, exhausted = _scalar_replay(instance, strategy, 400, scalar_rng)
+        assert exhausted is None
+        assert sum(r.passed for r in records) == fast.successes
+        assert list(fast.rounds) == records
+        assert getattr(fast_rng, "cursor", None) == getattr(scalar_rng, "cursor", None)
+
+
+@pytest.mark.parametrize("block", [protocol._BLOCK_ROUNDS, 3])
+@pytest.mark.parametrize("strategy_kind, stride", [("quantum", 109), ("deterministic", 56)])
+@pytest.mark.parametrize("source_kind", ["bit-file", "beacon"])
+def test_exhaustion_with_partial_round_matches_scalar_replay(
+        monkeypatch, tmp_path, source_kind, strategy_kind, stride, block):
+    monkeypatch.setattr(protocol, "_BLOCK_ROUNDS", block)
+    instance = _gyni_instance()
+    strategy = _strategy(strategy_kind)
+    # Two records: 1024 bits leave a partial final round at either stride.
+    fast_rng, scalar_rng = _sources(source_kind, 128, tmp_path)
+    assert fast_rng.bits_total % stride != 0
+    run_session(instance, strategy, 1, fast_rng)
+    _scalar_replay(instance, strategy, 1, scalar_rng)
+    with pytest.raises(RandomnessExhaustedError) as err:
+        run_session(instance, strategy, 100, fast_rng)
+    records, exhausted = _scalar_replay(instance, strategy, 100, scalar_rng)
+    completed = (fast_rng.bits_total - stride) // stride
+    assert err.value.rounds_completed == len(records) == completed
+    assert str(err.value) == f"randomness exhausted after {completed} complete rounds"
+    assert err.value.bits_consumed == exhausted.bits_consumed == fast_rng.bits_total
+    assert fast_rng.cursor == scalar_rng.cursor == fast_rng.bits_total
+    assert str(err.value.__cause__) == str(exhausted)
 
 
 def test_session_estimate_converges_over_many_seeds():

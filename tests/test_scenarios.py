@@ -152,3 +152,20 @@ def test_inequality_config_round_trip():
     assert loaded.coeffs[(-1, 1)] == 0
     assert isinstance(loaded.coeffs[(1, 1)], int)
     assert loaded.coeffs[(-1, -1)] == 0.3
+
+
+def test_equal_inequalities_hash_alike():
+    renamed = BellInequality(scenario=gyni_inequality().scenario,
+                             coeffs={x: float(q) for x, q in gyni_inequality().coeffs.items()},
+                             name="renamed")
+    assert renamed == gyni_inequality()
+    assert hash(renamed) == hash(gyni_inequality())
+    scenario = make_scenario(2, [(1, 2), (2, 1)])
+    sparse = BellInequality(scenario=scenario, coeffs={(1, 1): -2, (-1, -1): 0.5})
+    dense = BellInequality(scenario=scenario, coeffs={
+        (-1, -1): 0.5, (-1, 1): 0, (1, -1): 0, (1, 1): -2})
+    assert hash(sparse) == hash(dense)
+    unique = {gyni_inequality(), renamed, svetlichny_inequality(), chsh_inequality(),
+              sparse, dense}
+    assert unique == {gyni_inequality(), svetlichny_inequality(), chsh_inequality(), sparse}
+    assert len(unique) == 4
