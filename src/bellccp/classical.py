@@ -22,6 +22,7 @@ Both searches are exact; enumeration is vectorized but never pruned.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
@@ -36,11 +37,16 @@ from .scenarios import (
     input_tuples,
     input_tuples_of_length,
     sign,
-    tuple_index,
 )
 
-# Upper bound on the full deterministic-strategy space for classical_bound.
-STRATEGY_SPACE_GUARD = 2**40
+# Upper bound on the work of classical_bound: swept combinations times the
+# 2^n input tuples each one is evaluated on.
+SWEEP_WORK_GUARD = 2**32
+
+# Combination-tuple evaluations per second, measured on the n = 5 and n = 6
+# rings on a 2-core x86-64 host; the guard's error message estimates the
+# run time from it.
+_SWEEP_RATE = 6e7
 
 # Default upper bound on message-function combinations enumerated per call.
 DEFAULT_MESSAGE_GUARD = 2**20
@@ -142,13 +148,6 @@ def _response_matrix(arity: int) -> np.ndarray:
     return (1 - 2 * ((fids >> slots) & 1)).astype(np.int8)
 
 
-def _visible_index_map(scenario: CausalScenario, party: int) -> np.ndarray:
-    """For each input tuple (canonical order), the party's setting index."""
-    return np.array(
-        [tuple_index(scenario.visible_tuple(x, party)) for x in input_tuples(scenario.n)],
-        dtype=np.int64)
-
-
 def classical_bound(ineq: BellInequality):
     """Exact maximum of the inequality over deterministic strategies.
 
@@ -165,27 +164,24 @@ def classical_bound(ineq: BellInequality):
 
     scenario = ineq.scenario
     n = scenario.n
-    space = 1
-    for i in range(1, n + 1):
-        space *= 2 ** (2 ** scenario.arity(i))
-    if space > STRATEGY_SPACE_GUARD:
+    num_x = 2**n
+    parties = list(range(1, n + 1))
+    eliminated = max(parties, key=lambda i: scenario.arity(i))
+    rest = [i for i in parties if i != eliminated]
+    sizes = [2 ** 2 ** scenario.arity(i) for i in rest]
+    total = math.prod(sizes)
+    if total * num_x > SWEEP_WORK_GUARD:
         raise EnumerationGuardError(
-            f"deterministic-strategy space {space} exceeds guard {STRATEGY_SPACE_GUARD}; "
+            f"sweeping {total} combinations over {num_x} input tuples exceeds the guard "
+            f"{SWEEP_WORK_GUARD} (an estimated {total * num_x / _SWEEP_RATE:.3g} s); "
             "reduce the scenario's party count or visibility")
 
     q = ineq.coefficient_array()
     exact_ints = q.dtype == np.int64
-    num_x = 2**n
 
-    parties = list(range(1, n + 1))
-    eliminated = max(parties, key=lambda i: scenario.arity(i))
-    rest = [i for i in parties if i != eliminated]
-
-    vis_idx = {i: _visible_index_map(scenario, i) for i in parties}
+    vis_idx = scenario.setting_index()
     # Outputs of every candidate function of each swept party, in x-space.
-    rows = {i: _response_matrix(scenario.arity(i))[:, vis_idx[i]] for i in rest}
-    sizes = [rows[i].shape[0] for i in rest]
-    total = int(np.prod(sizes, dtype=object)) if rest else 1
+    rows = {i: _response_matrix(scenario.arity(i))[:, vis_idx[i - 1]] for i in rest}
     strides = []
     acc = 1
     for size in reversed(sizes):
@@ -195,7 +191,7 @@ def classical_bound(ineq: BellInequality):
 
     group_count = 2 ** scenario.arity(eliminated)
     onehot = np.zeros((num_x, group_count), dtype=q.dtype)
-    onehot[np.arange(num_x), vis_idx[eliminated]] = 1
+    onehot[np.arange(num_x), vis_idx[eliminated - 1]] = 1
 
     best_value = None
     best_combo = 0
@@ -318,7 +314,7 @@ def _message_matrices(scenario: CausalScenario, party: int, family: str) -> np.n
     "y-odd" enumerates m = y * h(setting).
     """
     n = scenario.n
-    vis = _visible_index_map(scenario, party)
+    vis = scenario.setting_index()[party - 1]
     ybit = np.array([(0 if y[party - 1] == -1 else 1) for y in input_tuples(n)], dtype=np.int64)
     if family == "all":
         rows = _response_matrix(scenario.arity(party) + 1)
@@ -374,7 +370,7 @@ def ccp_exhaustive_bound(instance: CcpInstance, guard: int = DEFAULT_MESSAGE_GUA
     for party in range(1, n + 1):
         others = [j for j in range(1, n + 1) if j != party]
         matrices = {j: _message_matrices(scenario, j, message_family) for j in others}
-        vis = _visible_index_map(scenario, party)
+        vis = scenario.setting_index()[party - 1]
         ybit = np.array([(0 if y[party - 1] == -1 else 1) for y in input_tuples(n)],
                         dtype=np.int64)
         base = vis[:, None] * 2 + ybit[None, :]

@@ -1,10 +1,13 @@
 """Quantum strategies and their correlations.
 
 A quantum strategy is a shared n-qubit state plus, for every party, one
-binary observable per visible-input setting. Correlators come straight from
-the Born rule: E(x) is the expectation of the tensor product of the chosen
-observables, and the joint outcome distribution uses the projectors
-(I + a A) / 2 outcome by outcome.
+binary observable per visible-input setting. Correlators come from the
+state's Pauli correlation tensor T (see :func:`qubits.pauli_tensor`): with
+observables r . sigma, E(x) is the contraction of T's traceless block with
+the parties' Bloch vectors at x, done for all input tuples at once by
+:func:`correlations`. The joint outcome distribution stays on the Born rule
+with the projectors (I + a A) / 2, outcome by outcome, so it checks the
+correlators independently.
 
 The canonical presets are the optimal GHZ-state strategies for the ring
 (guess-your-neighbour) and Svetlichny structures, attaining 8 cos(pi/8)
@@ -28,6 +31,7 @@ from .qubits import (
     depolarize,
     expectation,
     ghz_state,
+    pauli_tensor,
     tensor_product,
 )
 from .scenarios import (
@@ -76,8 +80,31 @@ class QuantumStrategy:
     def observable_for(self, party: int, x) -> Observable2:
         return self.observables[(party, self.scenario.visible_tuple(x, party))]
 
-    def setting_operators(self, x) -> list[np.ndarray]:
-        return [self.observable_for(i, x).matrix for i in range(1, self.scenario.n + 1)]
+    def bloch_tables(self) -> list[np.ndarray]:
+        """Party i's Bloch vectors by setting index: shape (2^arity, 3)."""
+        return [np.array([self.observables[(i, t)].bloch for t in self.scenario.visible_tuples(i)])
+                for i in range(1, self.scenario.n + 1)]
+
+
+def correlations(tensor: np.ndarray, tables: list[np.ndarray], index: np.ndarray,
+                 leave_out: int | None = None) -> np.ndarray:
+    """E(x) at every input tuple, or one party's leave-one-out gradients.
+
+    ``tensor`` is a state's Pauli tensor, ``tables[i]`` party i+1's Bloch
+    vectors by setting index and ``index`` the scenario's setting index.
+    Returns shape (2^n,), or with ``leave_out=i`` (0-based) shape (2^n, 3):
+    E(x) with sigma_x, sigma_y, sigma_z in party i+1's place, so that
+    E(x) = r . gradient for that party's Bloch vector r at x.
+    """
+    n = len(tables)
+    block = tensor[(slice(1, None),) * n]
+    if leave_out is not None:
+        block = np.moveaxis(block, leave_out, -1)
+    rows = [tables[i][index[i]] for i in range(n) if i != leave_out]
+    out = rows[0] @ block.reshape(3, -1)
+    for row in rows[1:]:
+        out = np.einsum("xa,xab->xb", row, out.reshape(out.shape[0], 3, -1))
+    return out[:, 0] if leave_out is None else out
 
 
 def correlator_table(strategy: QuantumStrategy) -> dict[tuple[int, ...], float]:
@@ -88,9 +115,11 @@ def correlator_table(strategy: QuantumStrategy) -> dict[tuple[int, ...], float]:
     probabilities. Values a hair outside [-1, 1] from roundoff are clamped;
     larger excursions raise.
     """
+    scenario = strategy.scenario
+    values = correlations(pauli_tensor(strategy.state), strategy.bloch_tables(),
+                          scenario.setting_index())
     table = {}
-    for x in input_tuples(strategy.scenario.n):
-        value = expectation(strategy.state, tensor_product(strategy.setting_operators(x)))
+    for x, value in zip(input_tuples(scenario.n), values.tolist()):
         if abs(value) > 1.0 + ATOL:
             raise NumericError(f"correlator at {x} is {value}, outside [-1, 1]")
         table[x] = min(1.0, max(-1.0, value))

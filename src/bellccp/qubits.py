@@ -32,6 +32,8 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+# sigma_p for p = 0 (identity), 1 (x), 2 (y), 3 (z).
+_PAULI_BASIS = np.stack([IDENTITY_2, *PAULIS])
 
 
 def _frozen_complex_array(values, shape) -> np.ndarray:
@@ -199,6 +201,27 @@ def depolarize(state: PureState, v: float) -> MixedState:
     dim = state.dim
     rho = v * state.density_matrix() + (1.0 - v) * np.eye(dim) / dim
     return MixedState(rho)
+
+
+def pauli_tensor(state: PureState | MixedState) -> np.ndarray:
+    """Read-only real tensor T[p1, ..., pn] = Tr[rho sigma_p1 x ... x sigma_pn].
+
+    Index 0 is the identity and 1, 2, 3 are sigma_x, sigma_y, sigma_z. Each
+    step traces out one qubit's row and column axes against the four Paulis.
+    Imaginary residue above 1e-6 raises, as in :func:`expectation`.
+    """
+    n = state.n
+    tensor = state.density_matrix().reshape((2,) * (2 * n))
+    for k in range(n):
+        # Axes left: rows k+1..n, columns k+1..n, then p_1..p_k. The sum
+        # rho[i, j] sigma_p[j, i] takes qubit k+1's leading row and column.
+        tensor = np.tensordot(tensor, _PAULI_BASIS, axes=([0, n - k], [2, 1]))
+    residue = float(np.max(np.abs(tensor.imag)))
+    if residue > 1e-6:
+        raise NumericError(f"Pauli tensor has imaginary residue {residue}")
+    real = np.ascontiguousarray(tensor.real)
+    real.setflags(write=False)
+    return real
 
 
 def expectation(state: PureState | MixedState, op: np.ndarray) -> float:

@@ -97,6 +97,18 @@ class CausalScenario:
         """All settings of a party, in canonical order."""
         return input_tuples_of_length(self.arity(party))
 
+    def setting_index(self) -> np.ndarray:
+        """Row i-1 holds party i's setting index at every input tuple, in
+        canonical order: the position of ``visible_tuple(x, i)`` among
+        ``visible_tuples(i)``. Shape (n, 2^n)."""
+        # Input j is +1 (bit 1) or -1 (bit 0) at bit n - j of the tuple index.
+        bits = (np.arange(2**self.n)[None, :] >> np.arange(self.n - 1, -1, -1)[:, None]) & 1
+        index = np.zeros((self.n, 2**self.n), dtype=np.int64)
+        for row, group in zip(index, self.visibility):
+            for j in group:
+                row[:] = 2 * row + bits[j - 1]
+        return index
+
 
 @lru_cache(maxsize=None)
 def input_tuples_of_length(length: int) -> tuple[tuple[int, ...], ...]:

@@ -1,13 +1,17 @@
 """Variational maximization of inequality values over qubit strategies.
 
 The inequality value is linear in each observable's Bloch vector while all
-other observables and the state are held fixed: collecting the three
-expectations with sigma_x, sigma_y, sigma_z substituted at one slot gives a
-gradient vector g with B = const + r . g, so r = g / |g| is that slot's
-exact optimum. Sweeping the slots is therefore coordinate ascent with a
-closed-form, provably non-decreasing update. State optimization, when
-enabled, replaces the state by the top eigenvector of the fixed-observable
-operator sum_x Q(x) A_1 x ... x A_n, found by shifted power iteration.
+other observables and the state are held fixed: substituting sigma_x,
+sigma_y, sigma_z at one slot gives a gradient vector g with B = const + r . g,
+so r = g / |g| is that slot's exact optimum. Every gradient is a
+contraction of the state's Pauli tensor T with the other parties' Bloch
+vectors (:func:`quantum.correlations`). A slot's gradient does not depend on
+its own party's observables and one party's slots touch disjoint input
+tuples, so a sweep updates a whole party from one batched contraction: the
+same coordinate ascent as slot by slot, with a closed-form, provably
+non-decreasing update. State optimization, when enabled, replaces the state
+by the top eigenvector of the fixed-observable operator
+sum_x Q(x) A_1 x ... x A_n, found by shifted power iteration.
 
 Restarts draw independent initial Bloch vectors from spawned generator
 streams, so results are reproducible given (seed, options).
@@ -20,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .qubits import Observable2, PAULIS, PureState, MixedState, ghz_state, tensor_product
-from .quantum import QuantumStrategy
-from .scenarios import BellInequality, input_tuples
+from .qubits import Observable2, PureState, MixedState, ghz_state, pauli_tensor, tensor_product
+from .quantum import QuantumStrategy, correlations
+from .scenarios import BellInequality
 
 # Gradients shorter than this leave the slot's Bloch vector unchanged.
 DEGENERATE_GRADIENT = 1e-14
@@ -61,15 +65,9 @@ class OptimizationResult:
     degenerate_updates: int = 0
 
 
-def _slots(ineq: BellInequality) -> list[tuple[int, tuple[int, ...]]]:
-    scenario = ineq.scenario
-    return [(party, setting)
-            for party in range(1, scenario.n + 1)
-            for setting in scenario.visible_tuples(party)]
-
-
 class _Sweeper:
-    """Coordinate-ascent state for one inequality on a fixed shared state."""
+    """Coordinate-ascent state for one inequality; holds the state's Pauli
+    tensor and one (settings, 3) Bloch table per party."""
 
     def __init__(self, ineq: BellInequality, state: PureState | MixedState):
         scenario = ineq.scenario
@@ -78,102 +76,78 @@ class _Sweeper:
                 f"state dimension {state.dim} does not match {scenario.n} parties")
         self.ineq = ineq
         self.scenario = scenario
-        self.n = scenario.n
+        self.q = ineq.coefficient_array().astype(float)
+        self.index = scenario.setting_index()
+        # weights[i][s, x] = Q(x) where party i+1 has setting s at x, else 0.
+        self.weights = [(np.arange(2 ** scenario.arity(i + 1))[:, None] == row) * self.q
+                        for i, row in enumerate(self.index)]
+        self.bloch: list[np.ndarray] = []
+        self.trace: list[float] = []
+        self.sweeps = self.degenerate = 0
         self.state = state
-        self.rho = state.density_matrix()
-        self.tuples = input_tuples(self.n)
-        self.q = np.array([float(ineq.coeffs[x]) for x in self.tuples])
-        self.slots = _slots(ineq)
-        # Which input tuples touch each slot, and each party's setting per x.
-        self.groups = {
-            slot: [k for k, x in enumerate(self.tuples)
-                   if scenario.visible_tuple(x, slot[0]) == slot[1]]
-            for slot in self.slots}
-        self.settings = {
-            (i, k): scenario.visible_tuple(x, i)
-            for k, x in enumerate(self.tuples) for i in range(1, self.n + 1)}
-        self.bloch: dict = {}
-        self.correlators = np.zeros(len(self.tuples))
+        self.tensor = pauli_tensor(state)
 
     def set_random_observables(self, rng: np.random.Generator):
-        for slot in self.slots:
-            vec = rng.standard_normal(3)
-            while np.linalg.norm(vec) < 1e-12:
+        tables = []
+        for i in range(1, self.scenario.n + 1):
+            rows = []
+            for _ in self.scenario.visible_tuples(i):
                 vec = rng.standard_normal(3)
-            self.bloch[slot] = vec / np.linalg.norm(vec)
-        self._refresh_correlators()
+                while np.linalg.norm(vec) < 1e-12:
+                    vec = rng.standard_normal(3)
+                rows.append(vec / np.linalg.norm(vec))
+            tables.append(np.array(rows))
+        self.set_observables(tables)
+
+    def set_observables(self, tables: list[np.ndarray]):
+        self.bloch = [np.array(table, dtype=float) for table in tables]
+        self.correlators = correlations(self.tensor, self.bloch, self.index)
 
     def set_state(self, state: PureState | MixedState):
         self.state = state
-        self.rho = state.density_matrix()
-        self._refresh_correlators()
-
-    def _matrix(self, slot) -> np.ndarray:
-        r = self.bloch[slot]
-        return r[0] * PAULIS[0] + r[1] * PAULIS[1] + r[2] * PAULIS[2]
-
-    def _expect(self, op: np.ndarray) -> float:
-        return float(np.einsum("ij,ji->", self.rho, op).real)
-
-    def _refresh_correlators(self):
-        for k in range(len(self.tuples)):
-            ops = [self._matrix((i, self.settings[(i, k)])) for i in range(1, self.n + 1)]
-            self.correlators[k] = self._expect(tensor_product(ops))
+        self.tensor = pauli_tensor(state)
+        self.correlators = correlations(self.tensor, self.bloch, self.index)
 
     def value(self) -> float:
         return float(self.q @ self.correlators)
 
-    def _pauli_expectations(self, slot, k: int) -> np.ndarray:
-        """E(x_k) with each Pauli substituted at the slot's tensor position."""
-        party = slot[0]
-        left = np.eye(1, dtype=complex)
-        for i in range(1, party):
-            left = np.kron(left, self._matrix((i, self.settings[(i, k)])))
-        right = np.eye(1, dtype=complex)
-        for i in range(party + 1, self.n + 1):
-            right = np.kron(right, self._matrix((i, self.settings[(i, k)])))
-        return np.array([
-            self._expect(np.kron(left, np.kron(sigma, right))) for sigma in PAULIS])
-
     def sweep(self) -> int:
-        """Update every slot to its per-slot optimum; count degenerate slots."""
+        """Update every slot to its per-slot optimum, party by party; count
+        degenerate slots."""
         degenerate = 0
-        for slot in self.slots:
-            gradient = np.zeros(3)
-            pauli_e = {}
-            for k in self.groups[slot]:
-                pauli_e[k] = self._pauli_expectations(slot, k)
-                gradient += self.q[k] * pauli_e[k]
-            norm = np.linalg.norm(gradient)
-            if norm < DEGENERATE_GRADIENT:
-                degenerate += 1
-            else:
-                self.bloch[slot] = gradient / norm
-            for k in self.groups[slot]:
-                self.correlators[k] = float(self.bloch[slot] @ pauli_e[k])
+        for i, table in enumerate(self.bloch):
+            gradients = correlations(self.tensor, self.bloch, self.index, leave_out=i)
+            totals = self.weights[i] @ gradients
+            norms = np.linalg.norm(totals, axis=1)
+            live = norms >= DEGENERATE_GRADIENT
+            degenerate += int(np.count_nonzero(~live))
+            table[live] = totals[live] / norms[live, None]
+            self.correlators = np.einsum("xa,xa->x", table[self.index[i]], gradients)
         return degenerate
 
-    def run(self, max_sweeps: int, tol: float) -> tuple[list[float], int, int]:
+    def run(self, max_sweeps: int, tol: float):
         """Sweep until the per-sweep improvement drops below tol."""
-        trace = []
-        degenerate = 0
         previous = self.value()
-        sweeps = 0
         for _ in range(max_sweeps):
-            degenerate += self.sweep()
-            sweeps += 1
+            self.degenerate += self.sweep()
+            self.sweeps += 1
             current = self.value()
-            trace.append(current)
+            self.trace.append(current)
             if current - previous < tol:
                 break
             previous = current
-        return trace, sweeps, degenerate
 
-    def strategy(self) -> QuantumStrategy:
-        observables = {slot: Observable2(bloch=self.bloch[slot] / np.linalg.norm(self.bloch[slot]))
-                       for slot in self.slots}
-        return QuantumStrategy(scenario=self.scenario, state=self.state,
-                               observables=observables)
+    def observables(self) -> dict:
+        return {(i, t): Observable2(bloch=r / np.linalg.norm(r))
+                for i, table in enumerate(self.bloch, start=1)
+                for t, r in zip(self.scenario.visible_tuples(i), table)}
+
+    def result(self) -> OptimizationResult:
+        strategy = QuantumStrategy(scenario=self.scenario, state=self.state,
+                                   observables=self.observables())
+        return OptimizationResult(best_value=self.trace[-1], strategy=strategy,
+                                  sweeps_used=self.sweeps, value_trace=tuple(self.trace),
+                                  degenerate_updates=self.degenerate)
 
 
 def _restart_streams(seed: int, restarts: int) -> list[np.random.Generator]:
@@ -181,33 +155,51 @@ def _restart_streams(seed: int, restarts: int) -> list[np.random.Generator]:
             for ss in np.random.SeedSequence(seed).spawn(restarts)]
 
 
-def _select_best(candidates: list[dict]) -> dict:
-    best_value = max(c["value"] for c in candidates)
-    for candidate in candidates:
-        if candidate["value"] >= best_value - 1e-12:
-            return candidate
-    raise AssertionError("unreachable: no candidate within tie tolerance")
+def _alternate(sweeper: _Sweeper, opts: OptimizerOptions):
+    """Observable sweeps alternated with state updates until neither helps."""
+    previous = sweeper.value()
+    for _ in range(_MAX_ALTERNATIONS):
+        sweeper.run(opts.max_sweeps, opts.tol)
+        before_state_update = sweeper.trace[-1]
+        old_state = sweeper.state
+        try:
+            new_state, _ = optimal_state(sweeper.ineq, sweeper.observables())
+        except ConvergenceError:
+            # Near-degenerate top eigenvalues stall power iteration; any
+            # remaining state improvement is below its resolution.
+            return
+        sweeper.set_state(new_state)
+        # The exact top eigenvalue cannot be below the current value; a
+        # numerical non-improvement means the alternation has converged.
+        if sweeper.value() < before_state_update:
+            sweeper.set_state(old_state)
+            return
+        sweeper.trace.append(sweeper.value())
+        if sweeper.trace[-1] - previous < opts.tol:
+            return
+        previous = sweeper.trace[-1]
+
+
+def _best_of_restarts(ineq: BellInequality, state: PureState | MixedState,
+                      opts: OptimizerOptions, optimize_state: bool) -> OptimizationResult:
+    """Best of seeded restarts; the first within 1e-12 of the maximum wins."""
+    sweepers = []
+    for rng in _restart_streams(opts.seed, opts.restarts):
+        sweeper = _Sweeper(ineq, state)
+        sweeper.set_random_observables(rng)
+        if optimize_state:
+            _alternate(sweeper, opts)
+        else:
+            sweeper.run(opts.max_sweeps, opts.tol)
+        sweepers.append(sweeper)
+    best_value = max(s.trace[-1] for s in sweepers)
+    return next(s for s in sweepers if s.trace[-1] >= best_value - 1e-12).result()
 
 
 def seesaw_measurements(ineq: BellInequality, state: PureState | MixedState,
                         opts: OptimizerOptions) -> OptimizationResult:
     """Maximize over observables on a fixed state, best of seeded restarts."""
-    candidates = []
-    for rng in _restart_streams(opts.seed, opts.restarts):
-        sweeper = _Sweeper(ineq, state)
-        sweeper.set_random_observables(rng)
-        trace, sweeps, degenerate = sweeper.run(opts.max_sweeps, opts.tol)
-        candidates.append({
-            "value": trace[-1],
-            "strategy": sweeper.strategy(),
-            "sweeps": sweeps,
-            "trace": tuple(trace),
-            "degenerate": degenerate,
-        })
-    best = _select_best(candidates)
-    return OptimizationResult(best_value=best["value"], strategy=best["strategy"],
-                              sweeps_used=best["sweeps"], value_trace=best["trace"],
-                              degenerate_updates=best["degenerate"])
+    return _best_of_restarts(ineq, state, opts, optimize_state=False)
 
 
 def bell_operator(ineq: BellInequality, observables: dict) -> np.ndarray:
@@ -262,48 +254,4 @@ def optimize(ineq: BellInequality, opts: OptimizerOptions,
     """Joint maximization: observable sweeps, optionally alternated with
     state updates, best over seeded restarts."""
     state = initial_state if initial_state is not None else ghz_state(ineq.scenario.n)
-    if not opts.optimize_state:
-        return seesaw_measurements(ineq, state, opts)
-
-    candidates = []
-    for rng in _restart_streams(opts.seed, opts.restarts):
-        sweeper = _Sweeper(ineq, state)
-        sweeper.set_random_observables(rng)
-        trace: list[float] = []
-        sweeps = 0
-        degenerate = 0
-        previous = sweeper.value()
-        for _ in range(_MAX_ALTERNATIONS):
-            part, used, bad = sweeper.run(opts.max_sweeps, opts.tol)
-            trace.extend(part)
-            sweeps += used
-            degenerate += bad
-            before_state_update = trace[-1]
-            old_state = sweeper.state
-            try:
-                new_state, _ = optimal_state(ineq, sweeper.strategy().observables)
-            except ConvergenceError:
-                # Near-degenerate top eigenvalues stall power iteration; any
-                # remaining state improvement is below its resolution.
-                break
-            sweeper.set_state(new_state)
-            # The exact top eigenvalue cannot be below the current value; a
-            # numerical non-improvement means the alternation has converged.
-            if sweeper.value() < before_state_update:
-                sweeper.set_state(old_state)
-                break
-            trace.append(sweeper.value())
-            if trace[-1] - previous < opts.tol:
-                break
-            previous = trace[-1]
-        candidates.append({
-            "value": trace[-1],
-            "strategy": sweeper.strategy(),
-            "sweeps": sweeps,
-            "trace": tuple(trace),
-            "degenerate": degenerate,
-        })
-    best = _select_best(candidates)
-    return OptimizationResult(best_value=best["value"], strategy=best["strategy"],
-                              sweeps_used=best["sweeps"], value_trace=best["trace"],
-                              degenerate_updates=best["degenerate"])
+    return _best_of_restarts(ineq, state, opts, opts.optimize_state)

@@ -17,6 +17,9 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+PAULI_BASIS = (I2, SX, SY, SZ)
+
+
 def kron_chain(mats):
     out = np.array([[1.0 + 0j]])
     for m in mats:
@@ -43,6 +46,62 @@ def outcome_probability(vec: np.ndarray, observables, outcomes) -> float:
     """Born probability of a +/-1 outcome tuple via explicit projectors."""
     projectors = [(I2 + a * A) / 2 for A, a in zip(observables, outcomes)]
     return pure_expectation(vec, kron_chain(projectors))
+
+
+def pauli_string_expectation(rho: np.ndarray, paulis) -> float:
+    """Tr[rho sigma_p1 x ... x sigma_pn] with p = 0 (identity), 1, 2, 3 (x, y, z)."""
+    return float(np.trace(rho @ kron_chain([PAULI_BASIS[p] for p in paulis])).real)
+
+
+def bloch_operator(r) -> np.ndarray:
+    return r[0] * SX + r[1] * SY + r[2] * SZ
+
+
+def setting_positions(n, visibility):
+    """For each party, every input tuple's position among its visible settings
+    (both in lexicographic order with -1 first)."""
+    xs = list(itertools.product((-1, 1), repeat=n))
+    positions = []
+    for group in visibility:
+        settings = list(itertools.product((-1, 1), repeat=len(group)))
+        positions.append([settings.index(tuple(x[j - 1] for j in group)) for x in xs])
+    return positions
+
+
+def kron_correlators(rho, n, visibility, tables) -> np.ndarray:
+    """E(x) = Tr[rho A_1 x ... x A_n] at every input tuple; ``tables[i][s]`` is
+    party i+1's Bloch vector at its setting s."""
+    positions = setting_positions(n, visibility)
+    return np.array([
+        np.trace(rho @ kron_chain([bloch_operator(tables[i][positions[i][k]])
+                                   for i in range(n)])).real
+        for k in range(2**n)])
+
+
+def kron_sweep(rho, n, visibility, q, tables, threshold):
+    """One see-saw sweep slot by slot, party-major: each slot's Bloch vector
+    becomes its normalized gradient sum_x Q(x) (E(x) with sigma_x, sigma_y,
+    sigma_z in its place) unless that gradient is shorter than ``threshold``.
+    Returns the updated tables and the count of such degenerate slots."""
+    tables = [np.array(t, dtype=float) for t in tables]
+    positions = setting_positions(n, visibility)
+    degenerate = 0
+    for i in range(n):
+        for s in range(len(tables[i])):
+            gradient = np.zeros(3)
+            for k in range(2**n):
+                if positions[i][k] != s:
+                    continue
+                for a, sigma in enumerate((SX, SY, SZ)):
+                    factors = [sigma if j == i else bloch_operator(tables[j][positions[j][k]])
+                               for j in range(n)]
+                    gradient[a] += q[k] * np.trace(rho @ kron_chain(factors)).real
+            norm = np.linalg.norm(gradient)
+            if norm < threshold:
+                degenerate += 1
+            else:
+                tables[i][s] = gradient / norm
+    return tables, degenerate
 
 
 def odometer_classical_bound(n, visibility, coeffs):

@@ -22,6 +22,7 @@ from bellccp import (
     strategy_bell_value,
     svetlichny_inequality,
 )
+from bellccp import classical
 from bellccp.classical import DEFAULT_MESSAGE_GUARD, MessageStrategy
 
 import oracles
@@ -137,6 +138,20 @@ def test_enumeration_guard():
     coeffs = {x: 1 for x in input_tuples(5)}
     with pytest.raises(EnumerationGuardError):
         classical_bound(BellInequality(scenario=big, coeffs=coeffs))
+
+
+def test_enumeration_guard_bounds_swept_work(monkeypatch):
+    # Every party sees three inputs: the strategy space is exactly 2^40, but
+    # the sweep would cover 256^4 combinations over 32 input tuples (2^37).
+    scenario = make_scenario(5, [(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 1), (5, 1, 2)])
+    ineq = BellInequality(scenario=scenario, coeffs={x: 1 for x in input_tuples(5)})
+
+    def no_sweep(arity):
+        raise AssertionError("the sweep started before the guard was checked")
+
+    monkeypatch.setattr(classical, "_response_matrix", no_sweep)
+    with pytest.raises(EnumerationGuardError, match=r"an estimated [0-9.e+]+ s"):
+        classical_bound(ineq)
 
 
 def test_success_bounds():
