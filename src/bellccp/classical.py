@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
+from types import MappingProxyType
 
 import numpy as np
 
@@ -43,10 +45,17 @@ from .scenarios import (
 # 2^n input tuples each one is evaluated on.
 SWEEP_WORK_GUARD = 2**32
 
-# Combination-tuple evaluations per second, measured on the n = 5 and n = 6
-# rings on a 2-core x86-64 host; the guard's error message estimates the
-# run time from it.
-_SWEEP_RATE = 6e7
+# Combination-tuple evaluations per second; the guard's error message
+# estimates the run time from it. The geometric mean of the rates of a
+# random n = 5 ring (2.4e9, 0.9 ms a call) and n = 6 ring (7.2e9, 9.4 ms),
+# medians of five calls with one BLAS thread on a 2-core x86-64 host; two
+# n = 6 scenarios with 2^30 tuple evaluations ran at 5.1e9.
+_SWEEP_RATE = 4e9
+
+# Combinations per block of the classical_bound sweep, and the cap on its
+# tail, so that no product array of the sweep holds more than this many
+# times 2^n entries.
+_CHUNK = 1 << 14
 
 # Default upper bound on message-function combinations enumerated per call.
 DEFAULT_MESSAGE_GUARD = 2**20
@@ -54,10 +63,12 @@ DEFAULT_MESSAGE_GUARD = 2**20
 
 @dataclass(frozen=True)
 class ResponseFunction:
-    """One party's deterministic output table over its visible settings."""
+    """One party's deterministic output table over its visible settings.
+
+    The table is stored read-only, in canonical setting order."""
 
     party: int
-    table: dict
+    table: Mapping
 
     def __post_init__(self):
         table = dict(self.table)
@@ -70,7 +81,10 @@ class ResponseFunction:
             raise ValidationError(f"party {self.party} table must cover all {2**arity} settings")
         if any(v not in (-1, 1) for v in table.values()):
             raise ValidationError(f"party {self.party} outputs must be +1 or -1")
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", MappingProxyType({t: int(table[t]) for t in expected}))
+
+    def __hash__(self) -> int:
+        return hash((self.party, tuple(self.table.items())))
 
     @property
     def arity(self) -> int:
@@ -148,6 +162,19 @@ def _response_matrix(arity: int) -> np.ndarray:
     return (1 - 2 * ((fids >> slots) & 1)).astype(np.int8)
 
 
+def _odometer_products(rows, start: int, stop: int, num_x: int) -> np.ndarray:
+    """Products of the parties' output rows for combinations start..stop-1,
+    in odometer order with the first party most significant. ``rows`` holds
+    one (functions, 2^n) array per party. Shape (stop - start, 2^n)."""
+    combos = np.arange(start, stop, dtype=np.int64)
+    prod = np.ones((stop - start, num_x), dtype=np.int8)
+    stride = 1
+    for outputs in reversed(rows):
+        prod *= outputs[(combos // stride) % outputs.shape[0]]
+        stride *= outputs.shape[0]
+    return prod
+
+
 def classical_bound(ineq: BellInequality):
     """Exact maximum of the inequality over deterministic strategies.
 
@@ -155,9 +182,23 @@ def classical_bound(ineq: BellInequality):
     The party with the largest table is not enumerated: once the other
     parties' outputs are fixed the value is linear in each of its table
     entries, so its optimal table is the sign of the accumulated
-    coefficient at each of its settings. The remaining parties are swept
-    exhaustively (vectorized, no pruning), which leaves the maximum and
-    the first-maximizer tie-break exact.
+    coefficient at each of its settings, and the combination's value is
+    sum_g |sum_{x in g} Q(x) prod_i a_i(x)| over that party's setting
+    groups g.
+
+    The other parties are swept exhaustively, meet in the middle. Their
+    odometer (first party most significant, function ids ascending) is
+    split into head and tail parties, the tail with at most ``_CHUNK``
+    combinations and no more than the head. With H the head products times
+    Q and T the tail products, one matrix product per group g,
+    H[:, g] @ T[:, g]^T, gives the partial sums of every (head, tail) pair;
+    the head is swept in blocks of at most ``_CHUNK`` combinations.
+    Since head * tails + tail is the odometer index, the first maximum of a
+    block in row-major order, replacing the best so far only when strictly
+    larger, is the odometer's first maximizer: the sweep is unpruned and
+    breaks ties exactly as a plain odometer does. Integral coefficients are
+    summed in float64 while Gamma < 2^53, where every partial sum is an
+    exact integer, and in int64 above.
     """
     if ineq.classical_bound_cache is not None:
         return ineq.classical_bound_cache
@@ -178,57 +219,67 @@ def classical_bound(ineq: BellInequality):
 
     q = ineq.coefficient_array()
     exact_ints = q.dtype == np.int64
-
+    dtype = np.int64 if exact_ints and ineq.gamma >= 2**53 else np.float64
     vis_idx = scenario.setting_index()
-    # Outputs of every candidate function of each swept party, in x-space.
-    rows = {i: _response_matrix(scenario.arity(i))[:, vis_idx[i - 1]] for i in rest}
-    strides = []
-    acc = 1
-    for size in reversed(sizes):
-        strides.append(acc)
-        acc *= size
-    strides.reverse()
-
+    # Input tuples sorted by the eliminated party's setting: group g is
+    # columns g * width .. (g + 1) * width - 1.
     group_count = 2 ** scenario.arity(eliminated)
-    onehot = np.zeros((num_x, group_count), dtype=q.dtype)
-    onehot[np.arange(num_x), vis_idx[eliminated - 1]] = 1
+    width = num_x // group_count
+    order = np.argsort(vis_idx[eliminated - 1], kind="stable")
+
+    # Outputs of every candidate function of each swept party, in x-space.
+    rows = [_response_matrix(scenario.arity(i))[:, vis_idx[i - 1]] for i in rest]
+    # The tail takes the last parties while it stays within _CHUNK
+    # combinations and no larger than the head.
+    split = len(rest)
+    tails = 1
+    while split > 0:
+        grown = tails * sizes[split - 1]
+        if grown > _CHUNK or grown * grown > total:
+            break
+        split -= 1
+        tails = grown
+    heads = total // tails
+    tail = _odometer_products(rows[split:], 0, tails, num_x)[:, order].astype(dtype)
+    tail = tail.reshape(tails, group_count, width).transpose(1, 2, 0).copy()
+    q_sorted = q[order].astype(dtype)
 
     best_value = None
     best_combo = 0
-    chunk = 1 << 14
-    for start in range(0, total, chunk):
-        combos = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        prod = np.ones((combos.shape[0], num_x), dtype=np.int8)
-        for party, size, stride in zip(rest, sizes, strides):
-            fids = (combos // stride) % size
-            prod = prod * rows[party][fids]
-        grouped = (prod * q[None, :]) @ onehot
-        values = np.abs(grouped).sum(axis=1)
+    block = max(1, _CHUNK // tails)
+    for start in range(0, heads, block):
+        stop = min(start + block, heads)
+        head = _odometer_products(rows[:split], start, stop, num_x)[:, order] * q_sorted
+        head = head.reshape(stop - start, group_count, width)
+        values = np.zeros((stop - start, tails), dtype=dtype)
+        for g in range(group_count):
+            partial = head[:, g] @ tail[g]
+            values += np.abs(partial, out=partial)
         idx = int(np.argmax(values))
-        value = values[idx]
+        value = (int if exact_ints else float)(values.flat[idx])
         if best_value is None or value > best_value:
             best_value = value
-            best_combo = start + idx
+            best_combo = start * tails + idx
 
     # Reconstruct the witness from the first maximizing combination.
     responses = {}
     prod = np.ones(num_x, dtype=np.int8)
-    for party, size, stride in zip(rest, sizes, strides):
+    stride = total
+    for party, size, outputs in zip(rest, sizes, rows):
+        stride //= size
         fid = (best_combo // stride) % size
-        outputs_x = rows[party][fid]
-        prod = prod * outputs_x
+        prod = prod * outputs[fid]
         settings = scenario.visible_tuples(party)
         table = {settings[k]: int(1 - 2 * ((fid >> k) & 1)) for k in range(len(settings))}
         responses[party] = ResponseFunction(party=party, table=table)
-    grouped = (prod * q) @ onehot
+    grouped = (prod * q)[order].reshape(group_count, width).sum(axis=1)
     settings = scenario.visible_tuples(eliminated)
     table = {settings[t]: (1 if grouped[t] >= 0 else -1) for t in range(group_count)}
     responses[eliminated] = ResponseFunction(party=eliminated, table=table)
     witness = DeterministicStrategy(
         scenario=scenario, responses=tuple(responses[i] for i in parties))
 
-    value = int(best_value) if exact_ints else float(best_value)
-    result = (value, witness)
+    result = (best_value, witness)
     object.__setattr__(ineq, "_classical_bound_cache", result)
     return result
 
@@ -243,7 +294,9 @@ def classical_success_bound(ineq: BellInequality) -> float:
 
 @dataclass(frozen=True)
 class MessageStrategy:
-    """One +/-1 broadcast-message table per party over (setting, y) pairs."""
+    """One +/-1 broadcast-message table per party over (setting, y) pairs.
+
+    The tables are stored read-only, in canonical (setting, y) order."""
 
     scenario: CausalScenario
     tables: tuple
@@ -252,13 +305,18 @@ class MessageStrategy:
         tables = tuple(dict(t) for t in self.tables)
         if len(tables) != self.scenario.n:
             raise ValidationError(f"need one message table per party, got {len(tables)}")
+        frozen = []
         for i, table in enumerate(tables, start=1):
-            expected = {(t, y) for t in self.scenario.visible_tuples(i) for y in (-1, 1)}
-            if set(table) != expected:
+            expected = [(t, y) for t in self.scenario.visible_tuples(i) for y in (-1, 1)]
+            if set(table) != set(expected):
                 raise ValidationError(f"party {i} message table must cover all (setting, y) pairs")
             if any(v not in (-1, 1) for v in table.values()):
                 raise ValidationError(f"party {i} messages must be +1 or -1")
-        object.__setattr__(self, "tables", tables)
+            frozen.append(MappingProxyType({key: int(table[key]) for key in expected}))
+        object.__setattr__(self, "tables", tuple(frozen))
+
+    def __hash__(self) -> int:
+        return hash((self.scenario, tuple(tuple(t.items()) for t in self.tables)))
 
     def message(self, party: int, x, y_i: int) -> int:
         return self.tables[party - 1][(self.scenario.visible_tuple(x, party), y_i)]

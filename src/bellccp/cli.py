@@ -55,8 +55,6 @@ def _build_parser() -> _Parser:
             p.add_argument("--strategy", required=True, help="strategy preset or config path")
         p.add_argument("--noise-v", type=float, default=None,
                        help="depolarize the (pure) state at this visibility")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap, echoed into configs (computation is vectorized)")
         p.add_argument("--out", default=None, help="write output here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--dump-config", action="store_true",
@@ -93,7 +91,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("report", help="reproduce the headline numbers table")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json",), default="json")
-    p.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -131,7 +128,7 @@ def _dump_config(args, ineq, strategy=None) -> dict:
                 visibility = EXPERIMENT_VISIBILITY
             doc["strategy"] = cfg.strategy_to_config(strategy, visibility_v=visibility)
     options = {}
-    for key in ("seed", "rounds", "restarts", "tol", "threads", "noise_v", "format"):
+    for key in ("seed", "rounds", "restarts", "tol", "noise_v", "format"):
         if hasattr(args, key) and getattr(args, key) is not None:
             options[key] = getattr(args, key)
     doc["options"] = options
@@ -293,8 +290,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "threads", 1) is not None and getattr(args, "threads", 1) < 1:
-            raise ValidationError("--threads must be at least 1")
         return _COMMANDS[args.command](args)
     except (ValidationError, RandomnessExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)

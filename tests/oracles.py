@@ -129,6 +129,41 @@ def odometer_classical_bound(n, visibility, coeffs):
     return best
 
 
+def odometer_first_maximizer(n, visibility, coeffs):
+    """Best value and the first strategy attaining it, by a plain sweep.
+
+    The first party with the most visible inputs is not swept: for each
+    choice of the other parties' tables its best table is the sign of the
+    coefficient mass accumulated at each of its settings (+1 on a zero
+    mass), and the choice scores the sum of those masses' magnitudes. The
+    other parties' tables are swept as one odometer, the first of them most
+    significant, each over ascending function ids, where bit k of an id is
+    the output at the party's k-th setting (lexicographic, -1 first) and bit
+    0 means +1. Only a strictly larger value replaces the best so far.
+    Returns ``(value, tables)`` with one {setting: output} dict per party.
+    """
+    xs = list(itertools.product((-1, 1), repeat=n))
+    settings = [list(itertools.product((-1, 1), repeat=len(group))) for group in visibility]
+    restricted = [[tuple(x[j - 1] for j in group) for x in xs] for group in visibility]
+    eliminated = max(range(n), key=lambda i: len(visibility[i]))
+    swept = [i for i in range(n) if i != eliminated]
+    best = None
+    for fids in itertools.product(*(range(2 ** len(settings[i])) for i in swept)):
+        tables = {i: {s: 1 - 2 * ((fid >> k) & 1) for k, s in enumerate(settings[i])}
+                  for i, fid in zip(swept, fids)}
+        mass = {s: 0 for s in settings[eliminated]}
+        for k, x in enumerate(xs):
+            prod = coeffs[x]
+            for i in swept:
+                prod *= tables[i][restricted[i][k]]
+            mass[restricted[eliminated][k]] += prod
+        value = sum(abs(m) for m in mass.values())
+        if best is None or value > best[0]:
+            tables[eliminated] = {s: (1 if m >= 0 else -1) for s, m in mass.items()}
+            best = (value, [tables[i] for i in range(n)])
+    return best
+
+
 def planar_grid_chsh_max(coeffs, step=0.001):
     """Exhaustive planar-angle grid for a 2-party full-correlator value.
 

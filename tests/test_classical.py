@@ -23,7 +23,7 @@ from bellccp import (
     svetlichny_inequality,
 )
 from bellccp import classical
-from bellccp.classical import DEFAULT_MESSAGE_GUARD, MessageStrategy
+from bellccp.classical import DEFAULT_MESSAGE_GUARD, MessageStrategy, ResponseFunction
 
 import oracles
 
@@ -244,3 +244,83 @@ def test_message_search_dominates_sampled_strategies():
         messages = MessageStrategy(scenario=scenario, tables=tuple(tables))
         for party in (1, 2):
             assert message_protocol_success(instance, messages, party) <= best + 1e-12
+
+
+def test_equal_witnesses_hash_alike():
+    first = classical_bound(gyni_inequality())[1]
+    second = classical_bound(gyni_inequality())[1]
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert first.responses[0] == second.responses[0]
+    assert hash(first.responses[0]) == hash(second.responses[0])
+    assert hash(broadcast_messages(first)) == hash(broadcast_messages(second))
+    # Equal tables given in another key order are equal and hash alike.
+    settings = first.scenario.visible_tuples(1)
+    table = dict(first.responses[0].table)
+    reordered = ResponseFunction(party=1, table={t: table[t] for t in reversed(settings)})
+    assert reordered == first.responses[0] and hash(reordered) == hash(first.responses[0])
+    assert len({first, second, constant_strategy(first.scenario, -1)}) == 2
+
+
+def test_witness_tables_are_read_only():
+    ineq = gyni_inequality()
+    bound, witness = classical_bound(ineq)
+    key = next(iter(witness.responses[0].table))
+    with pytest.raises(TypeError):
+        witness.responses[0].table[key] = -1
+    messages = broadcast_messages(witness)
+    with pytest.raises(TypeError):
+        messages.tables[0][next(iter(messages.tables[0]))] = -1
+    # The table a caller passed in stays the caller's: changing it later does
+    # not reach the stored function.
+    table = {t: 1 for t in ineq.scenario.visible_tuples(1)}
+    response = ResponseFunction(party=1, table=table)
+    table[next(iter(table))] = -1
+    assert set(response.table.values()) == {1}
+    assert classical_bound(ineq) == (bound, witness)
+    assert strategy_bell_value(classical_bound(ineq)[1], ineq) == bound
+
+
+def _tie_heavy_cases():
+    # Coefficients in {-1, 0, 1} leave many maximizers, so only the first in
+    # odometer order matches the oracle. n = 2 has one swept party; the last
+    # two scenarios sweep a party with three visible inputs.
+    visibilities = [
+        [(1,), (2,)], [(1, 2), (2,)], [(1, 2), (2, 1)],
+        [(1, 3), (2, 1), (3, 2)], [(1, 2), (2, 1), (3,)], [(1,), (2,), (3,)],
+        [(1, 4), (2, 1), (3, 2), (4, 3)], [(1, 2), (2, 1), (3, 4), (4, 3)],
+        [(1,), (2, 3), (3,), (4, 1)],
+        [(1, 2, 3), (2, 3, 4), (3,), (4,)], [(1, 4), (2, 1, 3), (3, 4, 1), (4,)],
+    ]
+    rng = np.random.default_rng(43)
+    for visibility in visibilities:
+        n = len(visibility)
+        for _ in range(3):
+            q = rng.integers(-1, 2, size=2**n)
+            q[0] = q[0] or 1
+            yield visibility, {x: int(v) for x, v in zip(input_tuples(n), q)}
+
+
+@pytest.mark.parametrize("visibility, coeffs", list(_tie_heavy_cases()))
+def test_witness_is_first_maximizer(visibility, coeffs, monkeypatch):
+    n = len(visibility)
+    value, tables = oracles.odometer_first_maximizer(n, visibility, coeffs)
+    # The default blocks, then blocks of at most four combinations, so that
+    # ties also fall across blocks and inside the tail.
+    for chunk in (classical._CHUNK, 4):
+        monkeypatch.setattr(classical, "_CHUNK", chunk)
+        ineq = BellInequality(scenario=make_scenario(n, visibility), coeffs=coeffs)
+        bound, witness = classical_bound(ineq)
+        assert bound == value
+        assert [dict(r.table) for r in witness.responses] == tables
+
+
+def test_non_integral_bound_matches_first_maximizer():
+    rng = np.random.default_rng(47)
+    visibility = [(1, 2), (2, 3), (3,), (4, 1)]
+    coeffs = {x: float(v) for x, v in zip(input_tuples(4), rng.normal(size=16))}
+    ineq = BellInequality(scenario=make_scenario(4, visibility), coeffs=coeffs)
+    value, _tables = oracles.odometer_first_maximizer(4, visibility, coeffs)
+    bound, witness = classical_bound(ineq)
+    assert abs(bound - value) <= 1e-12 * ineq.gamma
+    assert abs(strategy_bell_value(witness, ineq) - bound) <= 1e-12 * ineq.gamma

@@ -1,0 +1,102 @@
+"""Property tests: both exact classical searches against plain listings.
+
+Scenarios and integer coefficients are random with n <= 4, small enough
+to list every strategy. On every case the two searches also meet the
+paper's identity: the best one-bit broadcast protocol succeeds with
+probability exactly 1/2 + bound / (2 Gamma).
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bellccp import (
+    BellInequality,
+    CcpInstance,
+    ccp_exhaustive_bound,
+    classical_bound,
+    classical_success_bound,
+    enumerate_strategies,
+    input_tuples,
+    make_scenario,
+    message_protocol_success,
+    strategy_bell_value,
+)
+from bellccp.classical import MessageStrategy
+
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
+
+
+@st.composite
+def coefficients(draw, n):
+    values = draw(st.lists(st.integers(-3, 3), min_size=2**n, max_size=2**n).filter(any))
+    return dict(zip(input_tuples(n), values))
+
+
+@st.composite
+def listable_inequalities(draw):
+    """n in 2..4 with at most 10 settings over all parties, so at most 2^10
+    deterministic strategies. At n = 4 every party sees only its own input:
+    one two-input party there costs the message search 0.6 s a case."""
+    n = draw(st.integers(2, 4))
+    spare = (10 if n < 4 else 8) - 2 * n
+    visibility = []
+    for i in range(1, n + 1):
+        others = draw(st.permutations([j for j in range(1, n + 1) if j != i]))
+        extra = draw(st.integers(0, max(e for e in range(n) if 2 ** (e + 1) - 2 <= spare)))
+        spare -= 2 ** (extra + 1) - 2
+        visibility.append((i, *others[:extra]))
+    return BellInequality(scenario=make_scenario(n, visibility), coeffs=draw(coefficients(n)))
+
+
+@st.composite
+def protocol_inequalities(draw):
+    """n = 2 with any visibility, or n = 3 with every party seeing only its
+    own input."""
+    if draw(st.booleans()):
+        n = 2
+        visibility = [(1, 2) if draw(st.booleans()) else (1,),
+                      (2, 1) if draw(st.booleans()) else (2,)]
+    else:
+        n = 3
+        visibility = [(1,), (2,), (3,)]
+    return BellInequality(scenario=make_scenario(n, visibility), coeffs=draw(coefficients(n)))
+
+
+def best_listed_protocol(instance):
+    """Best message_protocol_success over listed message strategies. For each
+    party every table of every other party is listed; the party's own table
+    stays all +1, since its score never reads its own message."""
+    scenario = instance.inequality.scenario
+    keys = [[(t, y) for t in scenario.visible_tuples(i) for y in (-1, 1)]
+            for i in range(1, scenario.n + 1)]
+    best = 0.0
+    for party in range(1, scenario.n + 1):
+        choices = [
+            [dict.fromkeys(k, 1)] if i == party
+            else [dict(zip(k, out)) for out in itertools.product((1, -1), repeat=len(k))]
+            for i, k in enumerate(keys, start=1)]
+        for tables in itertools.product(*choices):
+            messages = MessageStrategy(scenario=scenario, tables=tables)
+            best = max(best, message_protocol_success(instance, messages, party))
+    return best
+
+
+@PROPERTY_SETTINGS
+@given(listable_inequalities())
+def test_bound_is_best_listed_strategy(ineq):
+    bound, witness = classical_bound(ineq)
+    assert bound == max(strategy_bell_value(s, ineq) for s in enumerate_strategies(ineq.scenario))
+    assert strategy_bell_value(witness, ineq) == bound
+    assert ccp_exhaustive_bound(CcpInstance(inequality=ineq)) == pytest.approx(
+        classical_success_bound(ineq), abs=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(protocol_inequalities())
+def test_protocol_search_is_best_listed_protocol(ineq):
+    instance = CcpInstance(inequality=ineq)
+    searched = ccp_exhaustive_bound(instance)
+    assert searched == pytest.approx(best_listed_protocol(instance), abs=1e-12)
+    assert searched == pytest.approx(classical_success_bound(ineq), abs=1e-12)

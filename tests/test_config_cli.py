@@ -280,11 +280,11 @@ def test_inequality_from_config_rejects_bad_docs():
                                 "coeffs": [{"x": [1, 1]}]})
 
 
-def test_threads_flag_accepted(capsys):
-    code, out, _ = run_cli(capsys, "bound", "--ineq", "chsh", "--threads", "4")
-    assert code == 0
-    code, _, _ = run_cli(capsys, "bound", "--ineq", "chsh", "--threads", "0")
+def test_threads_flag_rejected(capsys):
+    code, out, err = run_cli(capsys, "bound", "--ineq", "chsh", "--threads", "4")
     assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --threads 4" in err
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
