@@ -54,7 +54,7 @@ _SWEEP_RATE = 4e9
 
 # Combinations per block of the classical_bound sweep, and the cap on its
 # tail, so that no product array of the sweep holds more than this many
-# times 2^n entries.
+# times 2^n entries; also the cap on every block array of the message search.
 _CHUNK = 1 << 14
 
 # Default upper bound on message-function combinations enumerated per call.
@@ -157,9 +157,12 @@ def _response_matrix(arity: int) -> np.ndarray:
     bit 0 means +1. Ascending id is the enumeration (and tie-break) order.
     """
     size = 2 ** (2**arity)
-    fids = np.arange(size, dtype=np.int64)[:, None]
-    slots = np.arange(2**arity, dtype=np.int64)[None, :]
-    return (1 - 2 * ((fids >> slots) & 1)).astype(np.int8)
+    # The low 2^arity bits of each id, unpacked from its little-endian bytes
+    # into one uint8 per slot, so that no wider array of the table's shape
+    # is ever held.
+    fids = np.arange(size, dtype="<u8").view(np.uint8).reshape(size, 8)
+    bits = np.unpackbits(fids, axis=1, count=2**arity, bitorder="little")
+    return 1 - 2 * bits.view(np.int8)
 
 
 def _odometer_products(rows, start: int, stop: int, num_x: int) -> np.ndarray:
@@ -364,25 +367,17 @@ def message_protocol_success(instance: CcpInstance, messages: MessageStrategy,
     return sum(max(m[1], m[-1]) for m in masses.values())
 
 
-def _message_matrices(scenario: CausalScenario, party: int, family: str) -> np.ndarray:
-    """Message values of every candidate function, over the (x, y) grid.
+def _message_table(arity: int, family: str) -> np.ndarray:
+    """+/-1 messages of every function of a message family, one row per
+    function over the party's slots setting * 2 + y bit (bit 1 for y = +1).
 
-    Returns an array of shape (functions, 2^n, 2^n) with entries +/-1.
-    Family "all" enumerates arbitrary functions of (setting, y); family
-    "y-odd" enumerates m = y * h(setting).
+    Family "all" holds arbitrary functions of (setting, y); family "y-odd"
+    holds m = y * h(setting), one row per response function h.
     """
-    n = scenario.n
-    vis = scenario.setting_index()[party - 1]
-    ybit = np.array([(0 if y[party - 1] == -1 else 1) for y in input_tuples(n)], dtype=np.int64)
     if family == "all":
-        rows = _response_matrix(scenario.arity(party) + 1)
-        slot = vis[:, None] * 2 + ybit[None, :]
-        return rows[:, slot]
-    if family == "y-odd":
-        rows = _response_matrix(scenario.arity(party))
-        ysign = np.array([y[party - 1] for y in input_tuples(n)], dtype=np.int8)
-        return rows[:, vis][:, :, None] * ysign[None, None, :]
-    raise ValidationError(f"unknown message family {family!r}; use 'all' or 'y-odd'")
+        return _response_matrix(arity + 1)
+    y_sign = np.tile(np.array([-1, 1], dtype=np.int8), 2**arity)
+    return np.repeat(_response_matrix(arity), 2, axis=1) * y_sign
 
 
 def ccp_exhaustive_bound(instance: CcpInstance, guard: int = DEFAULT_MESSAGE_GUARD,
@@ -395,7 +390,29 @@ def ccp_exhaustive_bound(instance: CcpInstance, guard: int = DEFAULT_MESSAGE_GUA
     other parties' message functions; each party is therefore maximized
     over the product of the others' function spaces, and the returned value
     is the best success any single party can reach.
+
+    Every combination is scored; the search is unpruned. For party p the
+    other party with the largest family is the tail and the rest are the
+    head. With signed weights w(x, y) = p(x) / 2^n times the target
+    f(x, y) = sign Q(x) prod y, one ``bincount`` per block of head
+    combinations gives the signed masses C[h, b, s], where the key b is p's
+    slot (visible setting, y bit) together with the head's messages and s is
+    the tail's slot. The tail's message splits key b into (b, +1) and
+    (b, -1) with signed masses m+ and m-, and the pointwise-best guess
+    scores max(mass of f = +1, mass of f = -1) = (unsigned + |signed|) / 2
+    on each. The tail's y bit flips f but does not enter b, so
+    m+ + m- = 0 and |m+| + |m-| = |m+ - m-| = |M[h, b, f]| with
+    M = C @ F^T over the tail's +/-1 table F. The success is therefore
+
+        1/2 sum |w| + 1/2 sum_b |M[h, b, f]|
+
+    for every head combination h and tail function f at once. Head
+    combinations and tail functions are taken in blocks so that no array of
+    the search holds more than ``_CHUNK`` entries.
     """
+    if message_family not in ("all", "y-odd"):
+        raise ValidationError(
+            f"unknown message family {message_family!r}; use 'all' or 'y-odd'")
     ineq = instance.inequality
     scenario = ineq.scenario
     n = scenario.n
@@ -419,42 +436,50 @@ def ccp_exhaustive_bound(instance: CcpInstance, guard: int = DEFAULT_MESSAGE_GUA
             f"message search needs {work} combinations, above the guard {guard}; "
             "raise the guard explicitly or restrict the message family")
 
-    weights = instance.probability_vector()[:, None] / 2**n * np.ones((1, num_x))
+    # The (x, y) grid, flattened with x major.
+    grid = num_x * num_x
     sign_q = np.array([sign(ineq.coeffs[x]) for x in input_tuples(n)], dtype=np.int8)
     prod_y = np.array([int(np.prod(y)) for y in input_tuples(n)], dtype=np.int8)
     f_plus = (sign_q[:, None] * prod_y[None, :]) == 1
+    weights = instance.probability_vector()[:, None] / 2**n
+    signed = np.where(f_plus, weights, -weights).ravel()
+    total = float(np.abs(signed).sum())
+
+    # Every party's slot at each (x, y), and its family's message table.
+    y_bits = (np.arange(num_x)[None, :] >> np.arange(n - 1, -1, -1)[:, None]) & 1
+    slots = (scenario.setting_index()[:, :, None] * 2 + y_bits[:, None, :]).reshape(n, grid)
+    tables = [_message_table(scenario.arity(i), message_family) for i in range(1, n + 1)]
 
     best = 0.0
     for party in range(1, n + 1):
         others = [j for j in range(1, n + 1) if j != party]
-        matrices = {j: _message_matrices(scenario, j, message_family) for j in others}
-        vis = scenario.setting_index()[party - 1]
-        ybit = np.array([(0 if y[party - 1] == -1 else 1) for y in input_tuples(n)],
-                        dtype=np.int64)
-        base = vis[:, None] * 2 + ybit[None, :]
-        base_count = 2 ** (scenario.arity(party) + 1)
+        tail = max(others, key=lambda j: tables[j - 1].shape[0])
+        head = [j for j in others if j != tail]
+        heads = math.prod(tables[j - 1].shape[0] for j in head)
+        keys = 2 ** (scenario.arity(party) + 1 + len(head))
+        tail_table = tables[tail - 1]
+        tails, width = tail_table.shape
 
-        head, tail = others[:-1], others[-1]
-        tail_bits = (matrices[tail] == -1).astype(np.int64)
-        tail_count = tail_bits.shape[0]
-        num_keys = base_count * 2 ** len(others)
-        w_plus = (weights * f_plus).ravel()
-        w_minus = (weights * ~f_plus).ravel()
-
-        for combo in itertools.product(*(range(matrices[j].shape[0]) for j in head)):
-            key = base.astype(np.int64)
-            for j, fid in zip(head, combo):
-                key = key * 2 + (matrices[j][fid] == -1)
-            keys = (key[None, :, :] * 2 + tail_bits
-                    + np.arange(tail_count, dtype=np.int64)[:, None, None] * num_keys)
-            flat = keys.reshape(tail_count, -1)
-            length = tail_count * num_keys
-            mass_plus = np.bincount(flat.ravel(),
-                                    weights=np.tile(w_plus, tail_count), minlength=length)
-            mass_minus = np.bincount(flat.ravel(),
-                                     weights=np.tile(w_minus, tail_count), minlength=length)
-            per_combo = np.maximum(mass_plus, mass_minus).reshape(tail_count, num_keys).sum(axis=1)
-            value = float(per_combo.max())
-            if value > best:
-                best = value
-    return best
+        block = min(heads, max(1, _CHUNK // max(grid, keys * width)))
+        tail_block = max(1, _CHUNK // max(block * keys, width))
+        for start in range(0, heads, block):
+            count = min(block, heads - start)
+            combos = np.arange(start, start + count, dtype=np.int64)
+            key = np.broadcast_to(slots[party - 1], (count, grid))
+            stride = heads
+            for j in head:
+                size = tables[j - 1].shape[0]
+                stride //= size
+                fids = (combos // stride) % size
+                key = key * 2 + (tables[j - 1][fids[:, None], slots[j - 1][None, :]] == -1)
+            # Masses run key-major, (b, h), so that the sum over keys adds
+            # contiguous runs of head combinations.
+            index = (key * count + np.arange(count)[:, None]) * width + slots[tail - 1]
+            masses = np.bincount(index.ravel(), weights=np.tile(signed, count),
+                                 minlength=keys * count * width)
+            masses = masses.reshape(keys * count, width)
+            for first in range(0, tails, tail_block):
+                split = tail_table[first:first + tail_block].astype(np.float64) @ masses.T
+                score = np.abs(split, out=split).reshape(-1, keys, count).sum(axis=1)
+                best = max(best, float(score.max()))
+    return 0.5 * total + 0.5 * best

@@ -1,5 +1,7 @@
 """Tests for deterministic-strategy enumeration and the protocol search."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,56 @@ def test_message_guard():
     with pytest.raises(EnumerationGuardError):
         ccp_exhaustive_bound(instance, guard=10)
     assert 3 * 2**16 <= DEFAULT_MESSAGE_GUARD
+
+
+def test_unknown_message_family_is_rejected_before_the_guard():
+    instance = CcpInstance(inequality=gyni_inequality())
+    with pytest.raises(ValidationError, match="'bogus'"):
+        ccp_exhaustive_bound(instance, guard=10, message_family="bogus")
+
+
+@pytest.mark.parametrize("family, combos", [("all", 3 * 256**2), ("y-odd", 3 * 16**2)])
+def test_message_guard_counts_scored_combinations(family, combos):
+    # Each gyni party scores every pair of the other two parties' functions.
+    instance = CcpInstance(inequality=gyni_inequality())
+    assert ccp_exhaustive_bound(instance, guard=combos, message_family=family) == 0.875
+    with pytest.raises(EnumerationGuardError, match=f"needs {combos} combinations"):
+        ccp_exhaustive_bound(instance, guard=combos - 1, message_family=family)
+
+
+@pytest.mark.parametrize("chunk", [100, 400])
+def test_message_search_blocks_agree(chunk, monkeypatch):
+    # Caps that are not powers of two leave partial head and tail blocks.
+    rng = np.random.default_rng(53)
+    scenario = make_scenario(4, [(1, 2), (2,), (3,), (4, 3)])
+    coeffs = {x: int(rng.integers(-3, 4)) or 1 for x in input_tuples(4)}
+    instances = [CcpInstance(inequality=gyni_inequality()),
+                 CcpInstance(inequality=svetlichny_inequality()),
+                 CcpInstance(inequality=BellInequality(scenario=scenario, coeffs=coeffs))]
+    expected = [ccp_exhaustive_bound(instance, message_family="y-odd") for instance in instances]
+    monkeypatch.setattr(classical, "_CHUNK", chunk)
+    for instance, value in zip(instances, expected):
+        assert ccp_exhaustive_bound(instance, message_family="y-odd") == pytest.approx(
+            value, abs=1e-12)
+    assert expected[:2] == [0.875, 0.75]
+
+
+def test_message_search_memory_stays_bounded():
+    # Party 1's 2^16 message functions are the tail for parties 2 and 3, so
+    # the search must block them as well as the head.
+    rng = np.random.default_rng(59)
+    scenario = make_scenario(3, [(1, 2, 3), (2,), (3,)])
+    coeffs = {x: int(rng.integers(-3, 4)) or 1 for x in input_tuples(3)}
+    ineq = BellInequality(scenario=scenario, coeffs=coeffs)
+    instance = CcpInstance(inequality=ineq)
+    tracemalloc.start()
+    try:
+        value = ccp_exhaustive_bound(instance, guard=2**22)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert value == pytest.approx(classical_success_bound(ineq), abs=1e-12)
 
 
 def test_protocol_messages_reach_the_bound():

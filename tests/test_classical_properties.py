@@ -37,8 +37,8 @@ def coefficients(draw, n):
 @st.composite
 def listable_inequalities(draw):
     """n in 2..4 with at most 10 settings over all parties, so at most 2^10
-    deterministic strategies. At n = 4 every party sees only its own input:
-    one two-input party there costs the message search 0.6 s a case."""
+    deterministic strategies. At n = 4 every party sees only its own input;
+    n = 4 parties that see a neighbour come from neighbour_inequalities."""
     n = draw(st.integers(2, 4))
     spare = (10 if n < 4 else 8) - 2 * n
     visibility = []
@@ -64,6 +64,17 @@ def protocol_inequalities(draw):
     return BellInequality(scenario=make_scenario(n, visibility), coeffs=draw(coefficients(n)))
 
 
+@st.composite
+def neighbour_inequalities(draw):
+    """n = 4 with one or two parties that also see one ring neighbour."""
+    seeing = draw(st.sets(st.integers(1, 4), min_size=1, max_size=2))
+    visibility = []
+    for i in range(1, 5):
+        neighbour = i % 4 + 1 if draw(st.booleans()) else (i - 2) % 4 + 1
+        visibility.append((i, neighbour) if i in seeing else (i,))
+    return BellInequality(scenario=make_scenario(4, visibility), coeffs=draw(coefficients(4)))
+
+
 def best_listed_protocol(instance):
     """Best message_protocol_success over listed message strategies. For each
     party every table of every other party is listed; the party's own table
@@ -77,6 +88,24 @@ def best_listed_protocol(instance):
             [dict.fromkeys(k, 1)] if i == party
             else [dict(zip(k, out)) for out in itertools.product((1, -1), repeat=len(k))]
             for i, k in enumerate(keys, start=1)]
+        for tables in itertools.product(*choices):
+            messages = MessageStrategy(scenario=scenario, tables=tables)
+            best = max(best, message_protocol_success(instance, messages, party))
+    return best
+
+
+def best_listed_y_odd_protocol(instance):
+    """As best_listed_protocol, over the y-odd tables m = y * h(setting) of
+    every listed response table h."""
+    scenario = instance.inequality.scenario
+    settings_of = [scenario.visible_tuples(i) for i in range(1, scenario.n + 1)]
+    best = 0.0
+    for party in range(1, scenario.n + 1):
+        choices = [
+            [{(t, y): 1 for t in settings for y in (-1, 1)}] if i == party
+            else [{(t, y): y * h for t, h in zip(settings, outputs) for y in (-1, 1)}
+                  for outputs in itertools.product((1, -1), repeat=len(settings))]
+            for i, settings in enumerate(settings_of, start=1)]
         for tables in itertools.product(*choices):
             messages = MessageStrategy(scenario=scenario, tables=tables)
             best = max(best, message_protocol_success(instance, messages, party))
@@ -99,4 +128,21 @@ def test_protocol_search_is_best_listed_protocol(ineq):
     instance = CcpInstance(inequality=ineq)
     searched = ccp_exhaustive_bound(instance)
     assert searched == pytest.approx(best_listed_protocol(instance), abs=1e-12)
+    assert searched == pytest.approx(classical_success_bound(ineq), abs=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(protocol_inequalities())
+def test_y_odd_search_is_best_listed_y_odd_protocol(ineq):
+    instance = CcpInstance(inequality=ineq)
+    searched = ccp_exhaustive_bound(instance, message_family="y-odd")
+    assert searched == pytest.approx(best_listed_y_odd_protocol(instance), abs=1e-12)
+    assert searched == pytest.approx(classical_success_bound(ineq), abs=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(neighbour_inequalities())
+def test_neighbour_search_meets_success_bound(ineq):
+    # Two neighbour-seeing parties need 2^21 + 2^17 combinations.
+    searched = ccp_exhaustive_bound(CcpInstance(inequality=ineq), guard=2**22)
     assert searched == pytest.approx(classical_success_bound(ineq), abs=1e-12)
