@@ -37,7 +37,6 @@ from .scenarios import (
     CausalScenario,
     CcpInstance,
     input_tuples,
-    input_tuples_of_length,
     sign,
 )
 
@@ -76,7 +75,7 @@ class ResponseFunction:
         if len(arities) != 1:
             raise ValidationError(f"party {self.party} table keys have mixed lengths")
         arity = arities.pop()
-        expected = input_tuples_of_length(arity)
+        expected = input_tuples(arity)
         if sorted(table) != sorted(expected):
             raise ValidationError(f"party {self.party} table must cover all {2**arity} settings")
         if any(v not in (-1, 1) for v in table.values()):

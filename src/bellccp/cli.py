@@ -49,14 +49,14 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="bellccp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, strategy=False):
+    def common(p, strategy=False, noise=False):
         p.add_argument("--ineq", required=True, help="inequality name or config path")
         if strategy:
             p.add_argument("--strategy", required=True, help="strategy preset or config path")
-        p.add_argument("--noise-v", type=float, default=None,
-                       help="depolarize the (pure) state at this visibility")
+        if noise:
+            p.add_argument("--noise-v", type=float, default=None,
+                           help="depolarize the (pure) state at this visibility")
         p.add_argument("--out", default=None, help="write output here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--dump-config", action="store_true",
                        help="print the resolved configuration and exit")
 
@@ -64,7 +64,7 @@ def _build_parser() -> _Parser:
     common(p)
 
     p = sub.add_parser("optimize", help="variational maximization of the value")
-    common(p)
+    common(p, noise=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--tol", type=float, default=1e-12)
@@ -72,10 +72,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--optimize-state", action="store_true")
 
     p = sub.add_parser("eval", help="value and success probability of a strategy")
-    common(p, strategy=True)
+    common(p, strategy=True, noise=True)
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="csv prints the correlator table instead")
 
     p = sub.add_parser("simulate", help="run protocol rounds and report statistics")
-    common(p, strategy=True)
+    common(p, strategy=True, noise=True)
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--randomness", default="prng",
@@ -90,7 +92,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("report", help="reproduce the headline numbers table")
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json",), default="json")
     return parser
 
 

@@ -30,7 +30,7 @@ from .classical import DeterministicStrategy
 from .errors import RandomnessExhaustedError, ValidationError
 from .quantum import QuantumStrategy, outcome_distribution
 from .randomness import RandomnessSource
-from .scenarios import CcpInstance, input_tuples, sign
+from .scenarios import CcpInstance, input_tuples, sign, tuple_index
 from .config import strategy_fingerprint
 
 
@@ -96,65 +96,66 @@ _BLOCK_ROUNDS = 1 << 16
 
 
 def _cumulative(probabilities: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(probabilities)
-    cum[-1] = 1.0
+    cum = np.cumsum(probabilities, axis=-1)
+    cum[..., -1] = 1.0
     return cum
 
 
-def _input_cumulative(instance: CcpInstance) -> np.ndarray:
-    cached = getattr(instance, "_cum_inputs", None)
-    if cached is None:
-        cached = _cumulative(instance.probability_vector())
-        object.__setattr__(instance, "_cum_inputs", cached)
-    return cached
-
-
 class _Tables:
-    """Per-input-tuple tables shared across the rounds of a session; a
-    strategy adds outcome CDFs (quantum) or fixed outcomes (deterministic)."""
+    """A strategy's outcome table on an instance, with the CDFs that sample it.
+
+    Rows and columns follow the canonical tuple order. ``weights[x]`` is the
+    input distribution and ``outcomes[x, a]`` the probability of outcome
+    tuple a at input x: the Born-rule distribution for quantum strategies,
+    left at zero on inputs of zero weight, and one-hot at ``outputs(x)`` for
+    deterministic ones. Without a strategy only the input side is built.
+    """
 
     def __init__(self, instance: CcpInstance, strategy=None):
         ineq = instance.inequality
         self.n = ineq.n
-        self.tuples = np.array(input_tuples(self.n), dtype=np.int8)
-        self.cum_inputs = _input_cumulative(instance)
-        self.cum_outcomes = self.fixed_outcomes = None
+        tuples = input_tuples(self.n)
+        self.tuples = np.array(tuples, dtype=np.int8)
+        self.weights = instance.probability_vector()
+        self.cum_inputs = _cumulative(self.weights)
+        self.cum_outcomes = None
+        self.quantum = isinstance(strategy, QuantumStrategy)
         if strategy is None:
             return
         if not isinstance(strategy, (QuantumStrategy, DeterministicStrategy)):
             raise ValidationError(f"unsupported strategy type {type(strategy).__name__}")
         if strategy.scenario != ineq.scenario:
             raise ValidationError("strategy scenario does not match the instance")
-        tuples = input_tuples(self.n)
-        if isinstance(strategy, QuantumStrategy):
-            self.cum_outcomes = np.array([
-                _cumulative(np.array([outcome_distribution(strategy, x)[a] for a in tuples]))
-                for x in tuples])
+        self.outcomes = np.zeros((len(tuples), len(tuples)))
+        if self.quantum:
+            for k in np.flatnonzero(self.weights):
+                # outcome_distribution keys its dict in canonical order.
+                self.outcomes[k] = list(outcome_distribution(strategy, tuples[k]).values())
         else:
-            self.fixed_outcomes = np.array([strategy.outputs(x) for x in tuples], dtype=np.int8)
+            hits = [tuple_index(strategy.outputs(x)) for x in tuples]
+            self.outcomes[np.arange(len(tuples)), hits] = 1.0
+        self.cum_outcomes = _cumulative(self.outcomes)
         self.sign_q = np.array([sign(ineq.coeffs[x]) for x in tuples], dtype=np.int8)
 
 
 def _play(tables: _Tables, rounds: int, rng: RandomnessSource):
     """Yield (x indices, y, a) for ``rounds`` rounds, one ``draw_rounds``
     call per block; ``a`` is None without a strategy."""
-    quantum = tables.cum_outcomes is not None
     for start in range(0, rounds, _BLOCK_ROUNDS):
         try:
             x_u, y_bits, a_u = rng.draw_rounds(min(_BLOCK_ROUNDS, rounds - start),
-                                               tables.n, quantum)
+                                               tables.n, tables.quantum)
         except RandomnessExhaustedError as exc:
             completed = start + exc.rounds_completed
             raise RandomnessExhaustedError(
                 f"randomness exhausted after {completed} complete rounds",
                 bits_consumed=exc.bits_consumed, rounds_completed=completed) from exc
         x_idx = np.searchsorted(tables.cum_inputs, x_u, side="right")
-        if quantum:
-            a = tables.tuples[(tables.cum_outcomes[x_idx] <= a_u[:, None]).sum(axis=1)]
-        elif tables.fixed_outcomes is not None:
-            a = tables.fixed_outcomes[x_idx]
-        else:
-            a = None
+        a = None
+        if tables.cum_outcomes is not None:
+            # One-hot deterministic rows give their outcome at u = 0.
+            u = 0.0 if a_u is None else a_u[:, None]
+            a = tables.tuples[(tables.cum_outcomes[x_idx] <= u).sum(axis=1)]
         yield x_idx, 1 - 2 * y_bits, a
 
 
@@ -176,12 +177,7 @@ def _build_record(instance: CcpInstance, x, y, a) -> RoundRecord:
     for value in y:
         prod_y *= value
     f_value = prod_y * sign(ineq.coeffs[x])
-    prod_a = 1
-    for value in a:
-        prod_a *= value
     passed = guess == f_value
-    # The y's cancel: a round passes exactly when prod(a) matches sign(Q).
-    assert passed == (prod_a == sign(ineq.coeffs[x]))
     settings = tuple(scenario.visible_tuple(x, i) for i in range(1, n + 1))
     return RoundRecord(x=x, y=y, settings=settings, a=a, m=m,
                        guess=guess, f_value=f_value, passed=passed)
@@ -227,38 +223,13 @@ def run_session(instance: CcpInstance, strategy, rounds: int, rng: RandomnessSou
 def exact_success(instance: CcpInstance, strategy) -> float:
     """Expected pass rate, summed exactly over the input distribution.
 
-    For quantum strategies this sums the Born-rule mass of outcomes whose
-    product matches sign(Q(x)); for deterministic strategies the outcome
-    product is a fixed +/-1 per input tuple.
+    One masked sum over the outcome table P[x, a] that sessions sample:
+    sum_x w(x) sum_a P[x, a] [prod(a) = sign Q(x)], with w the instance's
+    input distribution. Strategies of another type or scenario are rejected.
     """
-    ineq = instance.inequality
-    total = 0.0
-    if isinstance(strategy, QuantumStrategy):
-        for x, weight in instance.input_distribution.items():
-            if weight == 0.0:
-                continue
-            target = sign(ineq.coeffs[x])
-            dist = outcome_distribution(strategy, x)
-            mass = 0.0
-            for a, p in dist.items():
-                prod = 1
-                for value in a:
-                    prod *= value
-                if prod == target:
-                    mass += p
-            total += weight * mass
-    elif isinstance(strategy, DeterministicStrategy):
-        for x, weight in instance.input_distribution.items():
-            if weight == 0.0:
-                continue
-            prod = 1
-            for value in strategy.outputs(x):
-                prod *= value
-            if prod == sign(ineq.coeffs[x]):
-                total += weight
-    else:
-        raise ValidationError(f"unsupported strategy type {type(strategy).__name__}")
-    return total
+    tables = _Tables(instance, strategy)
+    passing = tables.tuples.prod(axis=1)[None, :] == tables.sign_q[:, None]
+    return float(tables.weights @ (tables.outcomes * passing).sum(axis=1))
 
 
 def write_session_log(log: SessionLog, path) -> None:

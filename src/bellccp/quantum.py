@@ -158,7 +158,8 @@ def outcome_distribution(strategy: QuantumStrategy, x) -> dict[tuple[int, ...], 
 
     Probabilities are Born-rule expectations of tensor products of the
     outcome projectors; tiny negative values from roundoff are zeroed.
-    Results are memoized per input tuple (the strategy is immutable).
+    Keys come in the canonical tuple order. Results are memoized per input
+    tuple (the strategy is immutable).
     """
     n = strategy.scenario.n
     x = tuple(x)

@@ -32,7 +32,7 @@ MAX_PARTIES = 6
 
 @lru_cache(maxsize=None)
 def input_tuples(n: int) -> tuple[tuple[int, ...], ...]:
-    """All 2^n input tuples in the canonical lexicographic order."""
+    """All 2^n +/-1 tuples of length n in the canonical lexicographic order."""
     return tuple(itertools.product((-1, 1), repeat=n))
 
 
@@ -95,7 +95,7 @@ class CausalScenario:
 
     def visible_tuples(self, party: int) -> tuple[tuple[int, ...], ...]:
         """All settings of a party, in canonical order."""
-        return input_tuples_of_length(self.arity(party))
+        return input_tuples(self.arity(party))
 
     def setting_index(self) -> np.ndarray:
         """Row i-1 holds party i's setting index at every input tuple, in
@@ -108,11 +108,6 @@ class CausalScenario:
             for j in group:
                 row[:] = 2 * row + bits[j - 1]
         return index
-
-
-@lru_cache(maxsize=None)
-def input_tuples_of_length(length: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(itertools.product((-1, 1), repeat=length))
 
 
 def make_scenario(n: int, visibility) -> CausalScenario:

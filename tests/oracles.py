@@ -48,6 +48,13 @@ def outcome_probability(vec: np.ndarray, observables, outcomes) -> float:
     return pure_expectation(vec, kron_chain(projectors))
 
 
+def density_outcome_probability(rho: np.ndarray, observables, outcomes) -> float:
+    """Born probability Tr[rho P] of a +/-1 outcome tuple, with P the
+    Kronecker product of the explicit projectors (I + a_i A_i) / 2."""
+    projectors = [(I2 + a * A) / 2 for A, a in zip(observables, outcomes)]
+    return float(np.trace(rho @ kron_chain(projectors)).real)
+
+
 def pauli_string_expectation(rho: np.ndarray, paulis) -> float:
     """Tr[rho sigma_p1 x ... x sigma_pn] with p = 0 (identity), 1, 2, 3 (x, y, z)."""
     return float(np.trace(rho @ kron_chain([PAULI_BASIS[p] for p in paulis])).real)
@@ -102,6 +109,36 @@ def kron_sweep(rho, n, visibility, q, tables, threshold):
             else:
                 tables[i][s] = gradient / norm
     return tables, degenerate
+
+
+def quantum_game_success(rho, n, visibility, tables, weights, q) -> float:
+    """Pass rate of the broadcast game for a quantum strategy:
+    sum_x w(x) sum_a Tr[rho P(a | x)] over the outcome tuples a whose product
+    is sign Q(x) (+1 where Q(x) = 0). ``tables[i][s]`` is party i+1's Bloch
+    vector at its setting s; ``weights`` and ``q`` are in canonical order."""
+    positions = setting_positions(n, visibility)
+    xs = list(itertools.product((-1, 1), repeat=n))
+    total = 0.0
+    for k in range(2**n):
+        target = -1 if q[k] < 0 else 1
+        observables = [bloch_operator(tables[i][positions[i][k]]) for i in range(n)]
+        for a in xs:
+            if np.prod(a) == target:
+                total += weights[k] * density_outcome_probability(rho, observables, a)
+    return total
+
+
+def deterministic_game_success(n, visibility, tables, weights, q) -> float:
+    """Pass rate of the broadcast game for a deterministic strategy:
+    sum_x w(x) [prod_i a_i(x) = sign Q(x)] (+1 where Q(x) = 0), where
+    ``tables[i][s]`` is party i+1's output at its setting s."""
+    positions = setting_positions(n, visibility)
+    total = 0.0
+    for k in range(2**n):
+        product = np.prod([tables[i][positions[i][k]] for i in range(n)])
+        if product == (-1 if q[k] < 0 else 1):
+            total += weights[k]
+    return total
 
 
 def odometer_classical_bound(n, visibility, coeffs):

@@ -287,6 +287,23 @@ def test_threads_flag_rejected(capsys):
     assert "unrecognized arguments: --threads 4" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("bound", "--ineq", "chsh", "--format", "csv"),
+    ("bound", "--ineq", "chsh", "--noise-v", "0.3"),
+    ("optimize", "--ineq", "chsh", "--seed", "1", "--format", "csv"),
+    ("simulate", "--ineq", "gyni", "--strategy", "gyni-paper", "--rounds", "2",
+     "--seed", "1", "--format", "csv"),
+    ("verify", "--ineq", "chsh", "--seed", "1", "--format", "csv"),
+    ("verify", "--ineq", "chsh", "--seed", "1", "--noise-v", "0.1"),
+    ("report", "--format", "json"),
+])
+def test_unread_flags_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     out_path = tmp_path / "bound.json"
     code, out, _ = run_cli(capsys, "bound", "--ineq", "gyni", "--out", str(out_path))

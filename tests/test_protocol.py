@@ -152,6 +152,19 @@ def test_exact_success_svetlichny_canonical():
     assert value == pytest.approx(0.5 * (1 + np.sqrt(2) / 2), abs=1e-9)
 
 
+@pytest.mark.parametrize("kind", ["quantum", "deterministic"])
+def test_exact_success_rejects_mismatched_scenario(kind):
+    instance = _gyni_instance()
+    ineq = svetlichny_inequality()
+    strategy = (canonical_strategy("svetlichny-paper") if kind == "quantum"
+                else classical_bound(ineq)[1])
+    message = "strategy scenario does not match the instance"
+    with pytest.raises(ValidationError, match=message):
+        run_session(instance, strategy, 1, SeededPrng(1))
+    with pytest.raises(ValidationError, match=message):
+        exact_success(instance, strategy)
+
+
 def test_session_statistics_classical_witness():
     ineq = gyni_inequality()
     instance = CcpInstance(inequality=ineq)
