@@ -21,7 +21,6 @@ from .classical import (
 )
 from .errors import (
     BlochVectorError,
-    ConvergenceError,
     EnumerationGuardError,
     NumericError,
     RandomnessExhaustedError,

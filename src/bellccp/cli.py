@@ -2,8 +2,8 @@
 
 Subcommands: bound, optimize, eval, simulate, verify, report. Output is
 JSON on stdout (or --out); eval can emit the correlator table as CSV.
-Exit codes: 0 success, 1 validation/usage error, 2 numeric or convergence
-error. Randomized subcommands refuse to run without an explicit --seed.
+Exit codes: 0 success, 1 validation/usage error, 2 numeric error.
+Randomized subcommands refuse to run without an explicit --seed.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Two broad families: validation errors (bad inputs, malformed configs,
-violated preconditions) and numeric errors (consistency checks or iterative
-methods failing at run time). The CLI maps them to exit codes 1 and 2.
+violated preconditions) and numeric errors (consistency checks failing at
+run time). The CLI maps them to exit codes 1 and 2.
 """
 
 from __future__ import annotations
@@ -22,17 +22,6 @@ class EnumerationGuardError(ValidationError):
 
 class NumericError(ArithmeticError):
     """Raised when a numeric consistency check fails."""
-
-
-class ConvergenceError(NumericError):
-    """Raised when an iterative method fails to converge.
-
-    Carries the iteration count reached in ``iterations``.
-    """
-
-    def __init__(self, message: str, iterations: int):
-        super().__init__(message)
-        self.iterations = iterations
 
 
 class RandomnessExhaustedError(RuntimeError):

@@ -17,7 +17,9 @@ and 4 sqrt(2) respectively.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -51,21 +53,22 @@ class QuantumStrategy:
     """Shared state plus per-party, per-setting observables.
 
     ``observables`` maps (party, visible tuple) to an :class:`Observable2`
-    and must be complete: 2^(arity) settings for every party.
+    and must be complete: 2^(arity) settings for every party. It is stored
+    read-only, in canonical order (party, then setting index).
     """
 
     scenario: CausalScenario
     state: PureState | MixedState
-    observables: dict
+    observables: Mapping
 
     def __post_init__(self):
         obs = dict(self.observables)
-        expected = {(i, t)
-                    for i in range(1, self.scenario.n + 1)
-                    for t in self.scenario.visible_tuples(i)}
-        if set(obs) != expected:
-            missing = expected - set(obs)
-            extra = set(obs) - expected
+        keys = [(i, t)
+                for i in range(1, self.scenario.n + 1)
+                for t in self.scenario.visible_tuples(i)]
+        if set(obs) != set(keys):
+            missing = set(keys) - set(obs)
+            extra = set(obs) - set(keys)
             raise ValidationError(
                 f"observable map incomplete or mismatched (missing {sorted(missing)}, "
                 f"unexpected {sorted(extra)})")
@@ -75,7 +78,10 @@ class QuantumStrategy:
         if self.state.dim != 2**self.scenario.n:
             raise ValidationError(
                 f"state dimension {self.state.dim} does not match {self.scenario.n} parties")
-        object.__setattr__(self, "observables", obs)
+        object.__setattr__(self, "observables", MappingProxyType({k: obs[k] for k in keys}))
+
+    def __hash__(self) -> int:
+        return hash((self.scenario, self.state, tuple(self.observables.items())))
 
     def observable_for(self, party: int, x) -> Observable2:
         return self.observables[(party, self.scenario.visible_tuple(x, party))]
@@ -283,11 +289,25 @@ def random_strategy(scenario: CausalScenario, rng: np.random.Generator,
     state: PureState | MixedState = PureState(amplitudes)
     if mixed:
         state = depolarize(state, float(rng.uniform(0.0, 1.0)))
-    observables = {}
+    observables = {(i, t): Observable2(bloch=r)
+                   for i, table in enumerate(random_bloch_tables(scenario, rng), start=1)
+                   for t, r in zip(scenario.visible_tuples(i), table)}
+    return QuantumStrategy(scenario=scenario, state=state, observables=observables)
+
+
+def random_bloch_tables(scenario: CausalScenario, rng: np.random.Generator) -> list[np.ndarray]:
+    """Uniform random unit Bloch vectors, one (2^arity, 3) table per party.
+
+    Draws a normal 3-vector per setting, party by party in setting order,
+    redrawing any shorter than 1e-12 before normalizing it.
+    """
+    tables = []
     for i in range(1, scenario.n + 1):
-        for t in scenario.visible_tuples(i):
+        rows = []
+        for _ in scenario.visible_tuples(i):
             vec = rng.standard_normal(3)
             while np.linalg.norm(vec) < 1e-12:
                 vec = rng.standard_normal(3)
-            observables[(i, t)] = Observable2(bloch=vec / np.linalg.norm(vec))
-    return QuantumStrategy(scenario=scenario, state=state, observables=observables)
+            rows.append(vec / np.linalg.norm(vec))
+        tables.append(np.array(rows))
+    return tables

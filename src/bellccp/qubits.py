@@ -6,7 +6,8 @@ are parameterized by unit Bloch vectors r and act as r . sigma; the two
 outcome projectors are (I +/- A) / 2.
 
 Everything here is a pure function over immutable values: state and
-observable arrays are copied on construction and marked read-only.
+observable arrays are copied on construction and marked read-only, and
+states and observables compare and hash by their entries.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BlochVectorError, NumericError, ValidationError
+from .scenarios import MAX_PARTIES
 
 # Absolute tolerance used by every invariant check in the package.
 ATOL = 1e-9
@@ -24,8 +26,6 @@ ATOL = 1e-9
 # anything further off is rejected. Wide enough to accept unit vectors whose
 # components were rounded to two decimals.
 BLOCH_NORM_TOL = 1e-2
-
-MAX_QUBITS = 12
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -50,17 +50,35 @@ def _qubit_count(dim: int, what: str) -> int:
     n = int(dim).bit_length() - 1
     if dim <= 0 or 2**n != dim:
         raise ValidationError(f"{what} dimension {dim} is not a power of two")
-    if n > MAX_QUBITS:
-        raise ValidationError(f"{what} exceeds the dense-matrix cap of {MAX_QUBITS} qubits")
+    if n > MAX_PARTIES:
+        raise ValidationError(f"{what} exceeds the cap of {MAX_PARTIES} qubits")
     return n
 
 
-@dataclass(frozen=True)
-class PureState:
+class _ArrayValue:
+    """Value ``==`` and ``hash`` over the read-only array named by ``_value_field``.
+
+    Entries compare as Python numbers, so -0.0 and 0.0 agree."""
+
+    def _value(self) -> tuple:
+        return tuple(getattr(self, self._value_field).ravel().tolist())
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return hash(self._value())
+
+
+@dataclass(frozen=True, eq=False)
+class PureState(_ArrayValue):
     """Normalized state vector on ``n`` qubits."""
 
     amplitudes: np.ndarray
     n: int = field(default=-1)
+    _value_field = "amplitudes"
 
     def __post_init__(self):
         arr = _frozen_complex_array(self.amplitudes, (np.size(self.amplitudes),))
@@ -81,12 +99,13 @@ class PureState:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
-@dataclass(frozen=True)
-class MixedState:
+@dataclass(frozen=True, eq=False)
+class MixedState(_ArrayValue):
     """Density matrix on ``n`` qubits: Hermitian, unit trace, PSD."""
 
     matrix: np.ndarray
     n: int = field(default=-1)
+    _value_field = "matrix"
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex)
@@ -115,8 +134,8 @@ class MixedState:
         return self.matrix
 
 
-@dataclass(frozen=True)
-class Observable2:
+@dataclass(frozen=True, eq=False)
+class Observable2(_ArrayValue):
     """Traceless binary qubit observable r . sigma with unit Bloch vector r.
 
     Squares to the identity, so its eigenvalues are +/-1 and the outcome
@@ -126,6 +145,7 @@ class Observable2:
 
     bloch: np.ndarray
     matrix: np.ndarray = field(default=None)
+    _value_field = "bloch"
 
     def __post_init__(self):
         r = np.array(self.bloch, dtype=float)
@@ -184,9 +204,9 @@ def tensor_product(factors) -> np.ndarray:
 
 
 def ghz_state(n: int) -> PureState:
-    """(|0...0> + |1...1>)/sqrt(2) on ``n`` qubits, 2 <= n <= MAX_QUBITS."""
-    if not isinstance(n, (int, np.integer)) or not 2 <= n <= MAX_QUBITS:
-        raise ValidationError(f"GHZ qubit count must be an integer in [2, {MAX_QUBITS}], got {n}")
+    """(|0...0> + |1...1>)/sqrt(2) on ``n`` qubits, 2 <= n <= MAX_PARTIES."""
+    if not isinstance(n, (int, np.integer)) or not 2 <= n <= MAX_PARTIES:
+        raise ValidationError(f"GHZ qubit count must be an integer in [2, {MAX_PARTIES}], got {n}")
     amplitudes = np.zeros(2**n, dtype=complex)
     amplitudes[0] = amplitudes[-1] = 1.0 / np.sqrt(2.0)
     return PureState(amplitudes)

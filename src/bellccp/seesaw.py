@@ -11,7 +11,7 @@ tuples, so a sweep updates a whole party from one batched contraction: the
 same coordinate ascent as slot by slot, with a closed-form, provably
 non-decreasing update. State optimization, when enabled, replaces the state
 by the top eigenvector of the fixed-observable operator
-sum_x Q(x) A_1 x ... x A_n, found by shifted power iteration.
+sum_x Q(x) A_1 x ... x A_n, from one Hermitian eigendecomposition.
 
 Restarts draw independent initial Bloch vectors from spawned generator
 streams, so results are reproducible given (seed, options).
@@ -23,17 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ValidationError
 from .qubits import Observable2, PureState, MixedState, ghz_state, pauli_tensor, tensor_product
-from .quantum import QuantumStrategy, correlations
+from .quantum import QuantumStrategy, correlations, random_bloch_tables
 from .scenarios import BellInequality
 
 # Gradients shorter than this leave the slot's Bloch vector unchanged.
 DEGENERATE_GRADIENT = 1e-14
-
-_POWER_ITERATION_SEED = 0x706F7765
-_POWER_MAX_ITERATIONS = 10**4
-_POWER_TOL = 1e-12
 
 # Cap on observable/state alternations when state optimization is enabled.
 _MAX_ALTERNATIONS = 100
@@ -86,18 +82,6 @@ class _Sweeper:
         self.sweeps = self.degenerate = 0
         self.state = state
         self.tensor = pauli_tensor(state)
-
-    def set_random_observables(self, rng: np.random.Generator):
-        tables = []
-        for i in range(1, self.scenario.n + 1):
-            rows = []
-            for _ in self.scenario.visible_tuples(i):
-                vec = rng.standard_normal(3)
-                while np.linalg.norm(vec) < 1e-12:
-                    vec = rng.standard_normal(3)
-                rows.append(vec / np.linalg.norm(vec))
-            tables.append(np.array(rows))
-        self.set_observables(tables)
 
     def set_observables(self, tables: list[np.ndarray]):
         self.bloch = [np.array(table, dtype=float) for table in tables]
@@ -162,12 +146,7 @@ def _alternate(sweeper: _Sweeper, opts: OptimizerOptions):
         sweeper.run(opts.max_sweeps, opts.tol)
         before_state_update = sweeper.trace[-1]
         old_state = sweeper.state
-        try:
-            new_state, _ = optimal_state(sweeper.ineq, sweeper.observables())
-        except ConvergenceError:
-            # Near-degenerate top eigenvalues stall power iteration; any
-            # remaining state improvement is below its resolution.
-            return
+        new_state, _ = optimal_state(sweeper.ineq, sweeper.observables())
         sweeper.set_state(new_state)
         # The exact top eigenvalue cannot be below the current value; a
         # numerical non-improvement means the alternation has converged.
@@ -186,7 +165,7 @@ def _best_of_restarts(ineq: BellInequality, state: PureState | MixedState,
     sweepers = []
     for rng in _restart_streams(opts.seed, opts.restarts):
         sweeper = _Sweeper(ineq, state)
-        sweeper.set_random_observables(rng)
+        sweeper.set_observables(random_bloch_tables(ineq.scenario, rng))
         if optimize_state:
             _alternate(sweeper, opts)
         else:
@@ -217,36 +196,10 @@ def bell_operator(ineq: BellInequality, observables: dict) -> np.ndarray:
 
 
 def optimal_state(ineq: BellInequality, observables: dict) -> tuple[PureState, float]:
-    """Top eigenpair of the fixed-observable operator by power iteration.
-
-    The spectrum lies in [-Gamma, Gamma], so shifting by Gamma makes the
-    target eigenvalue the largest in magnitude. Stops when the Rayleigh
-    quotient settles to 1e-12; raises after 10^4 iterations.
-    """
-    if isinstance(observables, QuantumStrategy):
-        observables = observables.observables
-    op = bell_operator(ineq, observables)
-    gamma = float(ineq.gamma)
-    dim = op.shape[0]
-    shifted = op + gamma * np.eye(dim)
-
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(_POWER_ITERATION_SEED)))
-    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    vec /= np.linalg.norm(vec)
-    rayleigh = float((vec.conj() @ (shifted @ vec)).real)
-    for iteration in range(1, _POWER_MAX_ITERATIONS + 1):
-        image = shifted @ vec
-        norm = np.linalg.norm(image)
-        if norm == 0.0:
-            raise ConvergenceError("power iteration hit the zero vector", iteration)
-        vec = image / norm
-        updated = float((vec.conj() @ (shifted @ vec)).real)
-        if iteration > 1 and abs(updated - rayleigh) <= _POWER_TOL:
-            return PureState(vec), updated - gamma
-        rayleigh = updated
-    raise ConvergenceError(
-        f"power iteration did not converge within {_POWER_MAX_ITERATIONS} iterations",
-        _POWER_MAX_ITERATIONS)
+    """Top eigenpair of the fixed-observable operator, by one Hermitian
+    eigendecomposition (at most 64 x 64)."""
+    values, vectors = np.linalg.eigh(bell_operator(ineq, observables))
+    return PureState(vectors[:, -1]), float(values[-1])
 
 
 def optimize(ineq: BellInequality, opts: OptimizerOptions,

@@ -85,6 +85,15 @@ def kron_correlators(rho, n, visibility, tables) -> np.ndarray:
         for k in range(2**n)])
 
 
+def kron_bell_operator(n, visibility, q, tables) -> np.ndarray:
+    """sum_x Q(x) A_1 x ... x A_n with each party's observable at x taken
+    from its Bloch table; ``q`` is in canonical order."""
+    positions = setting_positions(n, visibility)
+    return sum(q[k] * kron_chain([bloch_operator(tables[i][positions[i][k]])
+                                  for i in range(n)])
+               for k in range(2**n))
+
+
 def kron_sweep(rho, n, visibility, q, tables, threshold):
     """One see-saw sweep slot by slot, party-major: each slot's Bloch vector
     becomes its normalized gradient sum_x Q(x) (E(x) with sigma_x, sigma_y,

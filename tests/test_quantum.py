@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bellccp import (
+    CcpInstance,
     NumericError,
     QuantumStrategy,
     ValidationError,
@@ -15,6 +16,7 @@ from bellccp import (
     correlator_table,
     depolarize,
     evaluate_strategy,
+    exact_success,
     ghz_state,
     gyni_inequality,
     input_tuples,
@@ -192,3 +194,40 @@ def test_incomplete_observable_map_rejected():
     obs = {(1, t): bloch_to_observable((0, 0, 1)) for t in scenario.visible_tuples(1)}
     with pytest.raises(ValidationError):
         QuantumStrategy(scenario=scenario, state=ghz_state(3), observables=obs)
+
+
+def test_observables_are_read_only_in_canonical_order():
+    strategy = canonical_strategy("gyni-paper")
+    ineq = gyni_inequality()
+    with pytest.raises(TypeError):
+        strategy.observables[(1, (1, 1))] = bloch_to_observable((0, 0, 1))
+    with pytest.raises(TypeError):
+        del strategy.observables[(1, (1, 1))]
+    # Memoized outcome rows stay consistent with the correlators.
+    implied = success_probability(evaluate_strategy(strategy, ineq), ineq.gamma)
+    assert exact_success(CcpInstance(ineq), strategy) == pytest.approx(implied, abs=1e-12)
+    scenario = strategy.scenario
+    canonical = [(i, t) for i in range(1, 4) for t in scenario.visible_tuples(i)]
+    reversed_input = dict(reversed(list(strategy.observables.items())))
+    rebuilt = QuantumStrategy(scenario=scenario, state=strategy.state,
+                              observables=reversed_input)
+    assert list(rebuilt.observables) == canonical
+
+
+def test_strategies_compare_and_hash_by_value():
+    for name in ("gyni-paper", "svetlichny-paper", "experiment-like"):
+        a, b = canonical_strategy(name), canonical_strategy(name)
+        assert a == b
+        assert hash(a) == hash(b)
+    gyni = canonical_strategy("gyni-paper")
+    assert len({gyni, canonical_strategy("gyni-paper"), canonical_strategy("experiment-like")}) == 2
+    flipped = dict(gyni.observables)
+    flipped[(3, (1, 1))] = bloch_to_observable((0.38, 0.92, 0.0))
+    other = QuantumStrategy(scenario=gyni.scenario, state=gyni.state, observables=flipped)
+    assert other != gyni
+    # -0.0 and 0.0 Bloch entries give the same strategy.
+    signed = {key: bloch_to_observable(np.where(obs.bloch == 0.0, -0.0, obs.bloch))
+              for key, obs in gyni.observables.items()}
+    twin = QuantumStrategy(scenario=gyni.scenario, state=gyni.state, observables=signed)
+    assert twin == gyni
+    assert hash(twin) == hash(gyni)

@@ -16,7 +16,8 @@ from bellccp import (
     ghz_state,
     tensor_product,
 )
-from bellccp.qubits import IDENTITY_2, SIGMA_X, SIGMA_Z
+from bellccp.qubits import IDENTITY_2, SIGMA_X, SIGMA_Z, Observable2
+from bellccp.scenarios import MAX_PARTIES
 
 import oracles
 
@@ -73,7 +74,8 @@ def test_ghz_state():
     assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0)
     two = ghz_state(2)
     assert np.allclose(two.amplitudes, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
-    for bad in (1, 13, 2.5):
+    assert ghz_state(MAX_PARTIES).n == MAX_PARTIES
+    for bad in (1, MAX_PARTIES + 1, 13, 2.5):
         with pytest.raises(ValidationError):
             ghz_state(bad)
 
@@ -126,6 +128,8 @@ def test_state_validation():
     with pytest.raises(ValidationError):
         PureState(np.array([1.0, 0.0, 0.0]))  # not a power of two
     with pytest.raises(ValidationError):
+        PureState(np.eye(2 ** (MAX_PARTIES + 1))[0])  # more qubits than parties
+    with pytest.raises(ValidationError):
         MixedState(np.eye(4))  # trace 4
     with pytest.raises(ValidationError):
         MixedState(np.diag([1.5, -0.5, 0.0, 0.0]))  # negative eigenvalue
@@ -140,3 +144,25 @@ def test_states_are_immutable():
     obs = bloch_to_observable((0, 0, 1))
     with pytest.raises(ValueError):
         obs.bloch[0] = 1.0
+
+
+def test_states_and_observables_compare_and_hash_by_value():
+    # Signed zeros are equal entries, so they must not split equal values.
+    pairs = [
+        (PureState([1.0, 0.0]), PureState([1.0, -0.0])),
+        (PureState([1.0, 0.0j]), PureState(np.array([1.0, complex(-0.0, -0.0)]))),
+        (MixedState(np.diag([1.0, 0.0])), MixedState(np.array([[1.0, -0.0], [-0.0, 0.0]]))),
+        (Observable2(bloch=(0.0, 0.0, 1.0)), Observable2(bloch=(-0.0, -0.0, 1.0))),
+        (ghz_state(3), ghz_state(3)),
+        (depolarize(ghz_state(2), 0.5), depolarize(ghz_state(2), 0.5)),
+    ]
+    for a, b in pairs:
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+    assert PureState([1.0, 0.0]) != PureState([0.0, 1.0])
+    assert MixedState(np.diag([1.0, 0.0])) != MixedState(np.diag([0.0, 1.0]))
+    assert bloch_to_observable((0, 0, 1)) != bloch_to_observable((0, 0, -1))
+    # Same entries, different types.
+    assert PureState([1.0, 0.0]) != MixedState(np.diag([1.0, 0.0]))
+    assert ghz_state(2) != ghz_state(2).amplitudes.tolist()

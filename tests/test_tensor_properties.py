@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from bellccp import BellInequality, MixedState, PureState, QuantumStrategy, correlator_table
 from bellccp.qubits import Observable2, pauli_tensor
 from bellccp.scenarios import input_tuples, make_scenario
-from bellccp.seesaw import DEGENERATE_GRADIENT, _Sweeper
+from bellccp.seesaw import DEGENERATE_GRADIENT, _Sweeper, optimal_state
 
 import oracles
 
@@ -99,3 +99,21 @@ def test_party_sweep_matches_slot_by_slot_kron_replay(case):
         assert np.max(np.abs(got - want)) < 1e-12
     correlators = oracles.kron_correlators(rho, n, visibility, expected)
     assert abs(sweeper.value() - float(q @ correlators)) < 1e-11
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+def test_optimal_state_is_exact_top_eigenpair(case):
+    n, visibility, _state, tables, q = case
+    scenario = make_scenario(n, visibility)
+    ineq = BellInequality(scenario=scenario,
+                          coeffs={x: int(v) for x, v in zip(input_tuples(n), q)})
+    observables = {(i, t): Observable2(bloch=r)
+                   for i in range(1, n + 1)
+                   for t, r in zip(scenario.visible_tuples(i), tables[i - 1])}
+    state, value = optimal_state(ineq, observables)
+    op = oracles.kron_bell_operator(n, visibility, q, tables)
+    top = np.linalg.eigvalsh(op)[-1]
+    assert abs(value - top) < 1e-12
+    achieved = (state.amplitudes.conj() @ op @ state.amplitudes).real
+    assert abs(achieved - top) < 1e-12
