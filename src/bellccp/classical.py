@@ -25,13 +25,12 @@ import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
-from numbers import Integral
 from types import MappingProxyType
 
 import numpy as np
 
 from .errors import EnumerationGuardError, ValidationError
+from .quantum import success_probability
 from .scenarios import (
     BellInequality,
     CausalScenario,
@@ -180,7 +179,7 @@ def _odometer_products(rows, start: int, stop: int, num_x: int) -> np.ndarray:
 def classical_bound(ineq: BellInequality):
     """Exact maximum of the inequality over deterministic strategies.
 
-    Returns ``(value, witness)`` and caches the pair on the inequality.
+    Returns ``(value, witness)``; the value is an int when Q is integral.
     The party with the largest table is not enumerated: once the other
     parties' outputs are fixed the value is linear in each of its table
     entries, so its optimal table is the sign of the accumulated
@@ -202,9 +201,6 @@ def classical_bound(ineq: BellInequality):
     summed in float64 while Gamma < 2^53, where every partial sum is an
     exact integer, and in int64 above.
     """
-    if ineq.classical_bound_cache is not None:
-        return ineq.classical_bound_cache
-
     scenario = ineq.scenario
     n = scenario.n
     num_x = 2**n
@@ -281,17 +277,12 @@ def classical_bound(ineq: BellInequality):
     witness = DeterministicStrategy(
         scenario=scenario, responses=tuple(responses[i] for i in parties))
 
-    result = (best_value, witness)
-    object.__setattr__(ineq, "_classical_bound_cache", result)
-    return result
+    return best_value, witness
 
 
 def classical_success_bound(ineq: BellInequality) -> float:
     """Best classical success of the derived game: 1/2 + bound / (2 Gamma)."""
-    bound, _ = classical_bound(ineq)
-    if isinstance(bound, Integral) and isinstance(ineq.gamma, Integral):
-        return float(Fraction(1, 2) + Fraction(int(bound), 2 * int(ineq.gamma)))
-    return 0.5 + bound / (2.0 * ineq.gamma)
+    return success_probability(classical_bound(ineq)[0], ineq.gamma)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import config as cfg
-from .classical import classical_bound, classical_success_bound
+from .classical import classical_bound
 from .errors import NumericError, RandomnessExhaustedError, ValidationError
 from .protocol import exact_success, run_session, write_session_log
 from .quantum import (
@@ -30,7 +30,7 @@ from .quantum import (
     success_probability,
     with_visibility,
 )
-from .qubits import PureState, depolarize, ghz_state
+from .qubits import depolarize, ghz_state
 from .randomness import BitFileSource, SeededPrng, beacon_load
 from .scenarios import CcpInstance, input_tuples
 from .seesaw import OptimizerOptions, optimize
@@ -124,10 +124,7 @@ def _dump_config(args, ineq, strategy=None) -> dict:
         if str(getattr(args, "strategy", "")) in CANONICAL_STRATEGY_NAMES:
             doc["strategy"] = {"name": args.strategy}
         else:
-            visibility = args.noise_v
-            if not isinstance(strategy.state, PureState) and visibility is None:
-                visibility = EXPERIMENT_VISIBILITY
-            doc["strategy"] = cfg.strategy_to_config(strategy, visibility_v=visibility)
+            doc["strategy"] = cfg.strategy_to_config(strategy)
     options = {}
     for key in ("seed", "rounds", "restarts", "tol", "noise_v", "format"):
         if hasattr(args, key) and getattr(args, key) is not None:
@@ -142,7 +139,7 @@ def _cmd_bound(args) -> int:
         _emit(json.dumps(_dump_config(args, ineq), indent=2), args.out)
         return 0
     value, _witness = classical_bound(ineq)
-    payload = {"classical_bound": value, "success_bound": classical_success_bound(ineq)}
+    payload = {"classical_bound": value, "success_bound": success_probability(value, ineq.gamma)}
     _emit(json.dumps(payload), args.out)
     return 0
 
@@ -264,7 +261,7 @@ def _cmd_report(args) -> int:
         value = evaluate_strategy(strategy, ineq)
         payload[name] = {
             "classical_bound": bound,
-            "classical_success_bound": classical_success_bound(ineq),
+            "classical_success_bound": success_probability(bound, ineq.gamma),
             "quantum_value": value,
             "quantum_success": success_probability(value, ineq.gamma),
         }

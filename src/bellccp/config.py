@@ -19,7 +19,7 @@ from .quantum import (
     QuantumStrategy,
     canonical_strategy,
 )
-from .qubits import PureState, bloch_to_observable, depolarize, ghz_state
+from .qubits import MixedState, PureState, bloch_to_observable, depolarize, ghz_state
 from .scenarios import (
     NAMED_INEQUALITIES,
     BellInequality,
@@ -92,26 +92,18 @@ def _complex_pairs(values: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in values]
 
 
-def strategy_to_config(strategy: QuantumStrategy, visibility_v: float | None = None) -> dict:
-    """Dump a strategy; mixed states are only expressible via visibility_v."""
+def strategy_to_config(strategy: QuantumStrategy) -> dict:
+    """Dump a strategy; the state as "ghz", its amplitudes or its density matrix."""
     state = strategy.state
-    config: dict = {}
-    if isinstance(state, PureState):
-        ghz = ghz_state(state.n)
-        if np.allclose(state.amplitudes, ghz.amplitudes, atol=0, rtol=0):
-            config["state"] = "ghz"
-        else:
-            config["state"] = {"amplitudes": _complex_pairs(state.amplitudes)}
-    elif visibility_v is not None:
-        config["state"] = "ghz"
+    if isinstance(state, MixedState):
+        config: dict = {"state": {"density": [_complex_pairs(row) for row in state.matrix]}}
+    elif np.array_equal(state.amplitudes, ghz_state(state.n).amplitudes):
+        config = {"state": "ghz"}
     else:
-        raise ValidationError(
-            "cannot dump a mixed-state strategy without its visibility_v")
+        config = {"state": {"amplitudes": _complex_pairs(state.amplitudes)}}
     config["observables"] = [
         {"party": party, "setting": list(setting), "bloch": [float(r) for r in obs.bloch]}
         for (party, setting), obs in sorted(strategy.observables.items())]
-    if visibility_v is not None:
-        config["visibility_v"] = float(visibility_v)
     return config
 
 
@@ -120,13 +112,17 @@ def strategy_from_config(config: dict, scenario: CausalScenario) -> QuantumStrat
         return canonical_strategy(config["name"])
     if "state" not in config or "observables" not in config:
         raise ValidationError('strategy config needs "state" and "observables" (or "name")')
-    if config["state"] == "ghz":
+    spec = config["state"]
+    if spec == "ghz":
         state = ghz_state(scenario.n)
-    elif isinstance(config["state"], dict) and "amplitudes" in config["state"]:
-        amplitudes = [complex(re, im) for re, im in config["state"]["amplitudes"]]
-        state = PureState(np.array(amplitudes))
+    elif isinstance(spec, dict) and "amplitudes" in spec:
+        state = PureState(np.array([complex(re, im) for re, im in spec["amplitudes"]]))
+    elif isinstance(spec, dict) and "density" in spec:
+        state = MixedState(np.array([[complex(re, im) for re, im in row]
+                                     for row in spec["density"]]))
     else:
-        raise ValidationError('strategy state must be "ghz" or {"amplitudes": [[re, im], ...]}')
+        raise ValidationError('strategy state must be "ghz", {"amplitudes": [[re, im], ...]} '
+                              'or {"density": [[[re, im], ...], ...]}')
     observables = {}
     for entry in config["observables"]:
         for key in ("party", "setting", "bloch"):

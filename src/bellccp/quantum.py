@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from fractions import Fraction
+from numbers import Integral
 from types import MappingProxyType
 
 import numpy as np
@@ -150,10 +152,14 @@ def evaluate_strategy(strategy: QuantumStrategy, ineq: BellInequality) -> float:
 
 
 def success_probability(bell_value: float, gamma: float) -> float:
-    """Game success implied by an inequality value: 1/2 + B / (2 Gamma)."""
+    """Game success implied by an inequality value: 1/2 + B / (2 Gamma);
+    exact, then rounded once, when B and Gamma are both integral."""
     if gamma <= 0:
         raise ValidationError(f"gamma must be positive, got {gamma}")
-    p = 0.5 + bell_value / (2.0 * gamma)
+    if isinstance(bell_value, Integral) and isinstance(gamma, Integral):
+        p = float(Fraction(1, 2) + Fraction(int(bell_value), 2 * int(gamma)))
+    else:
+        p = 0.5 + bell_value / (2.0 * gamma)
     if p < -ATOL or p > 1.0 + ATOL:
         raise NumericError(f"success probability {p} is inconsistent with |B| <= Gamma")
     return min(1.0, max(0.0, p))

@@ -74,17 +74,15 @@ class _ArrayValue:
 
 @dataclass(frozen=True, eq=False)
 class PureState(_ArrayValue):
-    """Normalized state vector on ``n`` qubits."""
+    """Normalized state vector; the qubit count ``n`` is derived from its length."""
 
     amplitudes: np.ndarray
-    n: int = field(default=-1)
+    n: int = field(init=False)
     _value_field = "amplitudes"
 
     def __post_init__(self):
         arr = _frozen_complex_array(self.amplitudes, (np.size(self.amplitudes),))
         n = _qubit_count(arr.shape[0], "state")
-        if self.n != -1 and self.n != n:
-            raise ValidationError(f"amplitude length {arr.shape[0]} does not match n={self.n}")
         norm = np.linalg.norm(arr)
         if abs(norm - 1.0) > ATOL:
             raise ValidationError(f"state norm {norm} differs from 1 by more than {ATOL}")
@@ -101,10 +99,11 @@ class PureState(_ArrayValue):
 
 @dataclass(frozen=True, eq=False)
 class MixedState(_ArrayValue):
-    """Density matrix on ``n`` qubits: Hermitian, unit trace, PSD."""
+    """Density matrix: Hermitian, unit trace, PSD; the qubit count ``n`` is
+    derived from its dimension."""
 
     matrix: np.ndarray
-    n: int = field(default=-1)
+    n: int = field(init=False)
     _value_field = "matrix"
 
     def __post_init__(self):
@@ -113,8 +112,6 @@ class MixedState(_ArrayValue):
             raise ValidationError(f"density matrix must be square, got shape {mat.shape}")
         mat = _frozen_complex_array(mat, mat.shape)
         n = _qubit_count(mat.shape[0], "density matrix")
-        if self.n != -1 and self.n != n:
-            raise ValidationError(f"matrix dimension {mat.shape[0]} does not match n={self.n}")
         if np.max(np.abs(mat - mat.conj().T)) > ATOL:
             raise ValidationError("density matrix is not Hermitian")
         trace = np.trace(mat).real
@@ -139,12 +136,13 @@ class Observable2(_ArrayValue):
     """Traceless binary qubit observable r . sigma with unit Bloch vector r.
 
     Squares to the identity, so its eigenvalues are +/-1 and the outcome
-    projectors are (I + a A) / 2 for a in {-1, +1}. Build through
-    :func:`bloch_to_observable`, which renormalizes slightly off-unit input.
+    projectors are (I + a A) / 2 for a in {-1, +1}. ``matrix`` is derived
+    from the Bloch vector. Build through :func:`bloch_to_observable`, which
+    renormalizes slightly off-unit input.
     """
 
     bloch: np.ndarray
-    matrix: np.ndarray = field(default=None)
+    matrix: np.ndarray = field(init=False)
     _value_field = "bloch"
 
     def __post_init__(self):

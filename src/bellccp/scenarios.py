@@ -19,9 +19,11 @@ and each y_i a fair coin.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from numbers import Integral, Real
+from types import MappingProxyType
 
 import numpy as np
 
@@ -119,13 +121,15 @@ def make_scenario(n: int, visibility) -> CausalScenario:
 class BellInequality:
     """Coefficient table Q over all input tuples, bound to a scenario.
 
-    Integer coefficients are kept as Python ints so sums over them (the
-    classical bound, Gamma) stay exact. ``gamma`` is always sum |Q|.
+    ``coeffs`` is stored read-only, with every input tuple in canonical
+    order (absent tuples as 0). Integer coefficients are kept as Python
+    ints so sums over them (the classical bound, Gamma) stay exact.
+    ``gamma`` is derived, always sum |Q|, and is not a constructor argument.
     """
 
     scenario: CausalScenario
-    coeffs: dict
-    gamma: float = field(default=None, compare=False)
+    coeffs: Mapping
+    gamma: float = field(init=False, compare=False)
     name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -141,11 +145,8 @@ class BellInequality:
         gamma = sum(abs(q) for q in table.values())
         if gamma <= 0:
             raise ValidationError("all coefficients are zero; the inequality is empty")
-        if self.gamma is not None and abs(float(self.gamma) - float(gamma)) > 0:
-            raise ValidationError(f"declared gamma {self.gamma} != sum |Q| = {gamma}")
-        object.__setattr__(self, "coeffs", table)
+        object.__setattr__(self, "coeffs", MappingProxyType(table))
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "_classical_bound_cache", None)
 
     def __hash__(self) -> int:
         # Over the fields __eq__ compares; coeffs is always in canonical order.
@@ -155,13 +156,9 @@ class BellInequality:
     def n(self) -> int:
         return self.scenario.n
 
-    @property
-    def classical_bound_cache(self):
-        return self._classical_bound_cache
-
     def coefficient_array(self) -> np.ndarray:
         """Q in canonical tuple order; int64 when all entries are integral."""
-        values = [self.coeffs[x] for x in input_tuples(self.n)]
+        values = list(self.coeffs.values())
         if all(isinstance(q, Integral) for q in values):
             return np.array(values, dtype=np.int64)
         return np.array(values, dtype=float)
@@ -186,10 +183,11 @@ def target_function(ineq: BellInequality, x, y) -> int:
 
 @dataclass(frozen=True)
 class CcpInstance:
-    """An inequality plus the input distribution of the derived game."""
+    """An inequality plus the input distribution of the derived game (default
+    q*), stored read-only over every input tuple in canonical order."""
 
     inequality: BellInequality
-    input_distribution: dict = field(default=None)
+    input_distribution: Mapping | None = None
 
     def __post_init__(self):
         dist = self.input_distribution
@@ -206,10 +204,14 @@ class CcpInstance:
             total += p
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"input distribution sums to {total}, not 1")
-        object.__setattr__(self, "input_distribution", table)
+        object.__setattr__(self, "input_distribution", MappingProxyType(table))
+
+    def __hash__(self) -> int:
+        # Over the fields __eq__ compares; the distribution is in canonical order.
+        return hash((self.inequality, tuple(self.input_distribution.items())))
 
     def probability_vector(self) -> np.ndarray:
-        return np.array([self.input_distribution[x] for x in input_tuples(self.inequality.n)])
+        return np.array(list(self.input_distribution.values()))
 
 
 def gyni_scenario() -> CausalScenario:

@@ -160,13 +160,13 @@ def _alternate(sweeper: _Sweeper, opts: OptimizerOptions):
 
 
 def _best_of_restarts(ineq: BellInequality, state: PureState | MixedState,
-                      opts: OptimizerOptions, optimize_state: bool) -> OptimizationResult:
+                      opts: OptimizerOptions) -> OptimizationResult:
     """Best of seeded restarts; the first within 1e-12 of the maximum wins."""
     sweepers = []
     for rng in _restart_streams(opts.seed, opts.restarts):
         sweeper = _Sweeper(ineq, state)
         sweeper.set_observables(random_bloch_tables(ineq.scenario, rng))
-        if optimize_state:
+        if opts.optimize_state:
             _alternate(sweeper, opts)
         else:
             sweeper.run(opts.max_sweeps, opts.tol)
@@ -178,7 +178,9 @@ def _best_of_restarts(ineq: BellInequality, state: PureState | MixedState,
 def seesaw_measurements(ineq: BellInequality, state: PureState | MixedState,
                         opts: OptimizerOptions) -> OptimizationResult:
     """Maximize over observables on a fixed state, best of seeded restarts."""
-    return _best_of_restarts(ineq, state, opts, optimize_state=False)
+    if opts.optimize_state:
+        raise ValidationError("seesaw_measurements keeps the state fixed; use optimize")
+    return _best_of_restarts(ineq, state, opts)
 
 
 def bell_operator(ineq: BellInequality, observables: dict) -> np.ndarray:
@@ -205,6 +207,9 @@ def optimal_state(ineq: BellInequality, observables: dict) -> tuple[PureState, f
 def optimize(ineq: BellInequality, opts: OptimizerOptions,
              initial_state: PureState | MixedState | None = None) -> OptimizationResult:
     """Joint maximization: observable sweeps, optionally alternated with
-    state updates, best over seeded restarts."""
+    state updates, best over seeded restarts. A state update returns a pure
+    state, so ``optimize_state`` rejects a mixed initial state."""
     state = initial_state if initial_state is not None else ghz_state(ineq.scenario.n)
-    return _best_of_restarts(ineq, state, opts, opts.optimize_state)
+    if opts.optimize_state and isinstance(state, MixedState):
+        raise ValidationError("optimize_state would replace the mixed initial state by a pure one")
+    return _best_of_restarts(ineq, state, opts)

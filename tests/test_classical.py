@@ -92,12 +92,12 @@ def test_witness_attains_bound_and_no_strategy_beats_it():
                    for s in enumerate_strategies(ineq.scenario))
 
 
-def test_bound_cached_on_inequality():
+def test_bound_leaves_the_inequality_unchanged():
     ineq = gyni_inequality()
-    assert ineq.classical_bound_cache is None
-    result = classical_bound(ineq)
-    assert ineq.classical_bound_cache == result
-    assert classical_bound(ineq) is result
+    before = dict(vars(ineq))
+    first = classical_bound(ineq)
+    assert vars(ineq) == before
+    assert classical_bound(ineq) == first
 
 
 def test_cyclic_relabeling_invariance():

@@ -19,7 +19,7 @@ from bellccp.config import (
     strategy_to_config,
     strategy_from_config,
 )
-from bellccp.quantum import evaluate_strategy
+from bellccp.quantum import evaluate_strategy, with_visibility
 
 
 def run_cli(capsys, *argv):
@@ -244,7 +244,7 @@ def test_strategy_config_round_trip(tmp_path):
 
 def test_strategy_visibility_v(tmp_path):
     strategy = canonical_strategy("gyni-paper")
-    config = strategy_to_config(strategy, visibility_v=0.5)
+    config = dict(strategy_to_config(strategy), visibility_v=0.5)
     loaded = strategy_from_config(config, strategy.scenario)
     ideal = evaluate_strategy(strategy, gyni_inequality())
     assert evaluate_strategy(loaded, gyni_inequality()) == pytest.approx(
@@ -268,6 +268,75 @@ def test_dump_config_round_trip(tmp_path, capsys):
     assert code == 0
     direct = run_cli(capsys, "eval", "--ineq", "gyni", "--strategy", "gyni-paper")[1]
     assert json.loads(out2) == json.loads(direct)
+
+
+def _non_ghz_file(tmp_path, **extra):
+    """Strategy file with state 0.6|000> + 0.8|111> and the ring preset's observables."""
+    config = strategy_to_config(canonical_strategy("gyni-paper"))
+    config["state"] = {"amplitudes": [[0.6, 0.0]] + [[0.0, 0.0]] * 6 + [[0.8, 0.0]]}
+    path = tmp_path / "strategy.json"
+    path.write_text(json.dumps(dict(config, **extra)))
+    return path
+
+
+@pytest.mark.parametrize("file_extra, noise", [({"visibility_v": 0.7}, ()),
+                                               ({}, ("--noise-v", "0.7"))])
+def test_mixed_strategies_are_dumped_faithfully(tmp_path, capsys, file_extra, noise):
+    path = _non_ghz_file(tmp_path, **file_extra)
+    scenario = gyni_inequality().scenario
+    used = load_strategy(str(path), scenario)
+    if noise:
+        used = with_visibility(used, 0.7)
+    common = ("--ineq", "gyni", "--strategy", str(path), *noise)
+    code, out, _ = run_cli(capsys, "eval", *common, "--dump-config")
+    assert code == 0
+    dumped = json.loads(out)["strategy"]
+    assert "density" in dumped["state"] and "visibility_v" not in dumped
+    assert strategy_fingerprint(load_strategy(dumped, scenario)) == strategy_fingerprint(used)
+
+    log_path = tmp_path / "session.jsonl"
+    code, _, _ = run_cli(capsys, "simulate", *common, "--rounds", "3", "--seed", "1",
+                         "--out", str(log_path))
+    assert code == 0
+    header = json.loads(log_path.read_text().splitlines()[0])["header"]
+    assert header["strategy"] == dumped
+    assert strategy_fingerprint(load_strategy(header["strategy"], scenario)) == (
+        strategy_fingerprint(used))
+
+
+def test_density_state_form_round_trips():
+    strategy = canonical_strategy("experiment-like")
+    config = strategy_to_config(strategy)
+    assert sorted(config["state"]) == ["density"]
+    reloaded = strategy_from_config(config, strategy.scenario)
+    assert strategy_fingerprint(reloaded) == strategy_fingerprint(strategy)
+    assert reloaded == strategy
+
+
+@pytest.mark.parametrize("argv, calls", [(("bound", "--ineq", "gyni"), 1), (("report",), 2)])
+def test_one_classical_search_per_inequality(monkeypatch, capsys, argv, calls):
+    from bellccp import classical
+
+    seen = []
+    original = classical.classical_bound
+
+    def counted(ineq):
+        seen.append(ineq.name)
+        return original(ineq)
+
+    monkeypatch.setattr(classical, "classical_bound", counted)
+    monkeypatch.setattr(cli, "classical_bound", counted)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(seen) == calls
+
+
+def test_noise_with_state_optimization_rejected(capsys):
+    code, out, err = run_cli(capsys, "optimize", "--ineq", "gyni", "--seed", "3",
+                             "--restarts", "4", "--noise-v", "0.5", "--optimize-state")
+    assert code == 1
+    assert out == ""
+    assert "mixed" in err
 
 
 def test_inequality_from_config_rejects_bad_docs():

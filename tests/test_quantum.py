@@ -1,9 +1,11 @@
 """Tests for quantum correlators, distributions, and canonical strategies."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from bellccp import (
     CcpInstance,
@@ -104,6 +106,14 @@ def test_success_probability_formula():
         success_probability(1.0, 0.0)
     with pytest.raises(NumericError):
         success_probability(10.0, 8.0)
+
+
+@given(st.integers(1, 2**70).flatmap(
+    lambda g: st.tuples(st.integers(-g, g), st.just(g))))
+@example((2, 3))
+def test_integral_success_is_the_rounded_exact_fraction(case):
+    b, g = case
+    assert success_probability(b, g) == float(Fraction(1, 2) + Fraction(b, 2 * g))
 
 
 def test_outcome_distribution_ghz_x_basis():

@@ -137,6 +137,17 @@ def test_state_validation():
     assert rho.n == 2
 
 
+def test_derived_fields_are_not_constructor_arguments():
+    with pytest.raises(TypeError):
+        PureState(np.array([1.0, 0.0, 0.0, 0.0]), n=2)
+    with pytest.raises(TypeError):
+        MixedState(np.eye(4) / 4, n=2)
+    with pytest.raises(TypeError):
+        Observable2(bloch=[1.0, 0.0, 0.0], matrix=np.eye(2))
+    assert PureState(np.array([1.0, 0.0, 0.0, 0.0])).n == 2
+    assert np.array_equal(Observable2(bloch=[1.0, 0.0, 0.0]).matrix, SIGMA_X)
+
+
 def test_states_are_immutable():
     state = ghz_state(2)
     with pytest.raises(ValueError):

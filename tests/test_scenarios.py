@@ -154,6 +154,37 @@ def test_inequality_config_round_trip():
     assert loaded.coeffs[(-1, -1)] == 0.3
 
 
+def test_gamma_is_derived_not_passed():
+    with pytest.raises(TypeError):
+        BellInequality(scenario=gyni_inequality().scenario,
+                       coeffs=dict(gyni_inequality().coeffs), gamma=8)
+
+
+def test_coefficient_and_distribution_tables_are_read_only():
+    ineq = gyni_inequality()
+    with pytest.raises(TypeError):
+        ineq.coeffs[(1, 1, 1)] = 5
+    assert ineq.coeffs[(1, 1, 1)] == 1 and ineq.gamma == 8
+    assert list(ineq.coeffs) == list(input_tuples(3))
+    instance = CcpInstance(inequality=ineq)
+    with pytest.raises(TypeError):
+        instance.input_distribution[(1, 1, 1)] = 0.9
+    assert sum(instance.input_distribution.values()) == pytest.approx(1.0, abs=1e-15)
+    sparse = CcpInstance(inequality=ineq, input_distribution={(1, 1, 1): 1.0})
+    assert list(sparse.input_distribution) == list(input_tuples(3))
+
+
+def test_equal_instances_hash_alike():
+    ineq = gyni_inequality()
+    default = CcpInstance(inequality=ineq)
+    explicit = CcpInstance(inequality=gyni_inequality(),
+                           input_distribution={x: 1 / 8 for x in reversed(input_tuples(3))})
+    assert default == explicit
+    assert hash(default) == hash(explicit)
+    skewed = CcpInstance(inequality=ineq, input_distribution={(1, 1, 1): 1.0})
+    assert len({default, explicit, skewed}) == 2
+
+
 def test_equal_inequalities_hash_alike():
     renamed = BellInequality(scenario=gyni_inequality().scenario,
                              coeffs={x: float(q) for x, q in gyni_inequality().coeffs.items()},

@@ -12,6 +12,7 @@ from bellccp import (
     bloch_to_observable,
     canonical_strategy,
     classical_bound,
+    depolarize,
     evaluate_strategy,
     ghz_state,
     gyni_inequality,
@@ -146,6 +147,20 @@ def test_uniform_positive_coefficients_saturate_gamma():
     ineq = BellInequality(scenario=scenario, coeffs={x: 1 for x in input_tuples(2)})
     result = optimize(ineq, OptimizerOptions(seed=1, restarts=8, optimize_state=True))
     assert result.best_value == pytest.approx(ineq.gamma, abs=1e-9)
+
+
+def test_fixed_state_search_rejects_state_optimization():
+    with pytest.raises(ValidationError):
+        seesaw_measurements(chsh_inequality(), ghz_state(2),
+                            OptimizerOptions(seed=1, restarts=1, optimize_state=True))
+
+
+def test_state_optimization_rejects_a_mixed_initial_state():
+    # The state step returns a pure eigenvector, which would drop the noise.
+    opts = OptimizerOptions(seed=3, restarts=1, optimize_state=True)
+    with pytest.raises(ValidationError):
+        optimize(chsh_inequality(), opts, initial_state=depolarize(ghz_state(2), 0.5))
+    assert optimize(chsh_inequality(), opts, initial_state=ghz_state(2)).best_value > 2
 
 
 def test_degenerate_slots_are_counted():
