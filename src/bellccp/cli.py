@@ -19,9 +19,7 @@ from .classical import classical_bound
 from .errors import NumericError, RandomnessExhaustedError, ValidationError
 from .protocol import exact_success, run_session, write_session_log
 from .quantum import (
-    CANONICAL_STRATEGY_NAMES,
     EXPERIMENT_VISIBILITY,
-    QuantumStrategy,
     bell_value,
     canonical_strategy,
     correlator_table,
@@ -56,9 +54,12 @@ def _build_parser() -> _Parser:
         if noise:
             p.add_argument("--noise-v", type=float, default=None,
                            help="depolarize the (pure) state at this visibility")
-        p.add_argument("--out", default=None, help="write output here instead of stdout")
+        # simulate prints its summary either way; its --out names the session log.
+        out_help = ("write the session log (JSON lines) here; the summary stays on stdout"
+                    if p.prog.endswith(" simulate") else "write output here instead of stdout")
+        p.add_argument("--out", default=None, help=out_help)
         p.add_argument("--dump-config", action="store_true",
-                       help="print the resolved configuration and exit")
+                       help="print the resolved configuration (to --out if given) and exit")
 
     p = sub.add_parser("bound", help="exact classical bound by enumeration")
     common(p)
@@ -95,6 +96,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_PARSER = _build_parser()
+
+# Parsed arguments that name inputs or outputs; every other one is an echoed option.
+_NOT_OPTIONS = ("command", "ineq", "strategy", "out", "dump_config")
+
+
 def _emit(text: str, out_path) -> None:
     if out_path:
         with open(out_path, "w") as handle:
@@ -109,46 +116,40 @@ def _require_seed(args) -> int:
     return args.seed
 
 
-def _load_strategy(args, ineq) -> QuantumStrategy:
+def _resolve_inputs(args):
+    """The subcommand's (inequality, strategy), each None where it takes none."""
+    noise_v = getattr(args, "noise_v", None)
+    if noise_v is not None and not 0.0 <= noise_v <= 1.0:
+        raise ValidationError(f"--noise-v must lie in [0, 1], got {noise_v}")
+    if not hasattr(args, "ineq"):
+        return None, None
+    ineq = cfg.load_inequality(args.ineq)
+    if not hasattr(args, "strategy"):
+        return ineq, None
     strategy = cfg.load_strategy(args.strategy, ineq.scenario)
-    if args.noise_v is not None:
-        if not 0.0 <= args.noise_v <= 1.0:
-            raise ValidationError(f"--noise-v must lie in [0, 1], got {args.noise_v}")
-        strategy = with_visibility(strategy, args.noise_v)
-    return strategy
+    if noise_v is not None:
+        strategy = with_visibility(strategy, noise_v)
+    return ineq, strategy
 
 
-def _dump_config(args, ineq, strategy=None) -> dict:
+def _config_echo(args, ineq, strategy) -> dict:
+    """The resolved inputs in the schema they load from, plus every option with a value."""
     doc = {"command": args.command, "inequality": cfg.inequality_to_config(ineq)}
     if strategy is not None:
-        if str(getattr(args, "strategy", "")) in CANONICAL_STRATEGY_NAMES:
-            doc["strategy"] = {"name": args.strategy}
-        else:
-            doc["strategy"] = cfg.strategy_to_config(strategy)
-    options = {}
-    for key in ("seed", "rounds", "restarts", "tol", "noise_v", "format"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            options[key] = getattr(args, key)
-    doc["options"] = options
+        doc["strategy"] = cfg.strategy_to_config(strategy)
+    doc["options"] = {key: value for key, value in vars(args).items()
+                      if key not in _NOT_OPTIONS and value is not None}
     return doc
 
 
-def _cmd_bound(args) -> int:
-    ineq = cfg.load_inequality(args.ineq)
-    if args.dump_config:
-        _emit(json.dumps(_dump_config(args, ineq), indent=2), args.out)
-        return 0
+def _cmd_bound(args, ineq, strategy) -> int:
     value, _witness = classical_bound(ineq)
     payload = {"classical_bound": value, "success_bound": success_probability(value, ineq.gamma)}
     _emit(json.dumps(payload), args.out)
     return 0
 
 
-def _cmd_optimize(args) -> int:
-    ineq = cfg.load_inequality(args.ineq)
-    if args.dump_config:
-        _emit(json.dumps(_dump_config(args, ineq), indent=2), args.out)
-        return 0
+def _cmd_optimize(args, ineq, strategy) -> int:
     seed = _require_seed(args)
     opts = OptimizerOptions(seed=seed, restarts=args.restarts, tol=args.tol,
                             max_sweeps=args.max_sweeps, optimize_state=args.optimize_state)
@@ -176,12 +177,7 @@ def _correlator_csv(ineq, table) -> str:
     return "\n".join(lines)
 
 
-def _cmd_eval(args) -> int:
-    ineq = cfg.load_inequality(args.ineq)
-    strategy = _load_strategy(args, ineq)
-    if args.dump_config:
-        _emit(json.dumps(_dump_config(args, ineq, strategy), indent=2), args.out)
-        return 0
+def _cmd_eval(args, ineq, strategy) -> int:
     table = correlator_table(strategy)
     value = bell_value(table, ineq)
     if args.format == "csv":
@@ -208,30 +204,20 @@ def _make_source(args):
                           "use prng, file:PATH, or beacon:URL_or_path")
 
 
-def _cmd_simulate(args) -> int:
-    ineq = cfg.load_inequality(args.ineq)
-    strategy = _load_strategy(args, ineq)
-    if args.dump_config:
-        _emit(json.dumps(_dump_config(args, ineq, strategy), indent=2), args.out)
-        return 0
+def _cmd_simulate(args, ineq, strategy) -> int:
     if args.rounds < 1:
         raise ValidationError(f"--rounds must be at least 1, got {args.rounds}")
     instance = CcpInstance(inequality=ineq)
     source = _make_source(args)
-    echo = _dump_config(args, ineq, strategy)
     log = run_session(instance, strategy, args.rounds, source, keep_rounds=bool(args.out),
-                      config=echo)
+                      config=_config_echo(args, ineq, strategy))
     if args.out:
         write_session_log(log, args.out)
     print(json.dumps(log.summary()))
     return 0
 
 
-def _cmd_verify(args) -> int:
-    ineq = cfg.load_inequality(args.ineq)
-    if args.dump_config:
-        _emit(json.dumps(_dump_config(args, ineq), indent=2), args.out)
-        return 0
+def _cmd_verify(args, ineq, strategy) -> int:
     seed = _require_seed(args)
     if args.strategies < 1:
         raise ValidationError(f"--strategies must be at least 1, got {args.strategies}")
@@ -252,7 +238,7 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args, _ineq, _strategy) -> int:
     payload = {}
     for name in ("gyni", "svetlichny"):
         ineq = cfg.load_inequality(name)
@@ -285,10 +271,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        args = _PARSER.parse_args(argv)
+        ineq, strategy = _resolve_inputs(args)
+        if getattr(args, "dump_config", False):
+            _emit(json.dumps(_config_echo(args, ineq, strategy), indent=2), args.out)
+            return 0
+        return _COMMANDS[args.command](args, ineq, strategy)
     except (ValidationError, RandomnessExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

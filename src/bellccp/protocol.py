@@ -190,7 +190,12 @@ def _records(instance: CcpInstance, x_idx, y, a) -> list:
 
 
 def run_round(instance: CcpInstance, strategy, rng: RandomnessSource) -> RoundRecord:
-    """Sample inputs, obtain outcomes, broadcast, guess, and score one round."""
+    """Sample inputs, obtain outcomes, broadcast, guess, and score one round.
+
+    Each call builds the strategy's whole outcome table P[x, a] to play its
+    one round, several times the cost of one round inside a session. To play
+    many rounds, use ``run_session(..., keep_rounds=True)``.
+    """
     return _records(instance, *next(_play(_Tables(instance, strategy), 1, rng)))[0]
 
 

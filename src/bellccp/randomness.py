@@ -23,7 +23,6 @@ have funded in ``rounds_completed``.
 
 from __future__ import annotations
 
-import urllib.request
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +200,8 @@ def beacon_load(source, cache_path=None) -> BeaconRecordsSource:
     if source.startswith(("http://", "https://", "file://")):
         if cache_path is None:
             raise ValidationError("fetching beacon records requires cache_path for replay")
+        import urllib.request  # costs tens of ms at import; only fetching needs it
+
         try:
             with urllib.request.urlopen(source) as response:
                 text = response.read().decode("ascii")

@@ -280,14 +280,16 @@ def _non_ghz_file(tmp_path, **extra):
 
 
 @pytest.mark.parametrize("file_extra, noise", [({"visibility_v": 0.7}, ()),
-                                               ({}, ("--noise-v", "0.7"))])
+                                               ({}, ("--noise-v", "0.7")),
+                                               (None, ("--noise-v", "0.7"))])
 def test_mixed_strategies_are_dumped_faithfully(tmp_path, capsys, file_extra, noise):
-    path = _non_ghz_file(tmp_path, **file_extra)
+    # file_extra None stands for the gyni-paper preset instead of a strategy file.
+    source = "gyni-paper" if file_extra is None else str(_non_ghz_file(tmp_path, **file_extra))
     scenario = gyni_inequality().scenario
-    used = load_strategy(str(path), scenario)
+    used = load_strategy(source, scenario)
     if noise:
         used = with_visibility(used, 0.7)
-    common = ("--ineq", "gyni", "--strategy", str(path), *noise)
+    common = ("--ineq", "gyni", "--strategy", source, *noise)
     code, out, _ = run_cli(capsys, "eval", *common, "--dump-config")
     assert code == 0
     dumped = json.loads(out)["strategy"]
@@ -302,6 +304,55 @@ def test_mixed_strategies_are_dumped_faithfully(tmp_path, capsys, file_extra, no
     assert header["strategy"] == dumped
     assert strategy_fingerprint(load_strategy(header["strategy"], scenario)) == (
         strategy_fingerprint(used))
+
+
+def test_dump_config_echoes_every_set_option(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "optimize", "--ineq", "gyni", "--max-sweeps", "7",
+                           "--optimize-state", "--dump-config")
+    assert code == 0
+    options = json.loads(out)["options"]
+    assert options["max_sweeps"] == 7 and options["optimize_state"] is True
+    assert "seed" not in options
+
+    bits = tmp_path / "bits.bin"
+    bits.write_bytes(bytes(range(256)))
+    code, out, _ = run_cli(capsys, "simulate", "--ineq", "gyni", "--strategy", "gyni-paper",
+                           "--rounds", "5", "--randomness", f"file:{bits}", "--dump-config")
+    assert code == 0
+    assert json.loads(out)["options"]["randomness"] == f"file:{bits}"
+
+
+@pytest.mark.parametrize("argv", [
+    ("optimize", "--ineq", "gyni", "--seed", "1"),
+    ("eval", "--ineq", "gyni", "--strategy", "gyni-paper"),
+    ("simulate", "--ineq", "gyni", "--strategy", "gyni-paper", "--rounds", "2", "--seed", "1"),
+])
+def test_noise_v_out_of_range_names_the_flag(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--noise-v", "1.5")
+    assert code == 1
+    assert out == ""
+    assert "--noise-v must lie in [0, 1], got 1.5" in err
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    def rebuilt():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuilt)
+    code, out, _ = run_cli(capsys, "bound", "--ineq", "gyni")
+    assert code == 0
+    assert json.loads(out) == {"classical_bound": 6, "success_bound": 0.875}
+
+
+def test_cli_import_leaves_out_network_modules():
+    import subprocess
+    import sys
+
+    probe = ("import sys, bellccp.cli; "
+             "print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_density_state_form_round_trips():
@@ -401,7 +452,7 @@ def test_numeric_errors_map_to_exit_two(monkeypatch, capsys):
     from bellccp import cli as cli_module
     from bellccp.errors import NumericError
 
-    def broken(args):
+    def broken(args, ineq, strategy):
         raise NumericError("synthetic inconsistency")
 
     monkeypatch.setitem(cli_module._COMMANDS, "report", broken)
