@@ -16,7 +16,10 @@ other:
   No inequality machinery enters this search, which makes it a usable
   cross-check of the success-bound formula.
 
-Both searches are exact; enumeration is vectorized but never pruned.
+Both searches are exact, exhaustive, vectorized and never pruned by value.
+Each scores one member of every class of strategies that differ only by
+negating whole party tables, which provably score alike; each derives that
+reduction in its own terms.
 """
 
 from __future__ import annotations
@@ -43,11 +46,13 @@ from .scenarios import (
 # 2^n input tuples each one is evaluated on.
 SWEEP_WORK_GUARD = 2**32
 
-# Combination-tuple evaluations per second; the guard's error message
-# estimates the run time from it. The geometric mean of the rates of a
-# random n = 5 ring (2.4e9, 0.9 ms a call) and n = 6 ring (7.2e9, 9.4 ms),
-# medians of five calls with one BLAS thread on a 2-core x86-64 host; two
-# n = 6 scenarios with 2^30 tuple evaluations ran at 5.1e9.
+# Combination-tuple evaluations of the reduced sweep per second; the guard's
+# error message estimates the run time from it. Medians of five calls with
+# one BLAS thread on a 2-core x86-64 host: a random n = 5 ring (2^17
+# evaluations) ran at 3.2e8, 0.42 ms a call, and an n = 6 ring (2^21) at
+# 1.5e9, 1.36 ms, both mostly per-call overhead; an n = 6 scenario with
+# three parties seeing three inputs (2^29) ran at 4.0e9, 0.13 s. The message
+# only appears above 2^32 evaluations, so the rate is the large sweep's.
 _SWEEP_RATE = 4e9
 
 # Combinations per block of the classical_bound sweep, and the cap on its
@@ -187,7 +192,17 @@ def classical_bound(ineq: BellInequality):
     sum_g |sum_{x in g} Q(x) prod_i a_i(x)| over that party's setting
     groups g.
 
-    The other parties are swept exhaustively, meet in the middle. Their
+    Negating one swept party's whole table negates every product, which
+    the |group sum| absorbs, so a combination and its negations in any
+    subset of the swept parties all score alike. The negated table of
+    function id sits at id ^ (size - 1), so each such class is the product
+    of one pair {id, id ^ (size - 1)} per swept party, and its first member
+    in odometer order takes every party's id below size / 2 (last output
+    +1). Each swept party therefore runs over the lower half of its
+    functions only: the value is unchanged, and so is the odometer's first
+    maximizer, the first member of the first maximizing class.
+
+    The swept parties are enumerated exhaustively, meet in the middle. Their
     odometer (first party most significant, function ids ascending) is
     split into head and tail parties, the tail with at most ``_CHUNK``
     combinations and no more than the head. With H the head products times
@@ -196,10 +211,10 @@ def classical_bound(ineq: BellInequality):
     the head is swept in blocks of at most ``_CHUNK`` combinations.
     Since head * tails + tail is the odometer index, the first maximum of a
     block in row-major order, replacing the best so far only when strictly
-    larger, is the odometer's first maximizer: the sweep is unpruned and
-    breaks ties exactly as a plain odometer does. Integral coefficients are
-    summed in float64 while Gamma < 2^53, where every partial sum is an
-    exact integer, and in int64 above.
+    larger, is the odometer's first maximizer: the sweep is not pruned by
+    value and breaks ties exactly as a plain odometer does. Integral
+    coefficients are summed in float64 while Gamma < 2^53, where every
+    partial sum is an exact integer, and in int64 above.
     """
     scenario = ineq.scenario
     n = scenario.n
@@ -207,7 +222,8 @@ def classical_bound(ineq: BellInequality):
     parties = list(range(1, n + 1))
     eliminated = max(parties, key=lambda i: scenario.arity(i))
     rest = [i for i in parties if i != eliminated]
-    sizes = [2 ** 2 ** scenario.arity(i) for i in rest]
+    # The lower half of each swept party's functions, one per +/- pair.
+    sizes = [2 ** 2 ** scenario.arity(i) // 2 for i in rest]
     total = math.prod(sizes)
     if total * num_x > SWEEP_WORK_GUARD:
         raise EnumerationGuardError(
@@ -226,7 +242,8 @@ def classical_bound(ineq: BellInequality):
     order = np.argsort(vis_idx[eliminated - 1], kind="stable")
 
     # Outputs of every candidate function of each swept party, in x-space.
-    rows = [_response_matrix(scenario.arity(i))[:, vis_idx[i - 1]] for i in rest]
+    rows = [_response_matrix(scenario.arity(i))[:size, vis_idx[i - 1]]
+            for i, size in zip(rest, sizes)]
     # The tail takes the last parties while it stays within _CHUNK
     # combinations and no larger than the head.
     split = len(rest)
@@ -311,9 +328,6 @@ class MessageStrategy:
     def __hash__(self) -> int:
         return hash((self.scenario, tuple(tuple(t.items()) for t in self.tables)))
 
-    def message(self, party: int, x, y_i: int) -> int:
-        return self.tables[party - 1][(self.scenario.visible_tuple(x, party), y_i)]
-
 
 def broadcast_messages(strategy: DeterministicStrategy) -> MessageStrategy:
     """The protocol messages m_i = y_i * a_i of a deterministic strategy."""
@@ -339,21 +353,21 @@ def message_protocol_success(instance: CcpInstance, messages: MessageStrategy,
     if messages.scenario != scenario:
         raise ValidationError("message strategy does not match the instance scenario")
     n = scenario.n
+    tuples = input_tuples(n)
+    prod_ys = [math.prod(y) for y in tuples]
+    others = [(j - 1, messages.tables[j - 1]) for j in range(1, n + 1) if j != party]
     masses: dict[tuple, dict[int, float]] = {}
-    for x in input_tuples(n):
+    for x in tuples:
         weight_x = instance.input_distribution[x]
         if weight_x == 0.0:
             continue
-        for y in input_tuples(n):
-            weight = weight_x / 2**n
-            received = tuple(
-                messages.message(j, x, y[j - 1]) for j in range(1, n + 1) if j != party)
-            info = (scenario.visible_tuple(x, party), y[party - 1], received)
-            prod_y = 1
-            for value in y:
-                prod_y *= value
-            f = prod_y * sign(ineq.coeffs[x])
-            masses.setdefault(info, {1: 0.0, -1: 0.0})[f] += weight
+        weight = weight_x / 2**n
+        visible = [scenario.visible_tuple(x, j) for j in range(1, n + 1)]
+        sign_q = sign(ineq.coeffs[x])
+        for y, prod_y in zip(tuples, prod_ys):
+            received = tuple(table[(visible[k], y[k])] for k, table in others)
+            info = (visible[party - 1], y[party - 1], received)
+            masses.setdefault(info, {1: 0.0, -1: 0.0})[prod_y * sign_q] += weight
     return sum(max(m[1], m[-1]) for m in masses.values())
 
 
@@ -381,10 +395,9 @@ def ccp_exhaustive_bound(instance: CcpInstance, guard: int = DEFAULT_MESSAGE_GUA
     over the product of the others' function spaces, and the returned value
     is the best success any single party can reach.
 
-    Every combination is scored; the search is unpruned. For party p the
-    other party with the largest family is the tail and the rest are the
-    head. With signed weights w(x, y) = p(x) / 2^n times the target
-    f(x, y) = sign Q(x) prod y, one ``bincount`` per block of head
+    For party p the other party with the largest family is the tail and
+    the rest are the head. With signed weights w(x, y) = p(x) / 2^n times
+    the target f(x, y) = sign Q(x) prod y, one ``bincount`` per block of head
     combinations gives the signed masses C[h, b, s], where the key b is p's
     slot (visible setting, y bit) together with the head's messages and s is
     the tail's slot. The tail's message splits key b into (b, +1) and
@@ -399,6 +412,15 @@ def ccp_exhaustive_bound(instance: CcpInstance, guard: int = DEFAULT_MESSAGE_GUA
     for every head combination h and tail function f at once. Head
     combinations and tail functions are taken in blocks so that no array of
     the search holds more than ``_CHUNK`` entries.
+
+    The search is exhaustive and not pruned by value, but it scores one
+    member of each +/- class. Negating the tail's messages flips the sign
+    of M[h, b, f], which |M| absorbs; negating a head party's messages
+    flips its bit in every key b, which only relabels the keys summed over.
+    In both families the negated row of function id sits at
+    id ^ (functions - 1), so each other party runs over the first half of
+    its family table only, the functions whose last slot is +1, and the
+    success is unchanged. The guard counts these halved tables.
     """
     if message_family not in ("all", "y-odd"):
         raise ValidationError(
@@ -408,12 +430,13 @@ def ccp_exhaustive_bound(instance: CcpInstance, guard: int = DEFAULT_MESSAGE_GUA
     n = scenario.n
     num_x = 2**n
 
+    # The first half of each family table, one function per +/- pair.
     family_sizes = []
     for i in range(1, n + 1):
         if message_family == "all":
-            family_sizes.append(2 ** (2 ** (scenario.arity(i) + 1)))
+            family_sizes.append(2 ** (2 ** (scenario.arity(i) + 1)) // 2)
         else:
-            family_sizes.append(2 ** (2 ** scenario.arity(i)))
+            family_sizes.append(2 ** (2 ** scenario.arity(i)) // 2)
     work = 0
     for p in range(1, n + 1):
         combos = 1
@@ -438,7 +461,8 @@ def ccp_exhaustive_bound(instance: CcpInstance, guard: int = DEFAULT_MESSAGE_GUA
     # Every party's slot at each (x, y), and its family's message table.
     y_bits = (np.arange(num_x)[None, :] >> np.arange(n - 1, -1, -1)[:, None]) & 1
     slots = (scenario.setting_index()[:, :, None] * 2 + y_bits[:, None, :]).reshape(n, grid)
-    tables = [_message_table(scenario.arity(i), message_family) for i in range(1, n + 1)]
+    tables = [_message_table(scenario.arity(i), message_family)[:size]
+              for i, size in enumerate(family_sizes, start=1)]
 
     best = 0.0
     for party in range(1, n + 1):

@@ -144,7 +144,7 @@ def test_enumeration_guard():
 
 def test_enumeration_guard_bounds_swept_work(monkeypatch):
     # Every party sees three inputs: the strategy space is exactly 2^40, but
-    # the sweep would cover 256^4 combinations over 32 input tuples (2^37).
+    # the sweep would cover 128^4 combinations over 32 input tuples (2^33).
     scenario = make_scenario(5, [(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 1), (5, 1, 2)])
     ineq = BellInequality(scenario=scenario, coeffs={x: 1 for x in input_tuples(5)})
 
@@ -153,6 +153,18 @@ def test_enumeration_guard_bounds_swept_work(monkeypatch):
 
     monkeypatch.setattr(classical, "_response_matrix", no_sweep)
     with pytest.raises(EnumerationGuardError, match=r"an estimated [0-9.e+]+ s"):
+        classical_bound(ineq)
+
+
+def test_enumeration_guard_counts_reduced_sweep(monkeypatch):
+    # gyni sweeps two parties with 16 response functions each, one of every
+    # +/- pair: 8 * 8 combinations over 8 input tuples.
+    ineq = gyni_inequality()
+    monkeypatch.setattr(classical, "SWEEP_WORK_GUARD", 8 * 8 * 8)
+    assert classical_bound(ineq)[0] == 6
+    monkeypatch.setattr(classical, "SWEEP_WORK_GUARD", 8 * 8 * 8 - 1)
+    with pytest.raises(EnumerationGuardError,
+                       match="sweeping 64 combinations over 8 input tuples"):
         classical_bound(ineq)
 
 
@@ -226,7 +238,7 @@ def test_unknown_message_family_is_rejected_before_the_guard():
         ccp_exhaustive_bound(instance, guard=10, message_family="bogus")
 
 
-@pytest.mark.parametrize("family, combos", [("all", 3 * 256**2), ("y-odd", 3 * 16**2)])
+@pytest.mark.parametrize("family, combos", [("all", 3 * 128**2), ("y-odd", 3 * 8**2)])
 def test_message_guard_counts_scored_combinations(family, combos):
     # Each gyni party scores every pair of the other two parties' functions.
     instance = CcpInstance(inequality=gyni_inequality())
@@ -249,6 +261,23 @@ def test_message_search_blocks_agree(chunk, monkeypatch):
     for instance, value in zip(instances, expected):
         assert ccp_exhaustive_bound(instance, message_family="y-odd") == pytest.approx(
             value, abs=1e-12)
+    assert expected[:2] == [0.875, 0.75]
+
+
+@pytest.mark.parametrize("chunk", [100, 400])
+def test_message_search_blocks_agree_on_all_functions(chunk, monkeypatch):
+    # As test_message_search_blocks_agree, for the full family: its halved
+    # tables put the head and tail block boundaries elsewhere.
+    rng = np.random.default_rng(61)
+    scenario = make_scenario(3, [(1, 2), (2,), (3, 1)])
+    coeffs = {x: int(rng.integers(-3, 4)) or 1 for x in input_tuples(3)}
+    instances = [CcpInstance(inequality=gyni_inequality()),
+                 CcpInstance(inequality=svetlichny_inequality()),
+                 CcpInstance(inequality=BellInequality(scenario=scenario, coeffs=coeffs))]
+    expected = [ccp_exhaustive_bound(instance) for instance in instances]
+    monkeypatch.setattr(classical, "_CHUNK", chunk)
+    for instance, value in zip(instances, expected):
+        assert ccp_exhaustive_bound(instance) == pytest.approx(value, abs=1e-12)
     assert expected[:2] == [0.875, 0.75]
 
 

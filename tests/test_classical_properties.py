@@ -25,6 +25,8 @@ from bellccp import (
 )
 from bellccp.classical import MessageStrategy
 
+import oracles
+
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
 
 
@@ -120,6 +122,17 @@ def test_bound_is_best_listed_strategy(ineq):
     assert strategy_bell_value(witness, ineq) == bound
     assert ccp_exhaustive_bound(CcpInstance(inequality=ineq)) == pytest.approx(
         classical_success_bound(ineq), abs=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(listable_inequalities())
+def test_witness_is_odometer_first_maximizer(ineq):
+    scenario = ineq.scenario
+    value, tables = oracles.odometer_first_maximizer(
+        scenario.n, list(scenario.visibility), ineq.coeffs)
+    bound, witness = classical_bound(ineq)
+    assert bound == value
+    assert [dict(r.table) for r in witness.responses] == tables
 
 
 @PROPERTY_SETTINGS
