@@ -388,12 +388,13 @@ def ccp_exhaustive_bound(instance: CcpInstance, guard: int = DEFAULT_MESSAGE_GUA
                          message_family: str = "all") -> float:
     """Best classical success of the game over one-bit broadcast protocols.
 
-    Exhausts all message strategies of the chosen family with every party's
-    guess chosen pointwise-optimally. A party's own broadcast tells it
-    nothing it does not already know, so its success depends only on the
-    other parties' message functions; each party is therefore maximized
-    over the product of the others' function spaces, and the returned value
-    is the best success any single party can reach.
+    Exhausts the message strategies of the chosen family, one of each +/-
+    class (see below), with every party's guess chosen pointwise-optimally.
+    A party's own broadcast tells it nothing it does not already know, so
+    its success depends only on the other parties' message functions; each
+    party is therefore maximized over the product of the others' function
+    spaces, and the returned value is the best success any single party
+    can reach.
 
     For party p the other party with the largest family is the tail and
     the rest are the head. With signed weights w(x, y) = p(x) / 2^n times
