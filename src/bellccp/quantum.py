@@ -4,10 +4,10 @@ A quantum strategy is a shared n-qubit state plus, for every party, one
 binary observable per visible-input setting. Correlators come from the
 state's Pauli correlation tensor T (see :func:`qubits.pauli_tensor`): with
 observables r . sigma, E(x) is the contraction of T's traceless block with
-the parties' Bloch vectors at x, done for all input tuples at once by
-:func:`correlations`. The joint outcome distribution stays on the Born rule
-with the projectors (I + a A) / 2, outcome by outcome, so it checks the
-correlators independently.
+the parties' Bloch vectors at x, done for all input tuples, and for a batch
+of strategies, at once by :func:`correlations`. The joint outcome
+distribution stays on the Born rule with the projectors (I + a A) / 2,
+outcome by outcome, so it checks the correlators independently.
 
 The canonical presets are the optimal GHZ-state strategies for the ring
 (guess-your-neighbour) and Svetlichny structures, attaining 8 cos(pi/8)
@@ -96,23 +96,26 @@ class QuantumStrategy:
 
 def correlations(tensor: np.ndarray, tables: list[np.ndarray], index: np.ndarray,
                  leave_out: int | None = None) -> np.ndarray:
-    """E(x) at every input tuple, or one party's leave-one-out gradients.
+    """E(x) at every input tuple, or one party's leave-one-out gradients, for
+    R strategies at once.
 
-    ``tensor`` is a state's Pauli tensor, ``tables[i]`` party i+1's Bloch
-    vectors by setting index and ``index`` the scenario's setting index.
-    Returns shape (2^n,), or with ``leave_out=i`` (0-based) shape (2^n, 3):
-    E(x) with sigma_x, sigma_y, sigma_z in party i+1's place, so that
-    E(x) = r . gradient for that party's Bloch vector r at x.
+    ``tensor`` holds R Pauli tensors, shape (R, 4, ..., 4); ``tables[i]`` is
+    party i+1's Bloch vectors by setting index, shape (R, settings, 3); and
+    ``index`` is the scenario's setting index. Returns shape (R, 2^n), or
+    with ``leave_out=i`` (0-based) shape (R, 2^n, 3): E(x) with sigma_x,
+    sigma_y, sigma_z in party i+1's place, so that E(x) = r . gradient for
+    that party's Bloch vector r at x.
     """
     n = len(tables)
-    block = tensor[(slice(1, None),) * n]
+    block = tensor[(slice(None),) + (slice(1, None),) * n]
     if leave_out is not None:
-        block = np.moveaxis(block, leave_out, -1)
-    rows = [tables[i][index[i]] for i in range(n) if i != leave_out]
-    out = rows[0] @ block.reshape(3, -1)
+        block = np.moveaxis(block, 1 + leave_out, -1)
+    rows = [tables[i][:, index[i]] for i in range(n) if i != leave_out]
+    restarts, num_x = rows[0].shape[:2]
+    out = rows[0] @ block.reshape(restarts, 3, -1)
     for row in rows[1:]:
-        out = np.einsum("xa,xab->xb", row, out.reshape(out.shape[0], 3, -1))
-    return out[:, 0] if leave_out is None else out
+        out = np.einsum("rxa,rxab->rxb", row, out.reshape(restarts, num_x, 3, -1))
+    return out[:, :, 0] if leave_out is None else out
 
 
 def correlator_table(strategy: QuantumStrategy) -> dict[tuple[int, ...], float]:
@@ -124,8 +127,9 @@ def correlator_table(strategy: QuantumStrategy) -> dict[tuple[int, ...], float]:
     larger excursions raise.
     """
     scenario = strategy.scenario
-    values = correlations(pauli_tensor(strategy.state), strategy.bloch_tables(),
-                          scenario.setting_index())
+    tables = [table[None] for table in strategy.bloch_tables()]
+    values = correlations(pauli_tensor(strategy.state)[None], tables,
+                          scenario.setting_index())[0]
     table = {}
     for x, value in zip(input_tuples(scenario.n), values.tolist()):
         if abs(value) > 1.0 + ATOL:

@@ -64,6 +64,21 @@ def _validate_entries(x, n: int, what: str) -> tuple[int, ...]:
     return out
 
 
+@lru_cache(maxsize=256)
+def _setting_index(n: int, visibility: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Read-only :meth:`CausalScenario.setting_index`, shared by equal scenarios."""
+    # Input j is +1 (bit 1) or -1 (bit 0) at bit n - j of the tuple index;
+    # party i's k-th visible input is bit arity - 1 - k of its setting.
+    bits = (np.arange(2**n)[None, :] >> np.arange(n - 1, -1, -1)[:, None]) & 1
+    place = [[0] * n for _ in visibility]
+    for row, group in zip(place, visibility):
+        for k, j in enumerate(group):
+            row[j - 1] = 1 << (len(group) - 1 - k)
+    index = np.array(place) @ bits
+    index.setflags(write=False)
+    return index
+
+
 @dataclass(frozen=True)
 class CausalScenario:
     """Party count plus per-party ordered input-visibility lists (1-based)."""
@@ -86,6 +101,7 @@ class CausalScenario:
                 raise ValidationError(f"party {i} visibility indices out of range 1..{self.n}: {group}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "visibility", vis)
+        object.__setattr__(self, "_setting_index", _setting_index(self.n, vis))
 
     def arity(self, party: int) -> int:
         """Number of inputs visible to a party."""
@@ -102,14 +118,8 @@ class CausalScenario:
     def setting_index(self) -> np.ndarray:
         """Row i-1 holds party i's setting index at every input tuple, in
         canonical order: the position of ``visible_tuple(x, i)`` among
-        ``visible_tuples(i)``. Shape (n, 2^n)."""
-        # Input j is +1 (bit 1) or -1 (bit 0) at bit n - j of the tuple index.
-        bits = (np.arange(2**self.n)[None, :] >> np.arange(self.n - 1, -1, -1)[:, None]) & 1
-        index = np.zeros((self.n, 2**self.n), dtype=np.int64)
-        for row, group in zip(index, self.visibility):
-            for j in group:
-                row[:] = 2 * row + bits[j - 1]
-        return index
+        ``visible_tuples(i)``. Shape (n, 2^n); computed once, read-only."""
+        return self._setting_index
 
 
 def make_scenario(n: int, visibility) -> CausalScenario:
@@ -147,6 +157,11 @@ class BellInequality:
             raise ValidationError("all coefficients are zero; the inequality is empty")
         object.__setattr__(self, "coeffs", MappingProxyType(table))
         object.__setattr__(self, "gamma", gamma)
+        values = list(table.values())
+        dtype = np.int64 if all(isinstance(q, Integral) for q in values) else float
+        array = np.array(values, dtype=dtype)
+        array.setflags(write=False)
+        object.__setattr__(self, "_coefficient_array", array)
 
     def __hash__(self) -> int:
         # Over the fields __eq__ compares; coeffs is always in canonical order.
@@ -157,11 +172,9 @@ class BellInequality:
         return self.scenario.n
 
     def coefficient_array(self) -> np.ndarray:
-        """Q in canonical tuple order; int64 when all entries are integral."""
-        values = list(self.coeffs.values())
-        if all(isinstance(q, Integral) for q in values):
-            return np.array(values, dtype=np.int64)
-        return np.array(values, dtype=float)
+        """Q in canonical tuple order; int64 when all entries are integral.
+        Computed once, read-only."""
+        return self._coefficient_array
 
 
 def input_distribution(ineq: BellInequality) -> dict[tuple[int, ...], float]:

@@ -11,10 +11,16 @@ tuples, so a sweep updates a whole party from one batched contraction: the
 same coordinate ascent as slot by slot, with a closed-form, provably
 non-decreasing update. State optimization, when enabled, replaces the state
 by the top eigenvector of the fixed-observable operator
-sum_x Q(x) A_1 x ... x A_n, from one Hermitian eigendecomposition.
+sum_x Q(x) A_1 x ... x A_n, from one Hermitian eigendecomposition. That
+operator is built in the Pauli basis: its coefficient on sigma_p1 x ... x
+sigma_pn is sum_x Q(x) prod_i r_i(x)[p_i], expanded party by party, with no
+Kronecker product.
 
 Restarts draw independent initial Bloch vectors from spawned generator
-streams, so results are reproducible given (seed, options).
+streams, so results are reproducible given (seed, options). They run as one
+batch on a leading restart axis: one sweep updates every restart still
+running, and each restart stops, takes its state step and rejoins by the
+same rule as it would alone.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .qubits import Observable2, PureState, MixedState, ghz_state, pauli_tensor, tensor_product
+from .qubits import PAULIS, Observable2, PureState, MixedState, ghz_state, pauli_tensor
 from .quantum import QuantumStrategy, correlations, random_bloch_tables
 from .scenarios import BellInequality
 
@@ -33,6 +39,9 @@ DEGENERATE_GRADIENT = 1e-14
 
 # Cap on observable/state alternations when state optimization is enabled.
 _MAX_ALTERNATIONS = 100
+
+# sigma_x, sigma_y, sigma_z as the rows of a (3, 4) matrix.
+_PAULIS = np.stack(PAULIS).reshape(3, 4)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -61,11 +70,19 @@ class OptimizationResult:
     degenerate_updates: int = 0
 
 
-class _Sweeper:
-    """Coordinate-ascent state for one inequality; holds the state's Pauli
-    tensor and one (settings, 3) Bloch table per party."""
+class _Restarts:
+    """Coordinate ascent for every restart at once, on a leading restart axis.
 
-    def __init__(self, ineq: BellInequality, state: PureState | MixedState):
+    Holds one (R, settings, 3) Bloch table per party (a copy of ``tables``),
+    the restarts' Pauli tensors (R, 4, ..., 4), one shared tensor until a
+    restart keeps a state of its own, and their correlators (R, 2^n). Each
+    restart follows the sequential rule on its own: it sweeps until its
+    improvement drops below ``tol`` or it has used ``max_sweeps``; with state
+    optimization it then takes a state step and rejoins the batch.
+    """
+
+    def __init__(self, ineq: BellInequality, state: PureState | MixedState,
+                 tables: list[np.ndarray]):
         scenario = ineq.scenario
         if state.dim != 2**scenario.n:
             raise ValidationError(
@@ -77,61 +94,94 @@ class _Sweeper:
         # weights[i][s, x] = Q(x) where party i+1 has setting s at x, else 0.
         self.weights = [(np.arange(2 ** scenario.arity(i + 1))[:, None] == row) * self.q
                         for i, row in enumerate(self.index)]
-        self.bloch: list[np.ndarray] = []
-        self.trace: list[float] = []
-        self.sweeps = self.degenerate = 0
-        self.state = state
-        self.tensor = pauli_tensor(state)
-
-    def set_observables(self, tables: list[np.ndarray]):
         self.bloch = [np.array(table, dtype=float) for table in tables]
-        self.correlators = correlations(self.tensor, self.bloch, self.index)
+        restarts = len(self.bloch[0])
+        self.states = [state] * restarts
+        tensor = pauli_tensor(state)
+        self.tensors = np.broadcast_to(tensor, (restarts, *tensor.shape))
+        self.correlators = correlations(self.tensors, self.bloch, self.index)
+        self.traces: list[list[float]] = [[] for _ in range(restarts)]
+        self.sweeps = np.zeros(restarts, dtype=int)
+        self.degenerate = np.zeros(restarts, dtype=int)
 
-    def set_state(self, state: PureState | MixedState):
-        self.state = state
-        self.tensor = pauli_tensor(state)
-        self.correlators = correlations(self.tensor, self.bloch, self.index)
-
-    def value(self) -> float:
-        return float(self.q @ self.correlators)
-
-    def sweep(self) -> int:
-        """Update every slot to its per-slot optimum, party by party; count
-        degenerate slots."""
-        degenerate = 0
-        for i, table in enumerate(self.bloch):
-            gradients = correlations(self.tensor, self.bloch, self.index, leave_out=i)
+    def sweep(self, rows: np.ndarray):
+        """Update every slot of the given restarts to its per-slot optimum,
+        party by party; count each restart's degenerate slots."""
+        tensors = self.tensors[rows]
+        tables = [table[rows] for table in self.bloch]
+        for i, table in enumerate(tables):
+            gradients = correlations(tensors, tables, self.index, leave_out=i)
             totals = self.weights[i] @ gradients
-            norms = np.linalg.norm(totals, axis=1)
+            norms = np.linalg.norm(totals, axis=2)
             live = norms >= DEGENERATE_GRADIENT
-            degenerate += int(np.count_nonzero(~live))
-            table[live] = totals[live] / norms[live, None]
-            self.correlators = np.einsum("xa,xa->x", table[self.index[i]], gradients)
-        return degenerate
+            self.degenerate[rows] += np.count_nonzero(~live, axis=1)
+            table[live] = totals[live] / norms[live][:, None]
+            correlators = np.einsum("rxa,rxa->rx", table[:, self.index[i]], gradients)
+        for table, updated in zip(self.bloch, tables):
+            table[rows] = updated
+        self.correlators[rows] = correlators
+        self.sweeps[rows] += 1
 
-    def run(self, max_sweeps: int, tol: float):
-        """Sweep until the per-sweep improvement drops below tol."""
-        previous = self.value()
-        for _ in range(max_sweeps):
-            self.degenerate += self.sweep()
-            self.sweeps += 1
-            current = self.value()
-            self.trace.append(current)
-            if current - previous < tol:
-                break
-            previous = current
+    def run(self, opts: OptimizerOptions):
+        """Sweep every running restart until its improvement drops below tol
+        or it has used max_sweeps; with state optimization, alternate."""
+        restarts = len(self.states)
+        rows = np.arange(restarts)
+        previous = self.correlators @ self.q        # what the next sweep must beat
+        run_sweeps = np.zeros(restarts, dtype=int)
+        run_start = previous.copy()                 # what the next state step must beat
+        alternations = np.zeros(restarts, dtype=int)
+        while rows.size:
+            self.sweep(rows)
+            current = self.correlators[rows] @ self.q
+            for r, value in zip(rows.tolist(), current.tolist()):
+                self.traces[r].append(value)
+            run_sweeps[rows] += 1
+            ended = (current - previous[rows] < opts.tol) | (run_sweeps[rows] >= opts.max_sweeps)
+            previous[rows] = current
+            if opts.optimize_state:
+                rejoin = []
+                for r in rows[ended].tolist():
+                    alternations[r] += 1
+                    if (self.state_step(r) and self.traces[r][-1] - run_start[r] >= opts.tol
+                            and alternations[r] < _MAX_ALTERNATIONS):
+                        run_start[r] = previous[r] = self.traces[r][-1]
+                        run_sweeps[r] = 0
+                        rejoin.append(r)
+                rows = np.sort(np.concatenate([rows[~ended], np.array(rejoin, dtype=int)]))
+            else:
+                rows = rows[~ended]
 
-    def observables(self) -> dict:
-        return {(i, t): Observable2(bloch=r / np.linalg.norm(r))
+    def state_step(self, r: int) -> bool:
+        """Replace restart r's state by the top eigenvector of its operator,
+        unless the eigenvalue falls below the current value; the exact top
+        eigenvalue cannot, so a numerical non-improvement means converged."""
+        state, value = optimal_state(self.ineq, self.observables(r))
+        if value < self.traces[r][-1]:
+            return False
+        if not self.tensors.flags.writeable:
+            self.tensors = self.tensors.copy()
+        self.states[r] = state
+        self.tensors[r] = pauli_tensor(state)
+        self.traces[r].append(value)
+        return True
+
+    def observables(self, r: int) -> dict:
+        # Every row is a unit vector: drawn normalized or set to g / |g|.
+        return {(i, t): Observable2(bloch=v)
                 for i, table in enumerate(self.bloch, start=1)
-                for t, r in zip(self.scenario.visible_tuples(i), table)}
+                for t, v in zip(self.scenario.visible_tuples(i), table[r])}
 
-    def result(self) -> OptimizationResult:
-        strategy = QuantumStrategy(scenario=self.scenario, state=self.state,
-                                   observables=self.observables())
-        return OptimizationResult(best_value=self.trace[-1], strategy=strategy,
-                                  sweeps_used=self.sweeps, value_trace=tuple(self.trace),
-                                  degenerate_updates=self.degenerate)
+    def best(self) -> OptimizationResult:
+        """The first restart within 1e-12 of the best final value."""
+        finals = [trace[-1] for trace in self.traces]
+        r = next(r for r, value in enumerate(finals) if value >= max(finals) - 1e-12)
+        strategy = QuantumStrategy(scenario=self.scenario, state=self.states[r],
+                                   observables=self.observables(r))
+        return OptimizationResult(best_value=finals[r], strategy=strategy,
+                                  sweeps_used=int(self.sweeps[r]),
+                                  value_trace=tuple(self.traces[r]),
+                                  degenerate_updates=int(self.degenerate[r]))
 
 
 def _restart_streams(seed: int, restarts: int) -> list[np.random.Generator]:
@@ -139,40 +189,13 @@ def _restart_streams(seed: int, restarts: int) -> list[np.random.Generator]:
             for ss in np.random.SeedSequence(seed).spawn(restarts)]
 
 
-def _alternate(sweeper: _Sweeper, opts: OptimizerOptions):
-    """Observable sweeps alternated with state updates until neither helps."""
-    previous = sweeper.value()
-    for _ in range(_MAX_ALTERNATIONS):
-        sweeper.run(opts.max_sweeps, opts.tol)
-        before_state_update = sweeper.trace[-1]
-        old_state = sweeper.state
-        new_state, _ = optimal_state(sweeper.ineq, sweeper.observables())
-        sweeper.set_state(new_state)
-        # The exact top eigenvalue cannot be below the current value; a
-        # numerical non-improvement means the alternation has converged.
-        if sweeper.value() < before_state_update:
-            sweeper.set_state(old_state)
-            return
-        sweeper.trace.append(sweeper.value())
-        if sweeper.trace[-1] - previous < opts.tol:
-            return
-        previous = sweeper.trace[-1]
-
-
 def _best_of_restarts(ineq: BellInequality, state: PureState | MixedState,
                       opts: OptimizerOptions) -> OptimizationResult:
-    """Best of seeded restarts; the first within 1e-12 of the maximum wins."""
-    sweepers = []
-    for rng in _restart_streams(opts.seed, opts.restarts):
-        sweeper = _Sweeper(ineq, state)
-        sweeper.set_observables(random_bloch_tables(ineq.scenario, rng))
-        if opts.optimize_state:
-            _alternate(sweeper, opts)
-        else:
-            sweeper.run(opts.max_sweeps, opts.tol)
-        sweepers.append(sweeper)
-    best_value = max(s.trace[-1] for s in sweepers)
-    return next(s for s in sweepers if s.trace[-1] >= best_value - 1e-12).result()
+    draws = [random_bloch_tables(ineq.scenario, rng)
+             for rng in _restart_streams(opts.seed, opts.restarts)]
+    restarts = _Restarts(ineq, state, [np.stack(party) for party in zip(*draws)])
+    restarts.run(opts)
+    return restarts.best()
 
 
 def seesaw_measurements(ineq: BellInequality, state: PureState | MixedState,
@@ -184,17 +207,24 @@ def seesaw_measurements(ineq: BellInequality, state: PureState | MixedState,
 
 
 def bell_operator(ineq: BellInequality, observables: dict) -> np.ndarray:
-    """sum_x Q(x) A_1^(x) x ... x A_n^(x) for fixed observables."""
+    """sum_x Q(x) A_1^(x) x ... x A_n^(x) for fixed observables, from the
+    Pauli basis: with A = r . sigma it is sum_p C[p] sigma_p1 x ... x
+    sigma_pn over p in {x, y, z}^n, where C[p] = sum_x Q(x) prod_i
+    r_i(x)[p_i]; one product with the three Pauli matrices per party then
+    expands C. No Kronecker product is formed."""
     scenario = ineq.scenario
-    dim = 2**scenario.n
-    op = np.zeros((dim, dim), dtype=complex)
-    for x, q in ineq.coeffs.items():
-        if q == 0:
-            continue
-        factors = [observables[(i, scenario.visible_tuple(x, i))].matrix
-                   for i in range(1, scenario.n + 1)]
-        op += float(q) * tensor_product(factors)
-    return op
+    n = scenario.n
+    rows = [np.array([observables[(i + 1, t)].bloch for t in scenario.visible_tuples(i + 1)])[row]
+            for i, row in enumerate(scenario.setting_index())]
+    products = rows[0]
+    for row in rows[1:]:
+        products = (products[:, :, None] * row[:, None, :]).reshape(len(row), -1)
+    op = ineq.coefficient_array() @ products
+    for _ in range(n):
+        # Takes the leading party's Pauli axis, appends its row and column.
+        op = op.reshape(3, -1).T @ _PAULIS
+    order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
+    return op.reshape((2,) * (2 * n)).transpose(order).reshape(2**n, 2**n)
 
 
 def optimal_state(ineq: BellInequality, observables: dict) -> tuple[PureState, float]:

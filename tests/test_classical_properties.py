@@ -156,6 +156,7 @@ def test_y_odd_search_is_best_listed_y_odd_protocol(ineq):
 @PROPERTY_SETTINGS
 @given(neighbour_inequalities())
 def test_neighbour_search_meets_success_bound(ineq):
-    # Two neighbour-seeing parties need 2^21 + 2^17 combinations.
-    searched = ccp_exhaustive_bound(CcpInstance(inequality=ineq), guard=2**22)
+    # Two neighbour-seeing parties need 2^18 + 2^14 combinations, inside the
+    # default guard.
+    searched = ccp_exhaustive_bound(CcpInstance(inequality=ineq))
     assert searched == pytest.approx(classical_success_bound(ineq), abs=1e-12)

@@ -1,5 +1,6 @@
 """Tests for causal scenarios, inequalities, and the derived game data."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -172,6 +173,23 @@ def test_coefficient_and_distribution_tables_are_read_only():
     assert sum(instance.input_distribution.values()) == pytest.approx(1.0, abs=1e-15)
     sparse = CcpInstance(inequality=ineq, input_distribution={(1, 1, 1): 1.0})
     assert list(sparse.input_distribution) == list(input_tuples(3))
+
+
+def test_index_arrays_are_stored_once_and_read_only():
+    ineq = gyni_inequality()
+    scenario = ineq.scenario
+    for array, again, want in (
+            (ineq.coefficient_array(), ineq.coefficient_array(), [-1, 1, 1, 1, 1, 1, 1, 1]),
+            (scenario.setting_index(), scenario.setting_index(),
+             [[0, 1, 0, 1, 2, 3, 2, 3], [0, 0, 2, 2, 1, 1, 3, 3], [0, 2, 1, 3, 0, 2, 1, 3]])):
+        assert np.array_equal(array, again) and np.array_equal(array, want)
+        with pytest.raises(ValueError):
+            array[0] = 7
+        assert np.array_equal(again, want)
+    # The stored arrays are not fields: equality and hash ignore them.
+    fresh = gyni_inequality()
+    assert fresh == ineq and hash(fresh) == hash(ineq)
+    assert fresh.scenario == scenario and hash(fresh.scenario) == hash(scenario)
 
 
 def test_equal_instances_hash_alike():

@@ -24,7 +24,9 @@ from bellccp import (
     seesaw_measurements,
     svetlichny_inequality,
 )
-from bellccp.seesaw import bell_operator
+from bellccp.qubits import MixedState, PureState, pauli_tensor
+from bellccp.quantum import correlations, random_bloch_tables
+from bellccp.seesaw import _Restarts, _restart_streams, bell_operator
 
 import oracles
 
@@ -171,3 +173,121 @@ def test_degenerate_slots_are_counted():
     result = seesaw_measurements(ineq, ghz_state(2), OptimizerOptions(seed=2, restarts=1))
     assert result.degenerate_updates > 0
     assert result.best_value <= 2.0 + 1e-9
+
+
+def _replay_restarts(ineq, state, tables, opts):
+    """The restarts one after another, each a plain loop in the arithmetic of
+    one restart alone: whole-party sweeps until the improvement drops below
+    tol or max_sweeps is used, then, with state optimization, a state step
+    (kept unless the value drops), until an alternation gains less than tol.
+    Returns per-restart (trace, sweeps, final tables)."""
+    scenario = ineq.scenario
+    q = ineq.coefficient_array().astype(float)
+    index = scenario.setting_index()
+    weights = [(np.arange(table.shape[1])[:, None] == row) * q
+               for table, row in zip(tables, index)]
+    runs = []
+    for r in range(len(tables[0])):
+        bloch = [table[r][None].copy() for table in tables]
+        tensor = pauli_tensor(state)[None]
+        trace, sweeps = [], 0
+
+        def value():
+            return float(q @ correlations(tensor, bloch, index)[0])
+
+        start = value()
+        for _ in range(100 if opts.optimize_state else 1):
+            previous = value()
+            for _ in range(opts.max_sweeps):
+                for i, table in enumerate(bloch):
+                    gradients = correlations(tensor, bloch, index, leave_out=i)[0]
+                    totals = weights[i] @ gradients
+                    norms = np.linalg.norm(totals, axis=1)
+                    live = norms >= 1e-14
+                    table[0, live] = totals[live] / norms[live, None]
+                    correlators = np.einsum("xa,xa->x", table[0, index[i]], gradients)
+                sweeps += 1
+                trace.append(float(q @ correlators))
+                if trace[-1] - previous < opts.tol:
+                    break
+                previous = trace[-1]
+            if not opts.optimize_state:
+                break
+            observables = {(i, t): bloch_to_observable(v)
+                           for i, table in enumerate(bloch, start=1)
+                           for t, v in zip(scenario.visible_tuples(i), table[0])}
+            old_tensor = tensor
+            tensor = pauli_tensor(optimal_state(ineq, observables)[0])[None]
+            if value() < trace[-1]:
+                tensor = old_tensor
+                break
+            trace.append(value())
+            if trace[-1] - start < opts.tol:
+                break
+            start = trace[-1]
+        runs.append((trace, sweeps, [table[0] for table in bloch]))
+    return runs
+
+
+def _ring4_inequality():
+    rng = np.random.default_rng(11)
+    scenario = make_scenario(4, [(1, 4), (2, 1), (3, 2), (4, 3)])
+    coeffs = {x: int(v) for x, v in zip(input_tuples(4), rng.integers(-3, 4, size=16))}
+    return BellInequality(scenario=scenario, coeffs=coeffs)
+
+
+def _random_mixed_state(n):
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((2**n, 2)) + 1j * rng.standard_normal((2**n, 2))
+    rho = g @ g.conj().T
+    return MixedState(rho / np.trace(rho).real)
+
+
+RESTART_CASES = [(gyni_inequality, 8), (svetlichny_inequality, 8), (chsh_inequality, 8),
+                 (_ring4_inequality, 4)]
+
+
+def _initial_tables(ineq, opts):
+    draws = [random_bloch_tables(ineq.scenario, rng)
+             for rng in _restart_streams(opts.seed, opts.restarts)]
+    return [np.stack(party) for party in zip(*draws)]
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+@pytest.mark.parametrize("make, restarts", RESTART_CASES,
+                         ids=["gyni", "svetlichny", "chsh", "ring4"])
+def test_restart_batch_replays_the_sequential_loop(make, restarts, mixed):
+    ineq = make()
+    state = _random_mixed_state(ineq.n) if mixed else ghz_state(ineq.n)
+    opts = OptimizerOptions(seed=9, restarts=restarts)
+    tables = _initial_tables(ineq, opts)
+    batch = _Restarts(ineq, state, tables)
+    batch.run(opts)
+    replay = _replay_restarts(ineq, state, tables, opts)
+    for r, (trace, sweeps, final) in enumerate(replay):
+        assert batch.sweeps[r] == sweeps
+        assert len(batch.traces[r]) == len(trace)
+        assert np.max(np.abs(np.array(batch.traces[r]) - trace)) < 1e-12
+        for got, want in zip(batch.bloch, final):
+            assert np.max(np.abs(got[r] - want)) < 1e-12
+    finals = [trace[-1] for trace, _, _ in replay]
+    winner = next(r for r, v in enumerate(finals) if v >= max(finals) - 1e-12)
+    best = batch.best()
+    assert best.value_trace == tuple(batch.traces[winner])
+    assert best.sweeps_used == replay[winner][1]
+    for got, want in zip(best.strategy.bloch_tables(), replay[winner][2]):
+        assert np.max(np.abs(got - want)) < 1e-12
+    assert best == (optimize(ineq, opts, initial_state=state) if not mixed
+                    else seesaw_measurements(ineq, state, opts))
+
+
+@pytest.mark.parametrize("make, restarts", RESTART_CASES,
+                         ids=["gyni", "svetlichny", "chsh", "ring4"])
+def test_restart_batch_with_state_steps_reaches_the_sequential_best(make, restarts):
+    # At convergence the exact revert check compares numbers equal up to
+    # rounding, so only the best value is compared, not the traces.
+    ineq = make()
+    opts = OptimizerOptions(seed=9, restarts=restarts, optimize_state=True)
+    replay = _replay_restarts(ineq, ghz_state(ineq.n), _initial_tables(ineq, opts), opts)
+    best = max(trace[-1] for trace, _, _ in replay)
+    assert abs(optimize(ineq, opts).best_value - best) < 1e-12

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from bellccp import BellInequality, MixedState, PureState, QuantumStrategy, correlator_table
 from bellccp.qubits import Observable2, pauli_tensor
 from bellccp.scenarios import input_tuples, make_scenario
-from bellccp.seesaw import DEGENERATE_GRADIENT, _Sweeper, optimal_state
+from bellccp.seesaw import DEGENERATE_GRADIENT, _Restarts, bell_operator, optimal_state
 
 import oracles
 
@@ -88,17 +88,17 @@ def test_party_sweep_matches_slot_by_slot_kron_replay(case):
     scenario = make_scenario(n, visibility)
     ineq = BellInequality(scenario=scenario,
                           coeffs={x: int(v) for x, v in zip(input_tuples(n), q)})
-    sweeper = _Sweeper(ineq, state)
-    sweeper.set_observables(tables)
-    degenerate = sweeper.sweep()
+    # One restart: a batch of R = 1.
+    sweeper = _Restarts(ineq, state, [table[None] for table in tables])
+    sweeper.sweep(np.arange(1))
     rho = state.density_matrix()
     expected, expected_degenerate = oracles.kron_sweep(
         rho, n, visibility, q, tables, DEGENERATE_GRADIENT)
-    assert degenerate == expected_degenerate
+    assert sweeper.degenerate[0] == expected_degenerate
     for got, want in zip(sweeper.bloch, expected):
-        assert np.max(np.abs(got - want)) < 1e-12
+        assert np.max(np.abs(got[0] - want)) < 1e-12
     correlators = oracles.kron_correlators(rho, n, visibility, expected)
-    assert abs(sweeper.value() - float(q @ correlators)) < 1e-11
+    assert abs(float(q @ sweeper.correlators[0]) - float(q @ correlators)) < 1e-11
 
 
 @PROPERTY_SETTINGS
@@ -117,3 +117,17 @@ def test_optimal_state_is_exact_top_eigenpair(case):
     assert abs(value - top) < 1e-12
     achieved = (state.amplitudes.conj() @ op @ state.amplitudes).real
     assert abs(achieved - top) < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+def test_bell_operator_matches_kron(case):
+    n, visibility, _state, tables, q = case
+    scenario = make_scenario(n, visibility)
+    ineq = BellInequality(scenario=scenario,
+                          coeffs={x: int(v) for x, v in zip(input_tuples(n), q)})
+    observables = {(i, t): Observable2(bloch=r)
+                   for i in range(1, n + 1)
+                   for t, r in zip(scenario.visible_tuples(i), tables[i - 1])}
+    op = bell_operator(ineq, observables)
+    assert np.max(np.abs(op - oracles.kron_bell_operator(n, visibility, q, tables))) < 1e-12
