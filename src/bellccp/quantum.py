@@ -111,10 +111,10 @@ def correlations(tensor: np.ndarray, tables: list[np.ndarray], index: np.ndarray
     if leave_out is not None:
         block = np.moveaxis(block, 1 + leave_out, -1)
     rows = [tables[i][:, index[i]] for i in range(n) if i != leave_out]
-    restarts, num_x = rows[0].shape[:2]
-    out = rows[0] @ block.reshape(restarts, 3, -1)
+    batch, num_x = rows[0].shape[:2]
+    out = rows[0] @ block.reshape(batch, 3, -1)
     for row in rows[1:]:
-        out = np.einsum("rxa,rxab->rxb", row, out.reshape(restarts, num_x, 3, -1))
+        out = np.einsum("rxa,rxab->rxb", row, out.reshape(batch, num_x, 3, -1))
     return out[:, :, 0] if leave_out is None else out
 
 

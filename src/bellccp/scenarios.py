@@ -101,7 +101,6 @@ class CausalScenario:
                 raise ValidationError(f"party {i} visibility indices out of range 1..{self.n}: {group}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "visibility", vis)
-        object.__setattr__(self, "_setting_index", _setting_index(self.n, vis))
 
     def arity(self, party: int) -> int:
         """Number of inputs visible to a party."""
@@ -118,8 +117,9 @@ class CausalScenario:
     def setting_index(self) -> np.ndarray:
         """Row i-1 holds party i's setting index at every input tuple, in
         canonical order: the position of ``visible_tuple(x, i)`` among
-        ``visible_tuples(i)``. Shape (n, 2^n); computed once, read-only."""
-        return self._setting_index
+        ``visible_tuples(i)``. Shape (n, 2^n); computed once per distinct
+        scenario, read-only."""
+        return _setting_index(self.n, self.visibility)
 
 
 def make_scenario(n: int, visibility) -> CausalScenario:

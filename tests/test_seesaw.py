@@ -24,9 +24,9 @@ from bellccp import (
     seesaw_measurements,
     svetlichny_inequality,
 )
-from bellccp.qubits import MixedState, PureState, pauli_tensor
+from bellccp.qubits import MixedState, pauli_tensor
 from bellccp.quantum import correlations, random_bloch_tables
-from bellccp.seesaw import _Restarts, _restart_streams, bell_operator
+from bellccp.seesaw import DEGENERATE_GRADIENT, _Restarts, _restart_streams, bell_operator
 
 import oracles
 
@@ -203,7 +203,7 @@ def _replay_restarts(ineq, state, tables, opts):
                     gradients = correlations(tensor, bloch, index, leave_out=i)[0]
                     totals = weights[i] @ gradients
                     norms = np.linalg.norm(totals, axis=1)
-                    live = norms >= 1e-14
+                    live = norms >= DEGENERATE_GRADIENT
                     table[0, live] = totals[live] / norms[live, None]
                     correlators = np.einsum("xa,xa->x", table[0, index[i]], gradients)
                 sweeps += 1
