@@ -175,7 +175,8 @@ class _Restarts:
     def best(self) -> OptimizationResult:
         """The first restart within 1e-12 of the best final value."""
         finals = [trace[-1] for trace in self.traces]
-        r = next(r for r, value in enumerate(finals) if value >= max(finals) - 1e-12)
+        top = max(finals)
+        r = next(r for r, value in enumerate(finals) if value >= top - 1e-12)
         strategy = QuantumStrategy(scenario=self.scenario, state=self.states[r],
                                    observables=self.observables(r))
         return OptimizationResult(best_value=finals[r], strategy=strategy,
