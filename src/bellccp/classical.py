@@ -28,7 +28,6 @@ import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -38,6 +37,8 @@ from .scenarios import (
     BellInequality,
     CausalScenario,
     CcpInstance,
+    FrozenTable,
+    FrozenValue,
     input_tuples,
     sign,
 )
@@ -65,7 +66,7 @@ DEFAULT_MESSAGE_GUARD = 2**20
 
 
 @dataclass(frozen=True)
-class ResponseFunction:
+class ResponseFunction(FrozenValue):
     """One party's deterministic output table over its visible settings.
 
     The table is stored read-only, in canonical setting order."""
@@ -84,10 +85,7 @@ class ResponseFunction:
             raise ValidationError(f"party {self.party} table must cover all {2**arity} settings")
         if any(v not in (-1, 1) for v in table.values()):
             raise ValidationError(f"party {self.party} outputs must be +1 or -1")
-        object.__setattr__(self, "table", MappingProxyType({t: int(table[t]) for t in expected}))
-
-    def __hash__(self) -> int:
-        return hash((self.party, tuple(self.table.items())))
+        object.__setattr__(self, "table", FrozenTable({t: int(table[t]) for t in expected}))
 
     @property
     def arity(self) -> int:
@@ -95,7 +93,7 @@ class ResponseFunction:
 
 
 @dataclass(frozen=True)
-class DeterministicStrategy:
+class DeterministicStrategy(FrozenValue):
     """One response function per party, consistent with a scenario."""
 
     scenario: CausalScenario
@@ -303,7 +301,7 @@ def classical_success_bound(ineq: BellInequality) -> float:
 
 
 @dataclass(frozen=True)
-class MessageStrategy:
+class MessageStrategy(FrozenValue):
     """One +/-1 broadcast-message table per party over (setting, y) pairs.
 
     The tables are stored read-only, in canonical (setting, y) order."""
@@ -322,11 +320,8 @@ class MessageStrategy:
                 raise ValidationError(f"party {i} message table must cover all (setting, y) pairs")
             if any(v not in (-1, 1) for v in table.values()):
                 raise ValidationError(f"party {i} messages must be +1 or -1")
-            frozen.append(MappingProxyType({key: int(table[key]) for key in expected}))
+            frozen.append(FrozenTable({key: int(table[key]) for key in expected}))
         object.__setattr__(self, "tables", tuple(frozen))
-
-    def __hash__(self) -> int:
-        return hash((self.scenario, tuple(tuple(t.items()) for t in self.tables)))
 
 
 def broadcast_messages(strategy: DeterministicStrategy) -> MessageStrategy:

@@ -15,7 +15,9 @@ inverse CDF over the canonical outcome order.
 
 One engine plays every round: sessions, single rounds and input samples
 all draw through ``RandomnessSource.draw_rounds``, which returns what the
-same sequence of ``uniform()``/``bit()`` calls would.
+same sequence of ``uniform()``/``bit()`` calls would. The pass rule is
+computed once per outcome table, as a mask over (input, outcome) index
+pairs; session counts, exact success and round records all read it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .classical import DeterministicStrategy
 from .errors import RandomnessExhaustedError, ValidationError
 from .quantum import QuantumStrategy, outcome_distribution
 from .randomness import RandomnessSource
-from .scenarios import CcpInstance, input_tuples, sign, tuple_index
+from .scenarios import CcpInstance, input_tuples, tuple_index
 from .config import strategy_fingerprint
 
 
@@ -102,18 +104,22 @@ def _cumulative(probabilities: np.ndarray) -> np.ndarray:
 
 
 class _Tables:
-    """A strategy's outcome table on an instance, with the CDFs that sample it.
+    """A strategy's outcome table on an instance, with the CDFs that sample it
+    and the pass rule that scores it.
 
     Rows and columns follow the canonical tuple order. ``weights[x]`` is the
     input distribution and ``outcomes[x, a]`` the probability of outcome
     tuple a at input x: the Born-rule distribution for quantum strategies,
     left at zero on inputs of zero weight, and one-hot at ``outputs(x)`` for
-    deterministic ones. Without a strategy only the input side is built.
+    deterministic ones. ``passing[x, a]`` is the pass rule, prod(a) =
+    sign Q(x) with sign(0) = +1. Without a strategy only the input side is
+    built.
     """
 
     def __init__(self, instance: CcpInstance, strategy=None):
         ineq = instance.inequality
         self.n = ineq.n
+        self.scenario = ineq.scenario
         tuples = input_tuples(self.n)
         self.tuples = np.array(tuples, dtype=np.int8)
         self.weights = instance.probability_vector()
@@ -135,12 +141,14 @@ class _Tables:
             hits = [tuple_index(strategy.outputs(x)) for x in tuples]
             self.outcomes[np.arange(len(tuples)), hits] = 1.0
         self.cum_outcomes = _cumulative(self.outcomes)
-        self.sign_q = np.array([sign(ineq.coeffs[x]) for x in tuples], dtype=np.int8)
+        sign_q = np.where(ineq.coefficient_array() < 0, -1, 1)
+        self.passing = self.tuples.prod(axis=1)[None, :] == sign_q[:, None]
 
 
 def _play(tables: _Tables, rounds: int, rng: RandomnessSource):
-    """Yield (x indices, y, a) for ``rounds`` rounds, one ``draw_rounds``
-    call per block; ``a`` is None without a strategy."""
+    """Yield (x indices, y, outcome indices) for ``rounds`` rounds, one
+    ``draw_rounds`` call per block; the outcome indices are None without a
+    strategy."""
     for start in range(0, rounds, _BLOCK_ROUNDS):
         try:
             x_u, y_bits, a_u = rng.draw_rounds(min(_BLOCK_ROUNDS, rounds - start),
@@ -151,12 +159,12 @@ def _play(tables: _Tables, rounds: int, rng: RandomnessSource):
                 f"randomness exhausted after {completed} complete rounds",
                 bits_consumed=exc.bits_consumed, rounds_completed=completed) from exc
         x_idx = np.searchsorted(tables.cum_inputs, x_u, side="right")
-        a = None
+        a_idx = None
         if tables.cum_outcomes is not None:
             # One-hot deterministic rows give their outcome at u = 0.
             u = 0.0 if a_u is None else a_u[:, None]
-            a = tables.tuples[(tables.cum_outcomes[x_idx] <= u).sum(axis=1)]
-        yield x_idx, 1 - 2 * y_bits, a
+            a_idx = (tables.cum_outcomes[x_idx] <= u).sum(axis=1)
+        yield x_idx, 1 - 2 * y_bits, a_idx
 
 
 def sample_inputs(instance: CcpInstance, rng: RandomnessSource):
@@ -165,38 +173,35 @@ def sample_inputs(instance: CcpInstance, rng: RandomnessSource):
     return input_tuples(instance.inequality.n)[int(x_idx[0])], tuple(y[0].tolist())
 
 
-def _build_record(instance: CcpInstance, x, y, a) -> RoundRecord:
-    ineq = instance.inequality
-    scenario = ineq.scenario
-    n = ineq.n
-    m = tuple(y[i] * a[i] for i in range(n))
-    guess = 1
-    for value in m:
-        guess *= value
-    prod_y = 1
-    for value in y:
-        prod_y *= value
-    f_value = prod_y * sign(ineq.coeffs[x])
-    passed = guess == f_value
-    settings = tuple(scenario.visible_tuple(x, i) for i in range(1, n + 1))
-    return RoundRecord(x=x, y=y, settings=settings, a=a, m=m,
-                       guess=guess, f_value=f_value, passed=passed)
-
-
-def _records(instance: CcpInstance, x_idx, y, a) -> list:
-    tuples = input_tuples(instance.inequality.n)
-    return [_build_record(instance, tuples[i], tuple(y_k), tuple(a_k))
-            for i, y_k, a_k in zip(x_idx.tolist(), y.tolist(), a.tolist())]
+def _records(tables: _Tables, x_idx, y, a_idx) -> list:
+    """One block's rounds as records, every field taken from the block arrays."""
+    scenario = tables.scenario
+    settings = [tuple(scenario.visible_tuples(i)[k] for i, k in enumerate(column, start=1))
+                for column in scenario.setting_index().T.tolist()]
+    tuples = input_tuples(tables.n)
+    m = y * tables.tuples[a_idx]
+    guess = m.prod(axis=1)
+    passed = tables.passing[x_idx, a_idx]
+    # The guess is prod(y) prod(a) and the target prod(y) sign Q(x): they
+    # agree exactly on passing rounds and are opposite on the rest.
+    f_value = np.where(passed, guess, -guess)
+    return [RoundRecord(x=tuples[i], y=tuple(y_k), settings=settings[i], a=tuples[k],
+                        m=tuple(m_k), guess=g, f_value=f, passed=p)
+            for i, k, y_k, m_k, g, f, p in zip(x_idx.tolist(), a_idx.tolist(), y.tolist(),
+                                                m.tolist(), guess.tolist(), f_value.tolist(),
+                                                passed.tolist())]
 
 
 def run_round(instance: CcpInstance, strategy, rng: RandomnessSource) -> RoundRecord:
     """Sample inputs, obtain outcomes, broadcast, guess, and score one round.
 
-    Each call builds the strategy's whole outcome table P[x, a] to play its
-    one round, several times the cost of one round inside a session. To play
-    many rounds, use ``run_session(..., keep_rounds=True)``.
+    The round is a session block of one, played and recorded as sessions
+    are. Each call builds the strategy's whole outcome table P[x, a] to play
+    its one round, several times the cost of one round inside a session. To
+    play many rounds, use ``run_session(..., keep_rounds=True)``.
     """
-    return _records(instance, *next(_play(_Tables(instance, strategy), 1, rng)))[0]
+    tables = _Tables(instance, strategy)
+    return _records(tables, *next(_play(tables, 1, rng)))[0]
 
 
 def run_session(instance: CcpInstance, strategy, rounds: int, rng: RandomnessSource,
@@ -217,10 +222,10 @@ def run_session(instance: CcpInstance, strategy, rounds: int, rng: RandomnessSou
 
     records = []
     successes = 0
-    for x_idx, y, a in _play(tables, rounds, rng):
-        successes += int((a.prod(axis=1) == tables.sign_q[x_idx]).sum())
+    for x_idx, y, a_idx in _play(tables, rounds, rng):
+        successes += int(tables.passing[x_idx, a_idx].sum())
         if keep_rounds:
-            records += _records(instance, x_idx, y, a)
+            records += _records(tables, x_idx, y, a_idx)
     return SessionLog(rounds=tuple(records), num_rounds=rounds,
                       successes=successes, config=echo)
 
@@ -233,8 +238,7 @@ def exact_success(instance: CcpInstance, strategy) -> float:
     input distribution. Strategies of another type or scenario are rejected.
     """
     tables = _Tables(instance, strategy)
-    passing = tables.tuples.prod(axis=1)[None, :] == tables.sign_q[:, None]
-    return float(tables.weights @ (tables.outcomes * passing).sum(axis=1))
+    return float(tables.weights @ (tables.outcomes * tables.passing).sum(axis=1))
 
 
 def write_session_log(log: SessionLog, path) -> None:

@@ -21,7 +21,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
-from types import MappingProxyType
 
 import numpy as np
 
@@ -41,6 +40,8 @@ from .qubits import (
 from .scenarios import (
     BellInequality,
     CausalScenario,
+    FrozenTable,
+    FrozenValue,
     gyni_scenario,
     input_tuples,
     svetlichny_scenario,
@@ -51,7 +52,7 @@ EXPERIMENT_VISIBILITY = 0.9502
 
 
 @dataclass(frozen=True)
-class QuantumStrategy:
+class QuantumStrategy(FrozenValue):
     """Shared state plus per-party, per-setting observables.
 
     ``observables`` maps (party, visible tuple) to an :class:`Observable2`
@@ -80,18 +81,21 @@ class QuantumStrategy:
         if self.state.dim != 2**self.scenario.n:
             raise ValidationError(
                 f"state dimension {self.state.dim} does not match {self.scenario.n} parties")
-        object.__setattr__(self, "observables", MappingProxyType({k: obs[k] for k in keys}))
-
-    def __hash__(self) -> int:
-        return hash((self.scenario, self.state, tuple(self.observables.items())))
+        object.__setattr__(self, "observables", FrozenTable({k: obs[k] for k in keys}))
+        tables = []
+        for i in range(1, self.scenario.n + 1):
+            table = np.array([obs[(i, t)].bloch for t in self.scenario.visible_tuples(i)])
+            table.setflags(write=False)
+            tables.append(table)
+        object.__setattr__(self, "_bloch_tables", tuple(tables))
 
     def observable_for(self, party: int, x) -> Observable2:
         return self.observables[(party, self.scenario.visible_tuple(x, party))]
 
-    def bloch_tables(self) -> list[np.ndarray]:
-        """Party i's Bloch vectors by setting index: shape (2^arity, 3)."""
-        return [np.array([self.observables[(i, t)].bloch for t in self.scenario.visible_tuples(i)])
-                for i in range(1, self.scenario.n + 1)]
+    def bloch_tables(self) -> tuple[np.ndarray, ...]:
+        """Party i's Bloch vectors by setting index: shape (2^arity, 3).
+        Computed once, read-only."""
+        return self._bloch_tables
 
 
 def correlations(tensor: np.ndarray, tables: list[np.ndarray], index: np.ndarray,

@@ -6,8 +6,9 @@ are parameterized by unit Bloch vectors r and act as r . sigma; the two
 outcome projectors are (I +/- A) / 2.
 
 Everything here is a pure function over immutable values: state and
-observable arrays are copied on construction and marked read-only, and
-states and observables compare and hash by their entries.
+observable arrays are copied on construction and marked read-only,
+states and observables compare and hash by their entries, and copies and
+pickles rebuild them through their constructors.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BlochVectorError, NumericError, ValidationError
-from .scenarios import MAX_PARTIES
+from .scenarios import MAX_PARTIES, FrozenValue
 
 # Absolute tolerance used by every invariant check in the package.
 ATOL = 1e-9
@@ -55,7 +56,7 @@ def _qubit_count(dim: int, what: str) -> int:
     return n
 
 
-class _ArrayValue:
+class _ArrayValue(FrozenValue):
     """Value ``==`` and ``hash`` over the read-only array named by ``_value_field``.
 
     Entries compare as Python numbers, so -0.0 and 0.0 agree."""

@@ -20,16 +20,58 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from numbers import Integral, Real
-from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ValidationError
 
 MAX_PARTIES = 6
+
+
+class FrozenTable(Mapping):
+    """Read-only mapping that keeps its insertion order.
+
+    Item assignment raises ``TypeError``. It equals any mapping with the
+    same items, hashes over its items, and pickles by value.
+    """
+
+    __slots__ = ("_items",)
+
+    def __init__(self, items=()):
+        self._items = dict(items)
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __eq__(self, other):
+        return self._items == (other._items if isinstance(other, FrozenTable) else other)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._items.items()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._items!r})"
+
+    def __reduce__(self):
+        return type(self), (self._items,)
+
+
+class FrozenValue:
+    """Base of the frozen value types: copies and pickles rebuild the value
+    through its constructor, so validation and read-only storage hold for
+    them too."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 @lru_cache(maxsize=None)
@@ -80,7 +122,7 @@ def _setting_index(n: int, visibility: tuple[tuple[int, ...], ...]) -> np.ndarra
 
 
 @dataclass(frozen=True)
-class CausalScenario:
+class CausalScenario(FrozenValue):
     """Party count plus per-party ordered input-visibility lists (1-based)."""
 
     n: int
@@ -128,7 +170,7 @@ def make_scenario(n: int, visibility) -> CausalScenario:
 
 
 @dataclass(frozen=True)
-class BellInequality:
+class BellInequality(FrozenValue):
     """Coefficient table Q over all input tuples, bound to a scenario.
 
     ``coeffs`` is stored read-only, with every input tuple in canonical
@@ -155,17 +197,13 @@ class BellInequality:
         gamma = sum(abs(q) for q in table.values())
         if gamma <= 0:
             raise ValidationError("all coefficients are zero; the inequality is empty")
-        object.__setattr__(self, "coeffs", MappingProxyType(table))
+        object.__setattr__(self, "coeffs", FrozenTable(table))
         object.__setattr__(self, "gamma", gamma)
         values = list(table.values())
         dtype = np.int64 if all(isinstance(q, Integral) for q in values) else float
         array = np.array(values, dtype=dtype)
         array.setflags(write=False)
         object.__setattr__(self, "_coefficient_array", array)
-
-    def __hash__(self) -> int:
-        # Over the fields __eq__ compares; coeffs is always in canonical order.
-        return hash((self.scenario, tuple(self.coeffs.items())))
 
     @property
     def n(self) -> int:
@@ -195,7 +233,7 @@ def target_function(ineq: BellInequality, x, y) -> int:
 
 
 @dataclass(frozen=True)
-class CcpInstance:
+class CcpInstance(FrozenValue):
     """An inequality plus the input distribution of the derived game (default
     q*), stored read-only over every input tuple in canonical order."""
 
@@ -217,14 +255,15 @@ class CcpInstance:
             total += p
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"input distribution sums to {total}, not 1")
-        object.__setattr__(self, "input_distribution", MappingProxyType(table))
-
-    def __hash__(self) -> int:
-        # Over the fields __eq__ compares; the distribution is in canonical order.
-        return hash((self.inequality, tuple(self.input_distribution.items())))
+        object.__setattr__(self, "input_distribution", FrozenTable(table))
+        vector = np.array(list(table.values()))
+        vector.setflags(write=False)
+        object.__setattr__(self, "_probability_vector", vector)
 
     def probability_vector(self) -> np.ndarray:
-        return np.array(list(self.input_distribution.values()))
+        """The input distribution in canonical tuple order. Computed once,
+        read-only."""
+        return self._probability_vector
 
 
 def gyni_scenario() -> CausalScenario:

@@ -282,8 +282,9 @@ def test_message_search_blocks_agree_on_all_functions(chunk, monkeypatch):
 
 
 def test_message_search_memory_stays_bounded():
-    # Party 1's 2^16 message functions are the tail for parties 2 and 3, so
-    # the search must block them as well as the head.
+    # Party 1's 2^15 message functions (one of each +/- class) are the tail
+    # for parties 2 and 3, so the search must block them as well as the
+    # head; its 2^19 + 64 combinations fit the default guard.
     rng = np.random.default_rng(59)
     scenario = make_scenario(3, [(1, 2, 3), (2,), (3,)])
     coeffs = {x: int(rng.integers(-3, 4)) or 1 for x in input_tuples(3)}
@@ -291,7 +292,7 @@ def test_message_search_memory_stays_bounded():
     instance = CcpInstance(inequality=ineq)
     tracemalloc.start()
     try:
-        value = ccp_exhaustive_bound(instance, guard=2**22)
+        value = ccp_exhaustive_bound(instance)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,5 +1,8 @@
 """Tests for protocol rounds, sessions, and randomness sources."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -25,6 +28,7 @@ from bellccp import (
     outcome_distribution,
     parse_beacon_records,
     QuantumStrategy,
+    RoundRecord,
     random_strategy,
     run_round,
     run_session,
@@ -33,7 +37,6 @@ from bellccp import (
     svetlichny_inequality,
 )
 from bellccp import protocol
-from bellccp.protocol import _build_record
 
 
 def _gyni_instance():
@@ -106,14 +109,16 @@ def test_round_record_invariants():
 
 def test_flipping_all_y_leaves_pass_unchanged():
     instance = _gyni_instance()
-    for x in input_tuples(3):
-        for a in input_tuples(3):
-            for y in input_tuples(3):
-                flipped = tuple(-v for v in y)
-                first = _build_record(instance, x, y, a)
-                second = _build_record(instance, x, flipped, a)
-                assert first.passed == second.passed
-                assert first.f_value == -second.f_value or len(y) % 2 == 0
+    tables = protocol._Tables(instance, canonical_strategy("gyni-paper"))
+    x_idx, y_idx, a_idx = np.array(list(itertools.product(range(8), repeat=3))).T
+    y = tables.tuples[y_idx]
+    first = protocol._records(tables, x_idx, y, a_idx)
+    second = protocol._records(tables, x_idx, -y, a_idx)
+    assert len({(r.x, r.y, r.a) for r in first}) == 8**3
+    for record, flipped in zip(first, second):
+        assert flipped.y == tuple(-v for v in record.y)
+        assert record.passed == flipped.passed
+        assert record.f_value == -flipped.f_value or len(record.y) % 2 == 0
 
 
 def test_exact_success_matches_formula_for_quantum():
@@ -188,10 +193,22 @@ def test_single_round_session():
     assert log.estimate in (0.0, 1.0)
 
 
+def _reference_record(ineq, x, y, a):
+    """One round scored from the game's definition: m = y a, guess = prod(m),
+    f = prod(y) sign Q(x) with sign(0) = +1, settings the visible tuples."""
+    m = tuple(y_i * a_i for y_i, a_i in zip(y, a))
+    guess = math.prod(m)
+    f_value = math.prod(y) * (-1 if ineq.coeffs[x] < 0 else 1)
+    settings = tuple(ineq.scenario.visible_tuple(x, i) for i in range(1, ineq.n + 1))
+    return RoundRecord(x=x, y=y, settings=settings, a=a, m=m, guess=guess,
+                       f_value=f_value, passed=guess == f_value)
+
+
 def _scalar_replay(instance, strategy, rounds, rng):
     """Reference session: one uniform()/bit() call at a time, outcomes by
-    inverse CDF over outcome_distribution. Returns the records and the
-    exhaustion error, if the source ran dry."""
+    inverse CDF over outcome_distribution, records from the game's
+    definition. Returns the records and the exhaustion error, if the source
+    ran dry."""
     tuples = input_tuples(instance.inequality.n)
 
     def pick(probabilities):
@@ -211,7 +228,7 @@ def _scalar_replay(instance, strategy, rounds, rng):
                 a = strategy.outputs(x)
         except RandomnessExhaustedError as exc:
             return records, exc
-        records.append(_build_record(instance, x, y, a))
+        records.append(_reference_record(instance.inequality, x, y, a))
     return records, None
 
 
