@@ -28,6 +28,7 @@ import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +41,8 @@ from .scenarios import (
     FrozenTable,
     FrozenValue,
     input_tuples,
-    sign,
+    read_only,
+    tuple_array,
 )
 
 # Upper bound on the work of classical_bound: swept combinations times the
@@ -116,6 +118,19 @@ class DeterministicStrategy(FrozenValue):
         return tuple(
             r.table[self.scenario.visible_tuple(x, r.party)] for r in self.responses)
 
+    def output_array(self) -> np.ndarray:
+        """Party i's output at every input tuple in column i-1, shape (2^n, n),
+        in canonical tuple order. Computed once, on first call; read-only."""
+        return self._output_array
+
+    # Built on first use: searches and listings construct many strategies
+    # whose outputs are never tabulated.
+    @cached_property
+    def _output_array(self) -> np.ndarray:
+        return read_only(np.stack(
+            [np.array(list(r.table.values()), dtype=np.int8)[row]
+             for r, row in zip(self.responses, self.scenario.setting_index())], axis=1))
+
 
 def constant_strategy(scenario: CausalScenario, value: int = 1) -> DeterministicStrategy:
     """Strategy in which every party always outputs ``value``."""
@@ -142,13 +157,7 @@ def strategy_bell_value(strategy: DeterministicStrategy, ineq: BellInequality):
     """Inequality value of a deterministic strategy: sum_x Q(x) prod_i a_i."""
     if strategy.scenario != ineq.scenario:
         raise ValidationError("strategy visibility structure does not match the inequality")
-    total = 0
-    for x, q in ineq.coeffs.items():
-        prod = 1
-        for a in strategy.outputs(x):
-            prod *= a
-        total += q * prod
-    return total
+    return (ineq.coefficient_array() @ strategy.output_array().prod(axis=1)).item()
 
 
 def _response_matrix(arity: int) -> np.ndarray:
@@ -352,13 +361,12 @@ def message_protocol_success(instance: CcpInstance, messages: MessageStrategy,
     prod_ys = [math.prod(y) for y in tuples]
     others = [(j - 1, messages.tables[j - 1]) for j in range(1, n + 1) if j != party]
     masses: dict[tuple, dict[int, float]] = {}
-    for x in tuples:
-        weight_x = instance.input_distribution[x]
+    for x, weight_x, sign_q in zip(tuples, instance.probability_vector().tolist(),
+                                   ineq.sign_array().tolist()):
         if weight_x == 0.0:
             continue
         weight = weight_x / 2**n
         visible = [scenario.visible_tuple(x, j) for j in range(1, n + 1)]
-        sign_q = sign(ineq.coeffs[x])
         for y, prod_y in zip(tuples, prod_ys):
             received = tuple(table[(visible[k], y[k])] for k, table in others)
             info = (visible[party - 1], y[party - 1], received)
@@ -427,19 +435,10 @@ def ccp_exhaustive_bound(instance: CcpInstance, guard: int = DEFAULT_MESSAGE_GUA
     num_x = 2**n
 
     # The first half of each family table, one function per +/- pair.
-    family_sizes = []
-    for i in range(1, n + 1):
-        if message_family == "all":
-            family_sizes.append(2 ** (2 ** (scenario.arity(i) + 1)) // 2)
-        else:
-            family_sizes.append(2 ** (2 ** scenario.arity(i)) // 2)
-    work = 0
-    for p in range(1, n + 1):
-        combos = 1
-        for j in range(1, n + 1):
-            if j != p:
-                combos *= family_sizes[j - 1]
-        work += combos
+    slot_bits = 1 if message_family == "all" else 0
+    family_sizes = [2 ** (2 ** (scenario.arity(i) + slot_bits)) // 2 for i in range(1, n + 1)]
+    # Each party is maximized over the product of the others' families.
+    work = sum(math.prod(family_sizes) // size for size in family_sizes)
     if work > guard:
         raise EnumerationGuardError(
             f"message search needs {work} combinations, above the guard {guard}; "
@@ -447,16 +446,14 @@ def ccp_exhaustive_bound(instance: CcpInstance, guard: int = DEFAULT_MESSAGE_GUA
 
     # The (x, y) grid, flattened with x major.
     grid = num_x * num_x
-    sign_q = np.array([sign(ineq.coeffs[x]) for x in input_tuples(n)], dtype=np.int8)
-    prod_y = np.array([int(np.prod(y)) for y in input_tuples(n)], dtype=np.int8)
-    f_plus = (sign_q[:, None] * prod_y[None, :]) == 1
+    ys = tuple_array(n)
+    f_plus = ineq.sign_array()[:, None] == ys.prod(axis=1)[None, :]
     weights = instance.probability_vector()[:, None] / 2**n
     signed = np.where(f_plus, weights, -weights).ravel()
     total = float(np.abs(signed).sum())
 
     # Every party's slot at each (x, y), and its family's message table.
-    y_bits = (np.arange(num_x)[None, :] >> np.arange(n - 1, -1, -1)[:, None]) & 1
-    slots = (scenario.setting_index()[:, :, None] * 2 + y_bits[:, None, :]).reshape(n, grid)
+    slots = (scenario.setting_index()[:, :, None] * 2 + (ys.T > 0)[:, None, :]).reshape(n, grid)
     tables = [_message_table(scenario.arity(i), message_family)[:size]
               for i, size in enumerate(family_sizes, start=1)]
 

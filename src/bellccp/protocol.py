@@ -17,7 +17,8 @@ One engine plays every round: sessions, single rounds and input samples
 all draw through ``RandomnessSource.draw_rounds``, which returns what the
 same sequence of ``uniform()``/``bit()`` calls would. The pass rule is
 computed once per outcome table, as a mask over (input, outcome) index
-pairs; session counts, exact success and round records all read it.
+pairs; session counts, exact success and round records all read it. Its
+sign of Q, with sign(0) = +1, is ``BellInequality.sign_array()``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .classical import DeterministicStrategy
 from .errors import RandomnessExhaustedError, ValidationError
 from .quantum import QuantumStrategy, outcome_distribution
 from .randomness import RandomnessSource
-from .scenarios import CcpInstance, input_tuples, tuple_index
+from .scenarios import CcpInstance, input_tuples, tuple_array
 from .config import strategy_fingerprint
 
 
@@ -110,18 +111,17 @@ class _Tables:
     Rows and columns follow the canonical tuple order. ``weights[x]`` is the
     input distribution and ``outcomes[x, a]`` the probability of outcome
     tuple a at input x: the Born-rule distribution for quantum strategies,
-    left at zero on inputs of zero weight, and one-hot at ``outputs(x)`` for
-    deterministic ones. ``passing[x, a]`` is the pass rule, prod(a) =
-    sign Q(x) with sign(0) = +1. Without a strategy only the input side is
-    built.
+    left at zero on inputs of zero weight, and one-hot at the row of
+    ``output_array()`` for deterministic ones. ``passing[x, a]`` is the pass
+    rule, prod(a) = sign Q(x), with the signs of ``sign_array()``. Without a
+    strategy only the input side is built.
     """
 
     def __init__(self, instance: CcpInstance, strategy=None):
         ineq = instance.inequality
         self.n = ineq.n
         self.scenario = ineq.scenario
-        tuples = input_tuples(self.n)
-        self.tuples = np.array(tuples, dtype=np.int8)
+        self.tuples = tuple_array(self.n)
         self.weights = instance.probability_vector()
         self.cum_inputs = _cumulative(self.weights)
         self.cum_outcomes = None
@@ -132,17 +132,16 @@ class _Tables:
             raise ValidationError(f"unsupported strategy type {type(strategy).__name__}")
         if strategy.scenario != ineq.scenario:
             raise ValidationError("strategy scenario does not match the instance")
-        self.outcomes = np.zeros((len(tuples), len(tuples)))
         if self.quantum:
+            tuples = input_tuples(self.n)
+            self.outcomes = np.zeros((len(tuples), len(tuples)))
             for k in np.flatnonzero(self.weights):
                 # outcome_distribution keys its dict in canonical order.
                 self.outcomes[k] = list(outcome_distribution(strategy, tuples[k]).values())
         else:
-            hits = [tuple_index(strategy.outputs(x)) for x in tuples]
-            self.outcomes[np.arange(len(tuples)), hits] = 1.0
+            self.outcomes = (strategy.output_array()[:, None] == self.tuples).all(axis=2) * 1.0
         self.cum_outcomes = _cumulative(self.outcomes)
-        sign_q = np.where(ineq.coefficient_array() < 0, -1, 1)
-        self.passing = self.tuples.prod(axis=1)[None, :] == sign_q[:, None]
+        self.passing = self.tuples.prod(axis=1)[None, :] == ineq.sign_array()[:, None]
 
 
 def _play(tables: _Tables, rounds: int, rng: RandomnessSource):

@@ -44,6 +44,7 @@ from .scenarios import (
     FrozenValue,
     gyni_scenario,
     input_tuples,
+    read_only,
     svetlichny_scenario,
 )
 
@@ -82,12 +83,9 @@ class QuantumStrategy(FrozenValue):
             raise ValidationError(
                 f"state dimension {self.state.dim} does not match {self.scenario.n} parties")
         object.__setattr__(self, "observables", FrozenTable({k: obs[k] for k in keys}))
-        tables = []
-        for i in range(1, self.scenario.n + 1):
-            table = np.array([obs[(i, t)].bloch for t in self.scenario.visible_tuples(i)])
-            table.setflags(write=False)
-            tables.append(table)
-        object.__setattr__(self, "_bloch_tables", tuple(tables))
+        object.__setattr__(self, "_bloch_tables", tuple(
+            read_only(np.array([obs[(i, t)].bloch for t in self.scenario.visible_tuples(i)]))
+            for i in range(1, self.scenario.n + 1)))
 
     def observable_for(self, party: int, x) -> Observable2:
         return self.observables[(party, self.scenario.visible_tuple(x, party))]
@@ -312,16 +310,18 @@ def random_strategy(scenario: CausalScenario, rng: np.random.Generator,
 def random_bloch_tables(scenario: CausalScenario, rng: np.random.Generator) -> list[np.ndarray]:
     """Uniform random unit Bloch vectors, one (2^arity, 3) table per party.
 
-    Draws a normal 3-vector per setting, party by party in setting order,
-    redrawing any shorter than 1e-12 before normalizing it.
+    Draws one block of normal 3-vectors per party, party by party, rows in
+    setting order, and normalizes each row. A row shorter than 1e-12 is
+    redrawn, row by row, after its party's block.
     """
     tables = []
     for i in range(1, scenario.n + 1):
-        rows = []
-        for _ in scenario.visible_tuples(i):
-            vec = rng.standard_normal(3)
-            while np.linalg.norm(vec) < 1e-12:
-                vec = rng.standard_normal(3)
-            rows.append(vec / np.linalg.norm(vec))
-        tables.append(np.array(rows))
+        table = rng.standard_normal((2 ** scenario.arity(i), 3))
+        # Bit for bit np.linalg.norm of each row, unlike norm(axis=1).
+        norms = np.sqrt((table[:, None, :] @ table[:, :, None])[:, 0, 0])
+        for k in np.flatnonzero(norms < 1e-12):
+            while norms[k] < 1e-12:
+                table[k] = rng.standard_normal(3)
+                norms[k] = np.linalg.norm(table[k])
+        tables.append(table / norms[:, None])
     return tables

@@ -51,7 +51,6 @@ class FrozenTable(Mapping):
 
     def __len__(self) -> int:
         return len(self._items)
-
     def __eq__(self, other):
         return self._items == (other._items if isinstance(other, FrozenTable) else other)
 
@@ -74,10 +73,22 @@ class FrozenValue:
         return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """The array itself, made read-only."""
+    array.setflags(write=False)
+    return array
+
+
 @lru_cache(maxsize=None)
 def input_tuples(n: int) -> tuple[tuple[int, ...], ...]:
     """All 2^n +/-1 tuples of length n in the canonical lexicographic order."""
     return tuple(itertools.product((-1, 1), repeat=n))
+
+
+@lru_cache(maxsize=None)
+def tuple_array(n: int) -> np.ndarray:
+    """:func:`input_tuples` as one read-only int8 array of shape (2^n, n)."""
+    return read_only(np.array(input_tuples(n), dtype=np.int8).reshape(2**n, n))
 
 
 def tuple_index(x: tuple[int, ...]) -> int:
@@ -86,15 +97,6 @@ def tuple_index(x: tuple[int, ...]) -> int:
     for value in x:
         idx = 2 * idx + (1 if value == 1 else 0)
     return idx
-
-
-def sign(q) -> int:
-    """Sign of a coefficient, with sign(0) = +1.
-
-    Zero coefficients carry zero probability mass in the game, so the
-    convention is unobservable there; +1 keeps the function total.
-    """
-    return -1 if q < 0 else 1
 
 
 def _validate_entries(x, n: int, what: str) -> tuple[int, ...]:
@@ -109,16 +111,14 @@ def _validate_entries(x, n: int, what: str) -> tuple[int, ...]:
 @lru_cache(maxsize=256)
 def _setting_index(n: int, visibility: tuple[tuple[int, ...], ...]) -> np.ndarray:
     """Read-only :meth:`CausalScenario.setting_index`, shared by equal scenarios."""
-    # Input j is +1 (bit 1) or -1 (bit 0) at bit n - j of the tuple index;
-    # party i's k-th visible input is bit arity - 1 - k of its setting.
-    bits = (np.arange(2**n)[None, :] >> np.arange(n - 1, -1, -1)[:, None]) & 1
-    place = [[0] * n for _ in visibility]
-    for row, group in zip(place, visibility):
-        for k, j in enumerate(group):
-            row[j - 1] = 1 << (len(group) - 1 - k)
-    index = np.array(place) @ bits
-    index.setflags(write=False)
-    return index
+    # A setting index reads the visible inputs as binary digits, the first
+    # most significant, with 1 for +1.
+    bits = tuple_array(n).T > 0
+    index = np.zeros((n, 2**n), dtype=np.int64)
+    for row, group in zip(index, visibility):
+        for j in group:
+            row[:] = 2 * row + bits[j - 1]
+    return read_only(index)
 
 
 @dataclass(frozen=True)
@@ -201,9 +201,12 @@ class BellInequality(FrozenValue):
         object.__setattr__(self, "gamma", gamma)
         values = list(table.values())
         dtype = np.int64 if all(isinstance(q, Integral) for q in values) else float
-        array = np.array(values, dtype=dtype)
-        array.setflags(write=False)
+        array = read_only(np.array(values, dtype=dtype))
         object.__setattr__(self, "_coefficient_array", array)
+        # Zero coefficients carry no probability mass in the game, so their
+        # sign is unobservable; +1 keeps it total.
+        object.__setattr__(self, "_sign_array",
+                           read_only(np.where(array < 0, -1, 1).astype(np.int8)))
 
     @property
     def n(self) -> int:
@@ -213,6 +216,11 @@ class BellInequality(FrozenValue):
         """Q in canonical tuple order; int64 when all entries are integral.
         Computed once, read-only."""
         return self._coefficient_array
+
+    def sign_array(self) -> np.ndarray:
+        """sign Q in canonical tuple order as int8, with sign(0) = +1.
+        Computed once, read-only."""
+        return self._sign_array
 
 
 def input_distribution(ineq: BellInequality) -> dict[tuple[int, ...], float]:
@@ -226,10 +234,7 @@ def target_function(ineq: BellInequality, x, y) -> int:
     n = ineq.n
     x = _validate_entries(x, n, "x")
     y = _validate_entries(y, n, "y")
-    prod_y = 1
-    for value in y:
-        prod_y *= value
-    return prod_y * sign(ineq.coeffs[x])
+    return int(np.prod(y) * ineq.sign_array()[tuple_index(x)])
 
 
 @dataclass(frozen=True)
@@ -256,9 +261,7 @@ class CcpInstance(FrozenValue):
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"input distribution sums to {total}, not 1")
         object.__setattr__(self, "input_distribution", FrozenTable(table))
-        vector = np.array(list(table.values()))
-        vector.setflags(write=False)
-        object.__setattr__(self, "_probability_vector", vector)
+        object.__setattr__(self, "_probability_vector", read_only(np.array(list(table.values()))))
 
     def probability_vector(self) -> np.ndarray:
         """The input distribution in canonical tuple order. Computed once,

@@ -54,6 +54,15 @@ def test_all_plus_strategies():
                                svetlichny_inequality()) == 4
 
 
+def test_bell_value_is_an_int_when_q_is_integral():
+    ineq = gyni_inequality()
+    assert type(strategy_bell_value(classical_bound(ineq)[1], ineq)) is int
+    halves = BellInequality(scenario=ineq.scenario,
+                            coeffs={x: q / 2 for x, q in ineq.coeffs.items()})
+    value = strategy_bell_value(constant_strategy(ineq.scenario), halves)
+    assert type(value) is float and value == 3.0
+
+
 def test_global_flip_negates_for_three_parties():
     ineq = gyni_inequality()
     plus = constant_strategy(ineq.scenario, 1)

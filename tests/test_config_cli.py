@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bellccp
 from bellccp import (CcpInstance, SeededPrng, canonical_strategy, cli, gyni_inequality,
                      input_tuples, make_scenario, run_session, write_session_log)
 from bellccp.cli import main
@@ -26,6 +31,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*argv):
+    """A child interpreter that imports the same bellccp as this suite, so
+    that it also runs from a checkout without installing."""
+    paths = [str(Path(bellccp.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
 
 
 def test_bound_output_exact(capsys):
@@ -187,11 +200,7 @@ def test_optimize_output_schema(capsys):
 
 
 def test_module_entry_point():
-    import subprocess
-    import sys
-
-    result = subprocess.run([sys.executable, "-m", "bellccp", "bound", "--ineq", "chsh"],
-                            capture_output=True, text=True)
+    result = run_python("-m", "bellccp", "bound", "--ineq", "chsh")
     assert result.returncode == 0
     assert json.loads(result.stdout) == {"classical_bound": 2, "success_bound": 0.75}
 
@@ -345,12 +354,9 @@ def test_parser_is_built_once(monkeypatch, capsys):
 
 
 def test_cli_import_leaves_out_network_modules():
-    import subprocess
-    import sys
-
     probe = ("import sys, bellccp.cli; "
              "print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))")
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    result = run_python("-c", probe)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
 

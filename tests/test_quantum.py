@@ -28,7 +28,8 @@ from bellccp import (
     svetlichny_inequality,
     with_visibility,
 )
-from bellccp.quantum import EXPERIMENT_VISIBILITY
+from bellccp.quantum import EXPERIMENT_VISIBILITY, random_bloch_tables
+from bellccp.scenarios import make_scenario
 from bellccp.qubits import PureState
 
 import oracles
@@ -241,3 +242,34 @@ def test_strategies_compare_and_hash_by_value():
     twin = QuantumStrategy(scenario=gyni.scenario, state=gyni.state, observables=signed)
     assert twin == gyni
     assert hash(twin) == hash(gyni)
+
+
+def _per_row_bloch_tables(scenario, rng):
+    """The draw one setting at a time: a normal 3-vector per row, its norm
+    from np.linalg.norm."""
+    tables = []
+    for i in range(1, scenario.n + 1):
+        rows = []
+        for _ in scenario.visible_tuples(i):
+            vec = rng.standard_normal(3)
+            while np.linalg.norm(vec) < 1e-12:
+                vec = rng.standard_normal(3)
+            rows.append(vec / np.linalg.norm(vec))
+        tables.append(np.array(rows))
+    return tables
+
+
+def test_block_bloch_draw_matches_the_per_row_draw():
+    scenarios = [gyni_inequality().scenario,
+                 make_scenario(5, [(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 1), (5,)])]
+    for scenario in scenarios:
+        for seed in range(300):
+            rng_block, rng_rows = np.random.default_rng(seed), np.random.default_rng(seed)
+            block = random_bloch_tables(scenario, rng_block)
+            rows = _per_row_bloch_tables(scenario, rng_rows)
+            assert len(block) == len(rows)
+            for a, b in zip(block, rows):
+                assert a.shape == b.shape and a.dtype == b.dtype
+                assert np.array_equal(a, b)
+            # Both leave the stream at the same place.
+            assert rng_block.standard_normal() == rng_rows.standard_normal()

@@ -1,12 +1,16 @@
 """Tests for causal scenarios, inequalities, and the derived game data."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bellccp import (
     BellInequality,
     CcpInstance,
+    DeterministicStrategy,
+    ResponseFunction,
     ValidationError,
     chsh_inequality,
     gyni_inequality,
@@ -18,6 +22,7 @@ from bellccp import (
     target_function,
 )
 from bellccp.config import inequality_from_config, inequality_to_config
+from bellccp.scenarios import tuple_array
 
 
 def test_make_scenario_accepts_known_structures():
@@ -105,6 +110,58 @@ def test_target_function_zero_coefficient_convention():
     assert input_distribution(ineq)[(-1, 1)] == 0.0
 
 
+def _sign_rule(q):
+    return -1 if q < 0 else 1
+
+
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.sampled_from([-2, -1, 0, 0, 0, 1, 2, -0.5, 0.0, 1.5]),
+             min_size=2**n, max_size=2**n).filter(any),
+    st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))))
+def test_sign_rule_sends_zero_to_plus_one(case):
+    n, values, y = case
+    ineq = BellInequality(scenario=make_scenario(n, [(i,) for i in range(1, n + 1)]),
+                          coeffs=dict(zip(input_tuples(n), values)))
+    signs = ineq.sign_array()
+    assert signs.dtype == np.int8
+    for k, (x, q) in enumerate(zip(input_tuples(n), values)):
+        assert signs[k] == _sign_rule(q)
+        assert target_function(ineq, x, y) == math.prod(y) * _sign_rule(q)
+
+
+@st.composite
+def scenarios_up_to_six(draw):
+    n = draw(st.integers(2, 6))
+    visibility = []
+    for i in range(1, n + 1):
+        others = draw(st.permutations([j for j in range(1, n + 1) if j != i]))
+        visibility.append((i, *others[:draw(st.integers(0, min(n - 1, 3)))]))
+    return make_scenario(n, visibility)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios_up_to_six(), st.integers(0, 2**32 - 1))
+def test_setting_index_locates_each_visible_tuple(scenario, seed):
+    n = scenario.n
+    index = scenario.setting_index()
+    assert index.shape == (n, 2**n)
+    rng = np.random.default_rng(seed)
+    responses = tuple(
+        ResponseFunction(party=i, table={
+            t: int(v) for t, v in zip(scenario.visible_tuples(i),
+                                      rng.choice([-1, 1], size=2**scenario.arity(i)))})
+        for i in range(1, n + 1))
+    strategy = DeterministicStrategy(scenario=scenario, responses=responses)
+    outputs = strategy.output_array()
+    assert outputs.shape == (2**n, n)
+    for k, x in enumerate(input_tuples(n)):
+        for i in range(1, n + 1):
+            assert index[i - 1, k] == scenario.visible_tuples(i).index(
+                scenario.visible_tuple(x, i))
+        assert tuple(outputs[k].tolist()) == strategy.outputs(x)
+
+
 @given(st.lists(st.sampled_from([-1, 1]), min_size=3, max_size=3),
        st.lists(st.sampled_from([-1, 1]), min_size=3, max_size=3),
        st.lists(st.sampled_from([-1, 1]), min_size=3, max_size=3))
@@ -178,10 +235,19 @@ def test_coefficient_and_distribution_tables_are_read_only():
 def test_index_arrays_are_stored_once_and_read_only():
     ineq = gyni_inequality()
     scenario = ineq.scenario
+    # Each party outputs the product of its two visible inputs.
+    strategy = DeterministicStrategy(scenario=scenario, responses=tuple(
+        ResponseFunction(party=i, table={t: t[0] * t[1] for t in scenario.visible_tuples(i)})
+        for i in range(1, 4)))
     for array, again, want in (
             (ineq.coefficient_array(), ineq.coefficient_array(), [-1, 1, 1, 1, 1, 1, 1, 1]),
+            (ineq.sign_array(), ineq.sign_array(), [-1, 1, 1, 1, 1, 1, 1, 1]),
             (scenario.setting_index(), scenario.setting_index(),
-             [[0, 1, 0, 1, 2, 3, 2, 3], [0, 0, 2, 2, 1, 1, 3, 3], [0, 2, 1, 3, 0, 2, 1, 3]])):
+             [[0, 1, 0, 1, 2, 3, 2, 3], [0, 0, 2, 2, 1, 1, 3, 3], [0, 2, 1, 3, 0, 2, 1, 3]]),
+            (tuple_array(3), tuple_array(3), input_tuples(3)),
+            (strategy.output_array(), strategy.output_array(),
+             [(x[0] * x[2], x[1] * x[0], x[2] * x[1]) for x in input_tuples(3)])):
+        assert array is again
         assert np.array_equal(array, again) and np.array_equal(array, want)
         with pytest.raises(ValueError):
             array[0] = 7

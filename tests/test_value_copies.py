@@ -27,7 +27,7 @@ from bellccp import (
     gyni_inequality,
 )
 from bellccp.qubits import Observable2
-from bellccp.scenarios import FrozenTable
+from bellccp.scenarios import FrozenTable, tuple_array
 
 
 def _values():
@@ -43,14 +43,14 @@ def _values():
 
 # Every read-only array and table each type exposes.
 _ARRAYS = {
-    CausalScenario: lambda v: [v.setting_index()],
-    BellInequality: lambda v: [v.coefficient_array()],
+    CausalScenario: lambda v: [v.setting_index(), tuple_array(v.n)],
+    BellInequality: lambda v: [v.coefficient_array(), v.sign_array()],
     CcpInstance: lambda v: [v.probability_vector()],
     QuantumStrategy: lambda v: list(v.bloch_tables()),
     PureState: lambda v: [v.amplitudes],
     MixedState: lambda v: [v.matrix],
     Observable2: lambda v: [v.bloch, v.matrix],
-    DeterministicStrategy: lambda v: [],
+    DeterministicStrategy: lambda v: [v.output_array()],
     ResponseFunction: lambda v: [],
     MessageStrategy: lambda v: [],
 }
