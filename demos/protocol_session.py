@@ -23,7 +23,6 @@ from bellccp import (
     classical_bound,
     exact_success,
     gyni_inequality,
-    run_round,
     run_session,
     write_session_log,
 )
@@ -36,10 +35,8 @@ def main():
     _, classical = classical_bound(ineq)
 
     print("five rounds with the optimal shared-GHZ strategy:")
-    rng = SeededPrng(1)
     print("  x            y            a            m          guess  f  pass")
-    for _ in range(5):
-        r = run_round(instance, quantum, rng)
+    for r in run_session(instance, quantum, 5, SeededPrng(1)).rounds:
         print(f"  {r.x!s:12} {r.y!s:12} {r.a!s:12} {r.m!s:10}  "
               f"{r.guess:+d}    {r.f_value:+d}  {r.passed}")
     print()
@@ -49,7 +46,7 @@ def main():
                             ("classical witness", classical),
                             ("quantum (experiment-like)",
                              canonical_strategy("experiment-like"))]:
-        log = run_session(instance, strategy, rounds, SeededPrng(42))
+        log = run_session(instance, strategy, rounds, SeededPrng(42), keep_rounds=False)
         exact = exact_success(instance, strategy)
         print(f"{label}: {log.successes}/{rounds} passed; "
               f"estimate {log.estimate:.4f} +- {log.std_error:.4f} "

@@ -73,7 +73,12 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class SessionLog:
-    """Aggregate of a session; ``rounds`` may be empty when not retained."""
+    """Aggregate of a session; ``rounds`` may be empty when not retained.
+
+    Kept rounds are a tuple of ``RoundRecord``s in play order. Equal rounds
+    of a block share one immutable record, so a kept round costs one
+    reference.
+    """
 
     rounds: tuple
     num_rounds: int
@@ -96,6 +101,8 @@ class SessionLog:
 
 # Rounds drawn at once; bounds a session's working memory whatever its length.
 _BLOCK_ROUNDS = 1 << 16
+# Log lines joined per write; bounds the joined string.
+_WRITE_ROUNDS = 1 << 12
 
 
 def _cumulative(probabilities: np.ndarray) -> np.ndarray:
@@ -173,22 +180,35 @@ def sample_inputs(instance: CcpInstance, rng: RandomnessSource):
 
 
 def _records(tables: _Tables, x_idx, y, a_idx) -> list:
-    """One block's rounds as records, every field taken from the block arrays."""
+    """One block's rounds as records, every field taken from the block arrays.
+
+    A round is fixed by its x, y and outcome indices, so a block holds at
+    most 8^n distinct rounds. Each is built once, through the checked
+    constructor, and equal rounds share that one immutable record: a kept
+    round costs one reference.
+    """
     scenario = tables.scenario
+    n = tables.n
+    # Canonical index of each y tuple: +1 is bit 1, party 1 most significant.
+    y_idx = (y > 0) @ (1 << np.arange(n - 1, -1, -1))
+    keys = (x_idx << n | y_idx) << n | a_idx
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    x_idx, y, a_idx = x_idx[first], y[first], a_idx[first]
     settings = [tuple(scenario.visible_tuples(i)[k] for i, k in enumerate(column, start=1))
                 for column in scenario.setting_index().T.tolist()]
-    tuples = input_tuples(tables.n)
+    tuples = input_tuples(n)
     m = y * tables.tuples[a_idx]
     guess = m.prod(axis=1)
     passed = tables.passing[x_idx, a_idx]
     # The guess is prod(y) prod(a) and the target prod(y) sign Q(x): they
     # agree exactly on passing rounds and are opposite on the rest.
     f_value = np.where(passed, guess, -guess)
-    return [RoundRecord(x=tuples[i], y=tuple(y_k), settings=settings[i], a=tuples[k],
-                        m=tuple(m_k), guess=g, f_value=f, passed=p)
-            for i, k, y_k, m_k, g, f, p in zip(x_idx.tolist(), a_idx.tolist(), y.tolist(),
-                                                m.tolist(), guess.tolist(), f_value.tolist(),
-                                                passed.tolist())]
+    built = [RoundRecord(x=tuples[i], y=tuple(y_k), settings=settings[i], a=tuples[k],
+                         m=tuple(m_k), guess=g, f_value=f, passed=p)
+             for i, k, y_k, m_k, g, f, p in zip(x_idx.tolist(), a_idx.tolist(), y.tolist(),
+                                                 m.tolist(), guess.tolist(), f_value.tolist(),
+                                                 passed.tolist())]
+    return [built[k] for k in inverse.tolist()]
 
 
 def run_round(instance: CcpInstance, strategy, rng: RandomnessSource) -> RoundRecord:
@@ -241,8 +261,21 @@ def exact_success(instance: CcpInstance, strategy) -> float:
 
 
 def write_session_log(log: SessionLog, path) -> None:
-    """JSON-lines file: one header object, then one round record per line."""
+    """JSON-lines file: one header object, then one round record per line.
+
+    Each distinct record object is serialised once; rounds that share a
+    record share its line.
+    """
+    lines = {}
     with open(path, "w") as handle:
         handle.write(json.dumps({"header": log.config}) + "\n")
-        for record in log.rounds:
-            handle.write(json.dumps(record.to_json_dict()) + "\n")
+        for start in range(0, len(log.rounds), _WRITE_ROUNDS):
+            chunk = []
+            for record in log.rounds[start:start + _WRITE_ROUNDS]:
+                # Keyed by identity: the log keeps every record alive for the
+                # whole call, and equal values may still print differently.
+                line = lines.get(id(record))
+                if line is None:
+                    line = lines[id(record)] = json.dumps(record.to_json_dict()) + "\n"
+                chunk.append(line)
+            handle.write("".join(chunk))

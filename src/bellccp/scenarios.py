@@ -51,6 +51,18 @@ class FrozenTable(Mapping):
 
     def __len__(self) -> int:
         return len(self._items)
+
+    # The stored dict's own views: they read without one lookup per key,
+    # and cannot write (their ``.mapping`` is a read-only proxy).
+    def keys(self):
+        return self._items.keys()
+
+    def values(self):
+        return self._items.values()
+
+    def items(self):
+        return self._items.items()
+
     def __eq__(self, other):
         return self._items == (other._items if isinstance(other, FrozenTable) else other)
 

@@ -2,12 +2,16 @@
 name it lists must exist, or ``bench/run.py --trace 1`` fails mid-run.
 
 ``TRACED`` is read from ``bench/tracing.py`` as a literal, so the benchmark
-itself is not imported.
+itself is not imported. The tracer also reads a few public return values
+of the calls it wraps; those are pinned here at the library level.
 """
 
 import ast
 import importlib
 from pathlib import Path
+
+from bellccp import (CcpInstance, SeededPrng, canonical_strategy, gyni_inequality,
+                     run_session, write_session_log)
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -34,3 +38,16 @@ def test_every_traced_name_is_a_bellccp_callable():
             assert callable(vars(cls)[method]), name
         else:
             assert callable(getattr(owner, attr, None)), f"{name} is not a bellccp callable"
+
+
+def test_session_calls_expose_what_the_tracer_reads(tmp_path):
+    # The tracer counts len(result.rounds) of run_session, and
+    # len(log.rounds) plus the written file's size of write_session_log.
+    rounds = 300
+    log = run_session(CcpInstance(inequality=gyni_inequality()),
+                      canonical_strategy("gyni-paper"), rounds, SeededPrng(1))
+    assert isinstance(log.rounds, tuple) and len(log.rounds) == rounds
+    path = tmp_path / "session.jsonl"
+    write_session_log(log, path)
+    assert path.stat().st_size > 0
+    assert len(path.read_text().splitlines()) == 1 + rounds

@@ -1,7 +1,9 @@
 """Tests for protocol rounds, sessions, and randomness sources."""
 
 import itertools
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,12 +31,14 @@ from bellccp import (
     parse_beacon_records,
     QuantumStrategy,
     RoundRecord,
+    SessionLog,
     random_strategy,
     run_round,
     run_session,
     sample_inputs,
     success_probability,
     svetlichny_inequality,
+    write_session_log,
 )
 from bellccp import protocol
 
@@ -302,6 +306,67 @@ def test_exhaustion_with_partial_round_matches_scalar_replay(
     assert err.value.bits_consumed == exhausted.bits_consumed == fast_rng.bits_total
     assert fast_rng.cursor == scalar_rng.cursor == fast_rng.bits_total
     assert str(err.value.__cause__) == str(exhausted)
+
+
+@pytest.mark.parametrize("strategy_kind", ["quantum", "deterministic"])
+@pytest.mark.parametrize("source_kind", ["prng", "bit-file", "beacon"])
+def test_written_log_is_header_plus_one_dumped_record_per_round(
+        monkeypatch, tmp_path, source_kind, strategy_kind):
+    monkeypatch.setattr(protocol, "_BLOCK_ROUNDS", 7)
+    monkeypatch.setattr(protocol, "_WRITE_ROUNDS", 5)
+    instance = _gyni_instance()
+    rng, _ = _sources(source_kind, 11008, tmp_path)
+    log = run_session(instance, _strategy(strategy_kind), 400, rng,
+                      config={"source": source_kind})
+    path = tmp_path / "session.jsonl"
+    write_session_log(log, path)
+    expected = [json.dumps({"header": log.config})]
+    expected += [json.dumps(record.to_json_dict()) for record in log.rounds]
+    assert path.read_text() == "".join(line + "\n" for line in expected)
+
+
+def test_writer_keeps_equal_but_differently_typed_records_apart(tmp_path):
+    # Equal values that print differently must each keep their own line.
+    fields = dict(x=(1, 1, 1), y=(1, 1, 1), settings=((1, 1),) * 3, a=(1, 1, 1),
+                  m=(1, 1, 1), f_value=1)
+    records = (RoundRecord(guess=1, passed=True, **fields),
+               RoundRecord(guess=1.0, passed=1, **fields))
+    assert records[0] == records[1]
+    path = tmp_path / "session.jsonl"
+    write_session_log(SessionLog(rounds=records * 2, num_rounds=4, successes=4), path)
+    lines = path.read_text().splitlines()
+    assert lines[1:] == [json.dumps(r.to_json_dict()) for r in records * 2]
+    assert lines[1] != lines[2]
+
+
+def test_equal_rounds_share_one_record_per_block(monkeypatch):
+    instance = _gyni_instance()
+    strategy = canonical_strategy("gyni-paper")
+    rounds = run_session(instance, strategy, 20000, SeededPrng(31)).rounds
+    assert isinstance(rounds, tuple) and len(rounds) == 20000
+    # One block: equal records are one object, at most 8^3 of them.
+    assert len({id(r) for r in rounds}) == len(set(rounds)) <= 8**3
+    monkeypatch.setattr(protocol, "_BLOCK_ROUNDS", 4096)
+    blocked = run_session(instance, strategy, 20000, SeededPrng(31)).rounds
+    assert blocked == rounds
+    for start in range(0, 20000, 4096):
+        block = blocked[start:start + 4096]
+        assert len({id(r) for r in block}) == len(set(block)) <= 8**3
+
+
+def test_kept_rounds_cost_about_one_reference_each():
+    instance = _gyni_instance()
+    strategy = canonical_strategy("gyni-paper")
+    run_session(instance, strategy, 1, SeededPrng(31))     # fill the per-object caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log = run_session(instance, strategy, 20000, SeededPrng(31))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(log.rounds) == 20000
+    assert retained / 20000 < 32
 
 
 def test_session_estimate_converges_over_many_seeds():

@@ -118,3 +118,19 @@ def test_frozen_table_is_a_read_only_value():
         del table["a"]
     with pytest.raises(AttributeError):
         table.extra = 1
+
+
+def test_frozen_table_views_read_its_items_and_cannot_write():
+    table = FrozenTable({"a": 1, "b": 2})
+    before = hash(table)
+    assert list(table.keys()) == ["a", "b"]
+    assert list(table.values()) == [1, 2]
+    assert list(table.items()) == [("a", 1), ("b", 2)]
+    assert table.keys() == {"a", "b"} and table.items() == {("a", 1), ("b", 2)}
+    for view in (table.keys(), table.values(), table.items()):
+        with pytest.raises(TypeError):
+            view.mapping["a"] = 3
+        with pytest.raises(TypeError):
+            view.mapping["c"] = 3
+    assert table == FrozenTable({"b": 2, "a": 1}) == {"a": 1, "b": 2}
+    assert hash(table) == before == hash(FrozenTable({"b": 2, "a": 1}))
