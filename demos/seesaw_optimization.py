@@ -38,8 +38,7 @@ def main():
 
     print("state optimization: top eigenvector for the optimal ring observables")
     ineq = gyni_inequality()
-    observables = canonical_strategy("gyni-paper").observables
-    state, value = optimal_state(ineq, observables)
+    state, value = optimal_state(ineq, canonical_strategy("gyni-paper").bloch_tables)
     ghz = ghz_state(3)
     fidelity = abs(np.vdot(ghz.amplitudes, state.amplitudes)) ** 2
     print(f"  eigenvalue {value:.9f}, GHZ fidelity {fidelity:.12f}")

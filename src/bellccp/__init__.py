@@ -56,6 +56,7 @@ from .qubits import (
     expectation,
     ghz_state,
     tensor_product,
+    unit_bloch,
 )
 from .randomness import (
     BeaconRecordsSource,

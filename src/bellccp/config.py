@@ -2,7 +2,9 @@
 
 Configs round-trip exactly: integer coefficients stay integers, floats are
 emitted with full repr precision, and loading a dumped config reproduces
-the original objects.
+the original objects. A strategy's Bloch tables are written as one
+"observables" entry per party and setting, in canonical order; loading
+accepts the entries in any order but needs every one, once.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .quantum import (
     QuantumStrategy,
     canonical_strategy,
 )
-from .qubits import MixedState, PureState, bloch_to_observable, depolarize, ghz_state
+from .qubits import MixedState, PureState, depolarize, ghz_state, unit_bloch
 from .scenarios import (
     NAMED_INEQUALITIES,
     BellInequality,
@@ -101,10 +103,16 @@ def strategy_to_config(strategy: QuantumStrategy) -> dict:
         config = {"state": "ghz"}
     else:
         config = {"state": {"amplitudes": _complex_pairs(state.amplitudes)}}
-    config["observables"] = [
-        {"party": party, "setting": list(setting), "bloch": [float(r) for r in obs.bloch]}
-        for (party, setting), obs in sorted(strategy.observables.items())]
+    config["observables"] = _observable_entries(strategy)
     return config
+
+
+def _observable_entries(strategy: QuantumStrategy) -> list[dict]:
+    """One {"party", "setting", "bloch"} entry per table row, in canonical order."""
+    scenario = strategy.scenario
+    return [{"party": i, "setting": list(setting), "bloch": r}
+            for i, table in enumerate(strategy.bloch_tables, start=1)
+            for setting, r in zip(scenario.visible_tuples(i), table.tolist())]
 
 
 def strategy_from_config(config: dict, scenario: CausalScenario) -> QuantumStrategy:
@@ -123,19 +131,28 @@ def strategy_from_config(config: dict, scenario: CausalScenario) -> QuantumStrat
     else:
         raise ValidationError('strategy state must be "ghz", {"amplitudes": [[re, im], ...]} '
                               'or {"density": [[[re, im], ...], ...]}')
-    observables = {}
+    blochs = {}
     for entry in config["observables"]:
         for key in ("party", "setting", "bloch"):
             if key not in entry:
                 raise ValidationError(f'observable entry missing key "{key}"')
-        observables[(int(entry["party"]), tuple(int(v) for v in entry["setting"]))] = (
-            bloch_to_observable(entry["bloch"]))
+        key = (int(entry["party"]), tuple(int(v) for v in entry["setting"]))
+        if key in blochs:
+            raise ValidationError(f"two observable entries for party {key[0]}, setting {key[1]}")
+        blochs[key] = unit_bloch(entry["bloch"])
+    keys = {(i, t) for i in range(1, scenario.n + 1) for t in scenario.visible_tuples(i)}
+    if set(blochs) != keys:
+        raise ValidationError(
+            f"observable entries incomplete or mismatched (missing {sorted(keys - set(blochs))}, "
+            f"unexpected {sorted(set(blochs) - keys)})")
     v = config.get("visibility_v")
     if v is not None:
         if not 0.0 <= float(v) <= 1.0:
             raise ValidationError(f"visibility_v must lie in [0, 1], got {v}")
         state = depolarize(state, float(v))
-    return QuantumStrategy(scenario=scenario, state=state, observables=observables)
+    tables = [np.array([blochs[(i, t)] for t in scenario.visible_tuples(i)])
+              for i in range(1, scenario.n + 1)]
+    return QuantumStrategy(scenario=scenario, state=state, bloch_tables=tables)
 
 
 def load_strategy(source, scenario: CausalScenario) -> QuantumStrategy:
@@ -169,10 +186,7 @@ def strategy_fingerprint(strategy: QuantumStrategy) -> str:
     doc = {
         "scenario": scenario_to_config(strategy.scenario),
         "state": state_doc,
-        "observables": [
-            {"party": party, "setting": list(setting),
-             "bloch": [float(r) for r in obs.bloch]}
-            for (party, setting), obs in sorted(strategy.observables.items())],
+        "observables": _observable_entries(strategy),
     }
     payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(payload).hexdigest()

@@ -1,13 +1,14 @@
 """Quantum strategies and their correlations.
 
 A quantum strategy is a shared n-qubit state plus, for every party, one
-binary observable per visible-input setting. Correlators come from the
-state's Pauli correlation tensor T (see :func:`qubits.pauli_tensor`): with
-observables r . sigma, E(x) is the contraction of T's traceless block with
-the parties' Bloch vectors at x, done for all input tuples, and for a batch
-of strategies, at once by :func:`correlations`. The joint outcome
-distribution stays on the Born rule with the projectors (I + a A) / 2,
-outcome by outcome, so it checks the correlators independently.
+binary observable r . sigma per visible-input setting, stored as that
+party's Bloch table: its unit vectors r by setting index. Correlators come
+from the state's Pauli correlation tensor T (see :func:`qubits.pauli_tensor`):
+E(x) is the contraction of T's traceless block with the parties' Bloch
+vectors at x, done for all input tuples, and for a batch of strategies, at
+once by :func:`correlations`. The joint outcome distribution stays on the
+Born rule with the projectors (I + a r . sigma) / 2, outcome by outcome, so
+it checks the correlators independently.
 
 The canonical presets are the optimal GHZ-state strategies for the ring
 (guess-your-neighbour) and Svetlichny structures, attaining 8 cos(pi/8)
@@ -17,8 +18,8 @@ and 4 sqrt(2) respectively.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from numbers import Integral
 
@@ -27,73 +28,83 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .qubits import (
     ATOL,
+    IDENTITY_2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     MixedState,
     Observable2,
     PureState,
-    bloch_to_observable,
+    _ArrayValue,
     depolarize,
     expectation,
     ghz_state,
     pauli_tensor,
     tensor_product,
+    unit_bloch,
 )
 from .scenarios import (
     BellInequality,
     CausalScenario,
     FrozenTable,
-    FrozenValue,
+    _validate_entries,
     gyni_scenario,
     input_tuples,
     read_only,
     svetlichny_scenario,
+    tuple_index,
 )
 
 # Mixing weight at which the ideal ring value 7.3909 degrades to 7.023.
 EXPERIMENT_VISIBILITY = 0.9502
 
 
-@dataclass(frozen=True)
-class QuantumStrategy(FrozenValue):
-    """Shared state plus per-party, per-setting observables.
+@dataclass(frozen=True, eq=False)
+class QuantumStrategy(_ArrayValue):
+    """Shared state plus per-party, per-setting observables, as Bloch tables.
 
-    ``observables`` maps (party, visible tuple) to an :class:`Observable2`
-    and must be complete: 2^(arity) settings for every party. It is stored
-    read-only, in canonical order (party, then setting index).
+    ``bloch_tables[i - 1]`` holds party i's unit Bloch vectors by setting
+    index, shape (2^arity, 3): row s is the observable r . sigma at the
+    party's s-th visible tuple in canonical order. The tables are copied
+    and stored read-only; every row must be a unit vector within ``ATOL``
+    (:func:`qubits.unit_bloch` renormalizes rounded input). Strategies
+    compare and hash by value.
     """
 
     scenario: CausalScenario
     state: PureState | MixedState
-    observables: Mapping
+    bloch_tables: tuple
 
     def __post_init__(self):
-        obs = dict(self.observables)
-        keys = [(i, t)
-                for i in range(1, self.scenario.n + 1)
-                for t in self.scenario.visible_tuples(i)]
-        if set(obs) != set(keys):
-            missing = set(keys) - set(obs)
-            extra = set(obs) - set(keys)
+        scenario = self.scenario
+        if self.state.dim != 2**scenario.n:
             raise ValidationError(
-                f"observable map incomplete or mismatched (missing {sorted(missing)}, "
-                f"unexpected {sorted(extra)})")
-        for key, value in obs.items():
-            if not isinstance(value, Observable2):
-                raise ValidationError(f"observable for {key} must be an Observable2")
-        if self.state.dim != 2**self.scenario.n:
-            raise ValidationError(
-                f"state dimension {self.state.dim} does not match {self.scenario.n} parties")
-        object.__setattr__(self, "observables", FrozenTable({k: obs[k] for k in keys}))
-        object.__setattr__(self, "_bloch_tables", tuple(
-            read_only(np.array([obs[(i, t)].bloch for t in self.scenario.visible_tuples(i)]))
-            for i in range(1, self.scenario.n + 1)))
+                f"state dimension {self.state.dim} does not match {scenario.n} parties")
+        tables = tuple(np.array(table, dtype=float) for table in self.bloch_tables)
+        shapes = [(2 ** scenario.arity(i), 3) for i in range(1, scenario.n + 1)]
+        if [table.shape for table in tables] != shapes:
+            raise ValidationError(f"Bloch tables must have shapes {shapes}, "
+                                  f"got {[table.shape for table in tables]}")
+        for i, table in enumerate(tables, start=1):
+            if not np.all(np.isfinite(table)):
+                raise ValidationError(f"party {i}'s Bloch vectors must be finite")
+            if np.any(np.abs(np.linalg.norm(table, axis=1) - 1.0) > ATOL):
+                raise ValidationError(f"party {i}'s Bloch vectors must be unit within {ATOL}; "
+                                      "use unit_bloch to renormalize")
+        object.__setattr__(self, "bloch_tables", tuple(read_only(table) for table in tables))
 
-    def observable_for(self, party: int, x) -> Observable2:
-        return self.observables[(party, self.scenario.visible_tuple(x, party))]
+    def _value(self) -> tuple:
+        return (self.scenario, self.state,
+                tuple(tuple(table.ravel().tolist()) for table in self.bloch_tables))
 
-    def bloch_tables(self) -> tuple[np.ndarray, ...]:
-        """Party i's Bloch vectors by setting index: shape (2^arity, 3).
-        Computed once, read-only."""
-        return self._bloch_tables
+    @cached_property
+    def observables(self) -> FrozenTable:
+        """Read-only (party, visible tuple) -> :class:`Observable2` view of
+        the tables, in canonical order (party, then setting index). Built on
+        first read."""
+        return FrozenTable({(i, t): Observable2(bloch=r)
+                            for i, table in enumerate(self.bloch_tables, start=1)
+                            for t, r in zip(self.scenario.visible_tuples(i), table)})
 
 
 def correlations(tensor: np.ndarray, tables: list[np.ndarray], index: np.ndarray,
@@ -129,7 +140,7 @@ def correlator_table(strategy: QuantumStrategy) -> dict[tuple[int, ...], float]:
     larger excursions raise.
     """
     scenario = strategy.scenario
-    tables = [table[None] for table in strategy.bloch_tables()]
+    tables = [table[None] for table in strategy.bloch_tables]
     values = correlations(pauli_tensor(strategy.state)[None], tables,
                           scenario.setting_index())[0]
     table = {}
@@ -175,23 +186,22 @@ def outcome_distribution(strategy: QuantumStrategy, x) -> dict[tuple[int, ...], 
     """Joint probability of every +/-1 outcome tuple at input x.
 
     Probabilities are Born-rule expectations of tensor products of the
-    outcome projectors; tiny negative values from roundoff are zeroed.
-    Keys come in the canonical tuple order. Results are memoized per input
-    tuple (the strategy is immutable).
+    outcome projectors (I + a r . sigma) / 2, each party's two built once
+    from its Bloch vector r at x; tiny negative values from roundoff are
+    zeroed. Keys come in the canonical tuple order.
     """
-    n = strategy.scenario.n
-    x = tuple(x)
-    cache = getattr(strategy, "_outcome_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(strategy, "_outcome_cache", cache)
-    if x in cache:
-        return dict(cache[x])
-    observables = [strategy.observable_for(i, x) for i in range(1, n + 1)]
+    scenario = strategy.scenario
+    n = scenario.n
+    x = _validate_entries(x, n, "input tuple")
+    projectors = []
+    for table, row in zip(strategy.bloch_tables, scenario.setting_index()[:, tuple_index(x)]):
+        r = table[row]
+        matrix = r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z
+        projectors.append({a: (IDENTITY_2 + a * matrix) / 2.0 for a in (-1, 1)})
     dist = {}
     total = 0.0
     for a in input_tuples(n):
-        op = tensor_product([obs.projector(a_i) for obs, a_i in zip(observables, a)])
+        op = tensor_product([pair[a_i] for pair, a_i in zip(projectors, a)])
         p = expectation(strategy.state, op)
         if p < -ATOL:
             raise NumericError(f"outcome probability {p} at {x=}, {a=} is negative")
@@ -200,59 +210,32 @@ def outcome_distribution(strategy: QuantumStrategy, x) -> dict[tuple[int, ...], 
         total += p
     if abs(total - 1.0) > ATOL:
         raise NumericError(f"outcome probabilities at {x} sum to {total}")
-    cache[x] = dist
-    return dict(dist)
+    return dist
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-# Ring-structure optimum on GHZ(3). Keys are visible tuples (own input
-# first, neighbour's second). Party 1's (+1, -1) entry must be -sigma_y;
-# the +sigma_y variant drops the value from 8 cos(pi/8) to ~3.69.
-_GYNI_BLOCH = {
-    (1, (1, 1)): (0.0, 1.0, 0.0),
-    (1, (1, -1)): (0.0, -1.0, 0.0),
-    (1, (-1, 1)): (1.0, 0.0, 0.0),
-    (1, (-1, -1)): (0.0, 1.0, 0.0),
-    (2, (1, 1)): (1.0, 0.0, 0.0),
-    (2, (1, -1)): (-_INV_SQRT2, _INV_SQRT2, 0.0),
-    (2, (-1, 1)): (0.0, 1.0, 0.0),
-    (2, (-1, -1)): (-_INV_SQRT2, _INV_SQRT2, 0.0),
-    (3, (1, 1)): (-0.38, -0.92, 0.0),
-    (3, (1, -1)): (-0.92, -0.38, 0.0),
-    (3, (-1, 1)): (-0.38, 0.92, 0.0),
-    (3, (-1, -1)): (0.92, -0.38, 0.0),
-}
+# Ring-structure optimum on GHZ(3): one row per party and setting, settings
+# (own input, left neighbour's input) in the order (-,-), (-,+), (+,-), (+,+).
+# Party 1's (+,-) row must be -sigma_y; the +sigma_y variant drops the value
+# from 8 cos(pi/8) to ~3.69.
+_GYNI_BLOCH = (
+    ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 1.0, 0.0)),
+    ((-_INV_SQRT2, _INV_SQRT2, 0.0), (0.0, 1.0, 0.0), (-_INV_SQRT2, _INV_SQRT2, 0.0),
+     (1.0, 0.0, 0.0)),
+    ((0.92, -0.38, 0.0), (-0.38, 0.92, 0.0), (-0.92, -0.38, 0.0), (-0.38, -0.92, 0.0)),
+)
 
-# Svetlichny optimum on GHZ(3), by own input only: the communicated input
-# is ignored because the optimum needs no communication. Swapping party 1's
-# two entries against each other collapses the value from 4 sqrt(2) to 0.
-_SVETLICHNY_BLOCH = {
-    (1, 1): (-_INV_SQRT2, _INV_SQRT2, 0.0),
-    (1, -1): (-_INV_SQRT2, -_INV_SQRT2, 0.0),
-    (2, 1): (0.0, 1.0, 0.0),
-    (2, -1): (-1.0, 0.0, 0.0),
-    (3, 1): (1.0, 0.0, 0.0),
-    (3, -1): (0.0, 1.0, 0.0),
-}
-
-
-def _gyni_observables() -> dict:
-    scenario = gyni_scenario()
-    obs = {}
-    for i in range(1, 4):
-        for t in scenario.visible_tuples(i):
-            obs[(i, t)] = bloch_to_observable(_GYNI_BLOCH[(i, t)])
-    return obs
-
-
-def _svetlichny_observables() -> dict:
-    scenario = svetlichny_scenario()
-    obs = {}
-    for i in range(1, 4):
-        for t in scenario.visible_tuples(i):
-            obs[(i, t)] = bloch_to_observable(_SVETLICHNY_BLOCH[(i, t[0])])
-    return obs
+# Svetlichny optimum on GHZ(3), in the same setting order. Each row depends
+# on the party's own input only: the communicated input is ignored because
+# the optimum needs no communication. Swapping party 1's two vectors against
+# each other collapses the value from 4 sqrt(2) to 0.
+_SVETLICHNY_BLOCH = (
+    ((-_INV_SQRT2, -_INV_SQRT2, 0.0), (-_INV_SQRT2, -_INV_SQRT2, 0.0),
+     (-_INV_SQRT2, _INV_SQRT2, 0.0), (-_INV_SQRT2, _INV_SQRT2, 0.0)),
+    ((-1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 1.0, 0.0)),
+    ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0)),
+)
 
 
 CANONICAL_STRATEGY_NAMES = ("gyni-paper", "svetlichny-paper", "experiment-like")
@@ -263,20 +246,22 @@ def canonical_strategy(name: str) -> QuantumStrategy:
 
     ``gyni-paper`` and ``svetlichny-paper`` are the ideal GHZ(3) optima;
     ``experiment-like`` is the ring strategy on a GHZ state mixed with
-    white noise at visibility ``EXPERIMENT_VISIBILITY``.
+    white noise at visibility ``EXPERIMENT_VISIBILITY``. Each preset row is
+    renormalized by :func:`qubits.unit_bloch`.
     """
-    if name == "gyni-paper":
-        return QuantumStrategy(scenario=gyni_scenario(), state=ghz_state(3),
-                               observables=_gyni_observables())
+    if name not in CANONICAL_STRATEGY_NAMES:
+        raise ValidationError(
+            f"unknown strategy {name!r}; known names: {CANONICAL_STRATEGY_NAMES}")
     if name == "svetlichny-paper":
-        return QuantumStrategy(scenario=svetlichny_scenario(), state=ghz_state(3),
-                               observables=_svetlichny_observables())
+        scenario, rows = svetlichny_scenario(), _SVETLICHNY_BLOCH
+    else:
+        scenario, rows = gyni_scenario(), _GYNI_BLOCH
+    state = ghz_state(3)
     if name == "experiment-like":
-        return QuantumStrategy(scenario=gyni_scenario(),
-                               state=depolarize(ghz_state(3), EXPERIMENT_VISIBILITY),
-                               observables=_gyni_observables())
-    raise ValidationError(
-        f"unknown strategy {name!r}; known names: {CANONICAL_STRATEGY_NAMES}")
+        state = depolarize(state, EXPERIMENT_VISIBILITY)
+    return QuantumStrategy(scenario=scenario, state=state,
+                           bloch_tables=[np.array([unit_bloch(r) for r in party])
+                                         for party in rows])
 
 
 def with_visibility(strategy: QuantumStrategy, v: float) -> QuantumStrategy:
@@ -285,7 +270,7 @@ def with_visibility(strategy: QuantumStrategy, v: float) -> QuantumStrategy:
     if not isinstance(state, PureState):
         raise ValidationError("visibility mixing starts from a pure state")
     return QuantumStrategy(scenario=strategy.scenario, state=depolarize(state, v),
-                           observables=strategy.observables)
+                           bloch_tables=strategy.bloch_tables)
 
 
 def random_strategy(scenario: CausalScenario, rng: np.random.Generator,
@@ -301,10 +286,8 @@ def random_strategy(scenario: CausalScenario, rng: np.random.Generator,
     state: PureState | MixedState = PureState(amplitudes)
     if mixed:
         state = depolarize(state, float(rng.uniform(0.0, 1.0)))
-    observables = {(i, t): Observable2(bloch=r)
-                   for i, table in enumerate(random_bloch_tables(scenario, rng), start=1)
-                   for t, r in zip(scenario.visible_tuples(i), table)}
-    return QuantumStrategy(scenario=scenario, state=state, observables=observables)
+    return QuantumStrategy(scenario=scenario, state=state,
+                           bloch_tables=random_bloch_tables(scenario, rng))
 
 
 def random_bloch_tables(scenario: CausalScenario, rng: np.random.Generator) -> list[np.ndarray]:

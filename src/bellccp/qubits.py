@@ -1,9 +1,11 @@
 """Dense complex linear algebra for small multi-qubit systems.
 
 States live on n qubits with party 1 as the most significant tensor factor,
-so basis index 0 is |0...0> and index 2^n - 1 is |1...1>. Binary observables
-are parameterized by unit Bloch vectors r and act as r . sigma; the two
-outcome projectors are (I +/- A) / 2.
+so basis index 0 is |0...0> and index 2^n - 1 is |1...1>. A binary
+observable is its unit Bloch vector r: it acts as r . sigma, with outcome
+projectors (I +/- r . sigma) / 2. Strategies store these vectors as Bloch
+tables (:class:`quantum.QuantumStrategy`); :class:`Observable2` is the
+one-vector view of a table row.
 
 Everything here is a pure function over immutable values: state and
 observable arrays are copied on construction and marked read-only,
@@ -57,7 +59,8 @@ def _qubit_count(dim: int, what: str) -> int:
 
 
 class _ArrayValue(FrozenValue):
-    """Value ``==`` and ``hash`` over the read-only array named by ``_value_field``.
+    """Value ``==`` and ``hash`` over ``_value()``: by default the entries of
+    the read-only array named by ``_value_field``.
 
     Entries compare as Python numbers, so -0.0 and 0.0 agree."""
 
@@ -136,14 +139,11 @@ class MixedState(_ArrayValue):
 class Observable2(_ArrayValue):
     """Traceless binary qubit observable r . sigma with unit Bloch vector r.
 
-    Squares to the identity, so its eigenvalues are +/-1 and the outcome
-    projectors are (I + a A) / 2 for a in {-1, +1}. ``matrix`` is derived
-    from the Bloch vector. Build through :func:`bloch_to_observable`, which
-    renormalizes slightly off-unit input.
+    Squares to the identity, so its eigenvalues are +/-1. Build through
+    :func:`bloch_to_observable`, which renormalizes slightly off-unit input.
     """
 
     bloch: np.ndarray
-    matrix: np.ndarray = field(init=False)
     _value_field = "bloch"
 
     def __post_init__(self):
@@ -155,21 +155,12 @@ class Observable2(_ArrayValue):
         if abs(np.linalg.norm(r) - 1.0) > ATOL:
             raise ValidationError("Observable2 requires an exactly unit Bloch vector; "
                                   "use bloch_to_observable to renormalize")
-        mat = r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z
         r.setflags(write=False)
-        mat.setflags(write=False)
         object.__setattr__(self, "bloch", r)
-        object.__setattr__(self, "matrix", mat)
-
-    def projector(self, outcome: int) -> np.ndarray:
-        """Projector onto the outcome +1 or -1 eigenspace."""
-        if outcome not in (-1, 1):
-            raise ValidationError(f"outcome must be +1 or -1, got {outcome}")
-        return (IDENTITY_2 + outcome * self.matrix) / 2.0
 
 
-def bloch_to_observable(r) -> Observable2:
-    """Build the observable r . sigma from a (nearly) unit 3-vector.
+def unit_bloch(r) -> np.ndarray:
+    """A (nearly) unit 3-vector divided by its norm.
 
     Vectors with norm within ``BLOCH_NORM_TOL`` of 1 are renormalized;
     anything further off raises :class:`BlochVectorError`.
@@ -183,7 +174,13 @@ def bloch_to_observable(r) -> Observable2:
     if abs(norm - 1.0) > BLOCH_NORM_TOL:
         raise BlochVectorError(f"Bloch vector norm {norm} outside "
                                f"[{1 - BLOCH_NORM_TOL}, {1 + BLOCH_NORM_TOL}]")
-    return Observable2(bloch=vec / norm)
+    return vec / norm
+
+
+def bloch_to_observable(r) -> Observable2:
+    """The observable r . sigma from a (nearly) unit 3-vector, renormalized
+    by :func:`unit_bloch`."""
+    return Observable2(bloch=unit_bloch(r))
 
 
 def tensor_product(factors) -> np.ndarray:

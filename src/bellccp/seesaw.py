@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .qubits import PAULIS, Observable2, PureState, MixedState, ghz_state, pauli_tensor
+from .qubits import PAULIS, PureState, MixedState, ghz_state, pauli_tensor
 from .quantum import QuantumStrategy, correlations, random_bloch_tables
 from .scenarios import BellInequality
 
@@ -143,7 +143,8 @@ class _Restarts:
                 rejoin = []
                 for r in rows[ended].tolist():
                     alternations[r] += 1
-                    if (self.state_step(r) and self.traces[r][-1] - run_start[r] >= opts.tol
+                    if (self.state_step(r, opts.tol)
+                            and self.traces[r][-1] - run_start[r] >= opts.tol
                             and alternations[r] < _MAX_ALTERNATIONS):
                         run_start[r] = previous[r] = self.traces[r][-1]
                         run_sweeps[r] = 0
@@ -152,12 +153,13 @@ class _Restarts:
             else:
                 rows = rows[~ended]
 
-    def state_step(self, r: int) -> bool:
+    def state_step(self, r: int, tol: float) -> bool:
         """Replace restart r's state by the top eigenvector of its operator,
-        unless the eigenvalue falls below the current value; the exact top
-        eigenvalue cannot, so a numerical non-improvement means converged."""
-        state, value = optimal_state(self.ineq, self.observables(r))
-        if value < self.traces[r][-1]:
+        unless the eigenvalue gains less than ``tol`` over the current value;
+        the exact top eigenvalue cannot fall below it, so a smaller gain
+        means the state has converged."""
+        state, value = optimal_state(self.ineq, [table[r] for table in self.bloch])
+        if value - self.traces[r][-1] < tol:
             return False
         if not self.tensors.flags.writeable:
             self.tensors = self.tensors.copy()
@@ -166,19 +168,14 @@ class _Restarts:
         self.traces[r].append(value)
         return True
 
-    def observables(self, r: int) -> dict:
-        # Every row is a unit vector: drawn normalized or set to g / |g|.
-        return {(i, t): Observable2(bloch=v)
-                for i, table in enumerate(self.bloch, start=1)
-                for t, v in zip(self.scenario.visible_tuples(i), table[r])}
-
     def best(self) -> OptimizationResult:
         """The first restart within 1e-12 of the best final value."""
         finals = [trace[-1] for trace in self.traces]
         top = max(finals)
         r = next(r for r, value in enumerate(finals) if value >= top - 1e-12)
+        # Every row is a unit vector: drawn normalized or set to g / |g|.
         strategy = QuantumStrategy(scenario=self.scenario, state=self.states[r],
-                                   observables=self.observables(r))
+                                   bloch_tables=[table[r] for table in self.bloch])
         return OptimizationResult(best_value=finals[r], strategy=strategy,
                                   sweeps_used=int(self.sweeps[r]),
                                   value_trace=tuple(self.traces[r]),
@@ -207,16 +204,18 @@ def seesaw_measurements(ineq: BellInequality, state: PureState | MixedState,
     return _best_of_restarts(ineq, state, opts)
 
 
-def bell_operator(ineq: BellInequality, observables: dict) -> np.ndarray:
-    """sum_x Q(x) A_1^(x) x ... x A_n^(x) for fixed observables, from the
-    Pauli basis: with A = r . sigma it is sum_p C[p] sigma_p1 x ... x
-    sigma_pn over p in {x, y, z}^n, where C[p] = sum_x Q(x) prod_i
+def bell_operator(ineq: BellInequality, bloch_tables) -> np.ndarray:
+    """sum_x Q(x) A_1^(x) x ... x A_n^(x) for fixed observables, given as
+    one (2^arity, 3) Bloch table per party (``QuantumStrategy.bloch_tables``).
+
+    Built in the Pauli basis: with A = r . sigma it is sum_p C[p] sigma_p1 x
+    ... x sigma_pn over p in {x, y, z}^n, where C[p] = sum_x Q(x) prod_i
     r_i(x)[p_i]; one product with the three Pauli matrices per party then
     expands C. No Kronecker product is formed."""
     scenario = ineq.scenario
     n = scenario.n
-    rows = [np.array([observables[(i + 1, t)].bloch for t in scenario.visible_tuples(i + 1)])[row]
-            for i, row in enumerate(scenario.setting_index())]
+    rows = [np.asarray(table, dtype=float)[row]
+            for table, row in zip(bloch_tables, scenario.setting_index())]
     products = rows[0]
     for row in rows[1:]:
         products = (products[:, :, None] * row[:, None, :]).reshape(len(row), -1)
@@ -228,10 +227,10 @@ def bell_operator(ineq: BellInequality, observables: dict) -> np.ndarray:
     return op.reshape((2,) * (2 * n)).transpose(order).reshape(2**n, 2**n)
 
 
-def optimal_state(ineq: BellInequality, observables: dict) -> tuple[PureState, float]:
-    """Top eigenpair of the fixed-observable operator, by one Hermitian
-    eigendecomposition (at most 64 x 64)."""
-    values, vectors = np.linalg.eigh(bell_operator(ineq, observables))
+def optimal_state(ineq: BellInequality, bloch_tables) -> tuple[PureState, float]:
+    """Top eigenpair of the fixed-observable operator for the given Bloch
+    tables, by one Hermitian eigendecomposition (at most 64 x 64)."""
+    values, vectors = np.linalg.eigh(bell_operator(ineq, bloch_tables))
     return PureState(vectors[:, -1]), float(values[-1])
 
 

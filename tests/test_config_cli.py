@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import bellccp
-from bellccp import (CcpInstance, SeededPrng, canonical_strategy, cli, gyni_inequality,
-                     input_tuples, make_scenario, run_session, write_session_log)
+from bellccp import (CcpInstance, SeededPrng, ValidationError, canonical_strategy, cli,
+                     gyni_inequality, input_tuples, make_scenario, random_strategy, run_session,
+                     write_session_log)
 from bellccp.cli import main
 from bellccp.config import (
     inequality_from_config,
@@ -249,6 +250,57 @@ def test_strategy_config_round_trip(tmp_path):
     value = evaluate_strategy(loaded, gyni_inequality())
     assert value == pytest.approx(
         evaluate_strategy(strategy, gyni_inequality()), abs=1e-6)
+
+
+# sha256 fingerprints of the presets and of seeded random gyni strategies
+# (default_rng(0) pure, default_rng(1) mixed). They hash the bytes that
+# configs and session headers hold, so a change to how strategies are
+# stored must leave them unchanged.
+PINNED_FINGERPRINTS = {
+    "gyni-paper": "6ad025b73aca07c4617e3ba90b1775ba0c9759eab149f29be867c2a1a06eea03",
+    "svetlichny-paper": "3f831cace2ac74ed0a58b44ac01cadb387a4ec3e684e10065391e3f4cbd702bb",
+    "experiment-like": "7f71142dd0be976c84c1b0e3512294694c2f7ead00208593e680453616ff84b9",
+    "random-0": "7ce7549fe3554cbdd3df6d6ab99b9e6d64cec5b38d7b910e705a18416d182998",
+    "random-1-mixed": "8e7ec5e16a0d65b821ba717a1be1917ddfe72e24e6d0c83bbc57502d9272e82c",
+}
+
+
+def test_strategy_fingerprints_are_pinned():
+    scenario = gyni_inequality().scenario
+    got = {name: strategy_fingerprint(canonical_strategy(name))
+           for name in ("gyni-paper", "svetlichny-paper", "experiment-like")}
+    got["random-0"] = strategy_fingerprint(
+        random_strategy(scenario, np.random.default_rng(0)))
+    got["random-1-mixed"] = strategy_fingerprint(
+        random_strategy(scenario, np.random.default_rng(1), mixed=True))
+    assert got == PINNED_FINGERPRINTS
+
+
+def test_observable_entries_load_in_any_order():
+    strategy = canonical_strategy("svetlichny-paper")
+    config = strategy_to_config(strategy)
+    entries = config["observables"]
+    assert [(e["party"], tuple(e["setting"])) for e in entries] == [
+        (i, t) for i in range(1, 4) for t in strategy.scenario.visible_tuples(i)]
+    reversed_config = dict(config, observables=entries[::-1])
+    reloaded = strategy_from_config(reversed_config, strategy.scenario)
+    assert reloaded == strategy
+    assert strategy_to_config(reloaded) == config
+
+
+@pytest.mark.parametrize("edit", ["drop", "extra", "twice"])
+def test_incomplete_observable_entries_rejected(edit):
+    strategy = canonical_strategy("gyni-paper")
+    config = strategy_to_config(strategy)
+    entries = config["observables"]
+    if edit == "drop":
+        entries = entries[:-1]
+    elif edit == "extra":
+        entries = entries + [{"party": 4, "setting": [1, 1], "bloch": [0.0, 0.0, 1.0]}]
+    else:
+        entries = entries + [dict(entries[0], bloch=[0.0, 0.0, 1.0])]
+    with pytest.raises(ValidationError, match="observable entries"):
+        strategy_from_config(dict(config, observables=entries), strategy.scenario)
 
 
 def test_strategy_visibility_v(tmp_path):

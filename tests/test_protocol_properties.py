@@ -20,7 +20,6 @@ from bellccp import (
     ResponseFunction,
     exact_success,
 )
-from bellccp.qubits import Observable2
 from bellccp.scenarios import input_tuples, make_scenario
 
 import oracles
@@ -79,10 +78,7 @@ def test_exact_success_matches_oracles_on_any_input_distribution(case):
             for i in range(1, n + 1)))
         expected = oracles.deterministic_game_success(n, visibility, tables, weights, q)
     else:
-        observables = {(i, t): Observable2(bloch=r)
-                       for i in range(1, n + 1)
-                       for t, r in zip(scenario.visible_tuples(i), tables[i - 1])}
-        strategy = QuantumStrategy(scenario=scenario, state=state, observables=observables)
+        strategy = QuantumStrategy(scenario=scenario, state=state, bloch_tables=tables)
         expected = oracles.quantum_game_success(
             state.density_matrix(), n, visibility, tables, weights, q)
     assert abs(exact_success(instance, strategy) - expected) < 1e-12

@@ -13,7 +13,6 @@ from bellccp import (
     QuantumStrategy,
     ValidationError,
     bell_value,
-    bloch_to_observable,
     canonical_strategy,
     correlator_table,
     depolarize,
@@ -35,10 +34,14 @@ from bellccp.qubits import PureState
 import oracles
 
 
+def _uniform_tables(scenario, r):
+    """Every party measures r . sigma at every setting."""
+    return [np.tile(r, (2 ** scenario.arity(i), 1)) for i in range(1, scenario.n + 1)]
+
+
 def _sigma_z_strategy(scenario):
-    obs = {(i, t): bloch_to_observable((0, 0, 1))
-           for i in range(1, scenario.n + 1) for t in scenario.visible_tuples(i)}
-    return QuantumStrategy(scenario=scenario, state=ghz_state(scenario.n), observables=obs)
+    return QuantumStrategy(scenario=scenario, state=ghz_state(scenario.n),
+                           bloch_tables=_uniform_tables(scenario, (0.0, 0.0, 1.0)))
 
 
 def test_all_sigma_z_correlators_vanish():
@@ -55,7 +58,7 @@ def test_maximally_mixed_correlators_vanish():
     scenario = gyni_inequality().scenario
     strategy = canonical_strategy("gyni-paper")
     noisy = QuantumStrategy(scenario=scenario, state=depolarize(ghz_state(3), 0.0),
-                            observables=strategy.observables)
+                            bloch_tables=strategy.bloch_tables)
     assert all(e == pytest.approx(0.0, abs=1e-12) for e in correlator_table(noisy).values())
 
 
@@ -119,9 +122,8 @@ def test_integral_success_is_the_rounded_exact_fraction(case):
 
 def test_outcome_distribution_ghz_x_basis():
     scenario = gyni_inequality().scenario
-    obs = {(i, t): bloch_to_observable((1, 0, 0))
-           for i in range(1, 4) for t in scenario.visible_tuples(i)}
-    strategy = QuantumStrategy(scenario=scenario, state=ghz_state(3), observables=obs)
+    strategy = QuantumStrategy(scenario=scenario, state=ghz_state(3),
+                               bloch_tables=_uniform_tables(scenario, (1.0, 0.0, 0.0)))
     x = (1, 1, 1)
     dist = outcome_distribution(strategy, x)
     # Oracle: explicit projector products on the raw GHZ vector.
@@ -143,7 +145,7 @@ def test_outcome_distribution_ghz_z_basis():
 def test_outcome_distribution_maximally_mixed_is_uniform():
     strategy = canonical_strategy("gyni-paper")
     noisy = QuantumStrategy(scenario=strategy.scenario, state=depolarize(ghz_state(3), 0.0),
-                            observables=strategy.observables)
+                            bloch_tables=strategy.bloch_tables)
     dist = outcome_distribution(noisy, (-1, 1, -1))
     for p in dist.values():
         assert p == pytest.approx(1 / 8, abs=1e-12)
@@ -185,7 +187,7 @@ def test_correlators_invariant_under_global_phase():
     phase = np.exp(1j * 0.7349)
     rotated = QuantumStrategy(scenario=strategy.scenario,
                               state=PureState(strategy.state.amplitudes * phase),
-                              observables=strategy.observables)
+                              bloch_tables=strategy.bloch_tables)
     base = correlator_table(strategy)
     shifted = correlator_table(rotated)
     for x in input_tuples(3):
@@ -202,27 +204,48 @@ def test_experiment_like_preset():
 
 def test_incomplete_observable_map_rejected():
     scenario = gyni_inequality().scenario
-    obs = {(1, t): bloch_to_observable((0, 0, 1)) for t in scenario.visible_tuples(1)}
-    with pytest.raises(ValidationError):
-        QuantumStrategy(scenario=scenario, state=ghz_state(3), observables=obs)
+    tables = _uniform_tables(scenario, (0.0, 0.0, 1.0))
+    with pytest.raises(ValidationError):      # party 1 only
+        QuantumStrategy(scenario=scenario, state=ghz_state(3), bloch_tables=tables[:1])
+    with pytest.raises(ValidationError):      # a setting short
+        QuantumStrategy(scenario=scenario, state=ghz_state(3),
+                        bloch_tables=[tables[0][:3], *tables[1:]])
+
+
+def test_bloch_tables_are_checked_and_copied():
+    scenario = gyni_inequality().scenario
+    tables = _uniform_tables(scenario, (0.0, 0.0, 1.0))
+    for bad in (np.nan, 0.5):
+        broken = [table.copy() for table in tables]
+        broken[2][1, 2] = bad
+        with pytest.raises(ValidationError):
+            QuantumStrategy(scenario=scenario, state=ghz_state(3), bloch_tables=broken)
+    strategy = QuantumStrategy(scenario=scenario, state=ghz_state(3), bloch_tables=tables)
+    tables[0][0] = (1.0, 0.0, 0.0)
+    assert strategy.bloch_tables[0][0].tolist() == [0.0, 0.0, 1.0]
+    assert isinstance(strategy.bloch_tables, tuple)
+    for table in strategy.bloch_tables:
+        assert not table.flags.writeable
 
 
 def test_observables_are_read_only_in_canonical_order():
     strategy = canonical_strategy("gyni-paper")
     ineq = gyni_inequality()
     with pytest.raises(TypeError):
-        strategy.observables[(1, (1, 1))] = bloch_to_observable((0, 0, 1))
+        strategy.observables[(1, (1, 1))] = strategy.observables[(1, (1, -1))]
     with pytest.raises(TypeError):
         del strategy.observables[(1, (1, 1))]
-    # Memoized outcome rows stay consistent with the correlators.
+    # Outcome rows, built from the tables, agree with the correlators.
     implied = success_probability(evaluate_strategy(strategy, ineq), ineq.gamma)
     assert exact_success(CcpInstance(ineq), strategy) == pytest.approx(implied, abs=1e-12)
     scenario = strategy.scenario
     canonical = [(i, t) for i in range(1, 4) for t in scenario.visible_tuples(i)]
-    reversed_input = dict(reversed(list(strategy.observables.items())))
-    rebuilt = QuantumStrategy(scenario=scenario, state=strategy.state,
-                              observables=reversed_input)
-    assert list(rebuilt.observables) == canonical
+    assert list(strategy.observables) == canonical
+    # The view reads the tables row by row and is built once.
+    assert strategy.observables is strategy.observables
+    for (i, t), obs in strategy.observables.items():
+        row = strategy.bloch_tables[i - 1][scenario.visible_tuples(i).index(t)]
+        assert obs.bloch.tolist() == row.tolist()
 
 
 def test_strategies_compare_and_hash_by_value():
@@ -232,14 +255,13 @@ def test_strategies_compare_and_hash_by_value():
         assert hash(a) == hash(b)
     gyni = canonical_strategy("gyni-paper")
     assert len({gyni, canonical_strategy("gyni-paper"), canonical_strategy("experiment-like")}) == 2
-    flipped = dict(gyni.observables)
-    flipped[(3, (1, 1))] = bloch_to_observable((0.38, 0.92, 0.0))
-    other = QuantumStrategy(scenario=gyni.scenario, state=gyni.state, observables=flipped)
+    flipped = [table.copy() for table in gyni.bloch_tables]
+    flipped[2][3] = -flipped[2][3]          # party 3 at setting (+1, +1)
+    other = QuantumStrategy(scenario=gyni.scenario, state=gyni.state, bloch_tables=flipped)
     assert other != gyni
     # -0.0 and 0.0 Bloch entries give the same strategy.
-    signed = {key: bloch_to_observable(np.where(obs.bloch == 0.0, -0.0, obs.bloch))
-              for key, obs in gyni.observables.items()}
-    twin = QuantumStrategy(scenario=gyni.scenario, state=gyni.state, observables=signed)
+    signed = [np.where(table == 0.0, -0.0, table) for table in gyni.bloch_tables]
+    twin = QuantumStrategy(scenario=gyni.scenario, state=gyni.state, bloch_tables=signed)
     assert twin == gyni
     assert hash(twin) == hash(gyni)
 

@@ -9,11 +9,15 @@ from bellccp import (
     MixedState,
     NumericError,
     PureState,
+    QuantumStrategy,
     ValidationError,
     bloch_to_observable,
+    canonical_strategy,
+    chsh_inequality,
     depolarize,
     expectation,
     ghz_state,
+    outcome_distribution,
     tensor_product,
 )
 from bellccp.qubits import IDENTITY_2, SIGMA_X, SIGMA_Z, Observable2
@@ -23,8 +27,16 @@ import oracles
 
 
 def test_pauli_observables():
-    assert np.allclose(bloch_to_observable((0, 0, 1)).matrix, np.diag([1, -1]))
-    assert np.allclose(bloch_to_observable((1, 0, 0)).matrix, [[0, 1], [1, 0]])
+    # r = z, x, y measure sigma_z, sigma_x, sigma_y: on two copies of each
+    # one's +1 eigenvector the outcome is (+1, +1) with certainty.
+    scenario = chsh_inequality().scenario
+    eigenvectors = {(0, 0, 1): [1, 0], (1, 0, 0): [1, 1], (0, 1, 0): [1, 1j]}
+    for r, vec in eigenvectors.items():
+        vec = np.array(vec) / np.linalg.norm(vec)
+        strategy = QuantumStrategy(scenario=scenario, state=PureState(np.kron(vec, vec)),
+                                   bloch_tables=[[r, r], [r, r]])
+        dist = outcome_distribution(strategy, (1, -1))
+        assert dist[(1, 1)] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_charlie_setting_is_renormalized():
@@ -47,10 +59,10 @@ def test_observable_invariants(raw):
     norm = np.linalg.norm(vec)
     if norm < 1e-6:
         return
-    obs = bloch_to_observable(vec / norm)
-    assert np.allclose(obs.matrix @ obs.matrix, IDENTITY_2, atol=1e-9)
-    assert abs(np.trace(obs.matrix)) < 1e-9
-    plus, minus = obs.projector(1), obs.projector(-1)
+    matrix = oracles.bloch_operator(bloch_to_observable(vec / norm).bloch)
+    assert np.allclose(matrix @ matrix, IDENTITY_2, atol=1e-9)
+    assert abs(np.trace(matrix)) < 1e-9
+    plus, minus = (IDENTITY_2 + matrix) / 2, (IDENTITY_2 - matrix) / 2
     assert np.allclose(plus + minus, IDENTITY_2, atol=1e-12)
     for proj in (plus, minus):
         assert np.min(np.linalg.eigvalsh(proj)) > -1e-9
@@ -142,10 +154,10 @@ def test_derived_fields_are_not_constructor_arguments():
         PureState(np.array([1.0, 0.0, 0.0, 0.0]), n=2)
     with pytest.raises(TypeError):
         MixedState(np.eye(4) / 4, n=2)
+    gyni = canonical_strategy("gyni-paper")
     with pytest.raises(TypeError):
-        Observable2(bloch=[1.0, 0.0, 0.0], matrix=np.eye(2))
+        QuantumStrategy(scenario=gyni.scenario, state=gyni.state, observables=gyni.observables)
     assert PureState(np.array([1.0, 0.0, 0.0, 0.0])).n == 2
-    assert np.array_equal(Observable2(bloch=[1.0, 0.0, 0.0]).matrix, SIGMA_X)
 
 
 def test_states_are_immutable():

@@ -9,7 +9,6 @@ from bellccp import (
     BellInequality,
     OptimizerOptions,
     ValidationError,
-    bloch_to_observable,
     canonical_strategy,
     classical_bound,
     depolarize,
@@ -88,8 +87,7 @@ def test_seesaw_on_mixed_state():
 
 def test_optimal_state_gyni_returns_ghz_like_vector():
     ineq = gyni_inequality()
-    observables = canonical_strategy("gyni-paper").observables
-    state, value = optimal_state(ineq, observables)
+    state, value = optimal_state(ineq, canonical_strategy("gyni-paper").bloch_tables)
     assert value >= 7.3909
     ghz = ghz_state(3)
     fidelity = abs(np.vdot(ghz.amplitudes, state.amplitudes)) ** 2
@@ -98,19 +96,17 @@ def test_optimal_state_gyni_returns_ghz_like_vector():
 
 def test_optimal_state_svetlichny_eigenvalue():
     ineq = svetlichny_inequality()
-    observables = canonical_strategy("svetlichny-paper").observables
-    _, value = optimal_state(ineq, observables)
+    _, value = optimal_state(ineq, canonical_strategy("svetlichny-paper").bloch_tables)
     assert value == pytest.approx(4 * math.sqrt(2), abs=1e-9)
 
 
 def test_optimal_state_trivial_case():
     scenario = make_scenario(2, [(1,), (2,)])
     ineq = BellInequality(scenario=scenario, coeffs={x: 1 for x in input_tuples(2)})
-    observables = {(i, t): bloch_to_observable((0, 0, 1))
-                   for i in (1, 2) for t in scenario.visible_tuples(i)}
-    state, value = optimal_state(ineq, observables)
+    tables = [np.array([(0.0, 0.0, 1.0)] * 2)] * 2
+    state, value = optimal_state(ineq, tables)
     # Oracle: the 4x4 operator is 4 sigma_z x sigma_z; top eigenvalue 4.
-    op = bell_operator(ineq, observables)
+    op = bell_operator(ineq, tables)
     assert np.allclose(op, 4 * oracles.kron_chain([oracles.SZ, oracles.SZ]))
     assert value == pytest.approx(4.0, abs=1e-9)
     achieved = float((state.amplitudes.conj() @ op @ state.amplitudes).real)
@@ -179,7 +175,8 @@ def _replay_restarts(ineq, state, tables, opts):
     """The restarts one after another, each a plain loop in the arithmetic of
     one restart alone: whole-party sweeps until the improvement drops below
     tol or max_sweeps is used, then, with state optimization, a state step
-    (kept unless the value drops), until an alternation gains less than tol.
+    (kept only if its eigenvalue gains at least tol), until an alternation
+    gains less than tol.
     Returns per-restart (trace, sweeps, final tables)."""
     scenario = ineq.scenario
     q = ineq.coefficient_array().astype(float)
@@ -213,14 +210,10 @@ def _replay_restarts(ineq, state, tables, opts):
                 previous = trace[-1]
             if not opts.optimize_state:
                 break
-            observables = {(i, t): bloch_to_observable(v)
-                           for i, table in enumerate(bloch, start=1)
-                           for t, v in zip(scenario.visible_tuples(i), table[0])}
-            old_tensor = tensor
-            tensor = pauli_tensor(optimal_state(ineq, observables)[0])[None]
-            if value() < trace[-1]:
-                tensor = old_tensor
+            new_state, top = optimal_state(ineq, [table[0] for table in bloch])
+            if top - trace[-1] < opts.tol:
                 break
+            tensor = pauli_tensor(new_state)[None]
             trace.append(value())
             if trace[-1] - start < opts.tol:
                 break
@@ -275,7 +268,7 @@ def test_restart_batch_replays_the_sequential_loop(make, restarts, mixed):
     best = batch.best()
     assert best.value_trace == tuple(batch.traces[winner])
     assert best.sweeps_used == replay[winner][1]
-    for got, want in zip(best.strategy.bloch_tables(), replay[winner][2]):
+    for got, want in zip(best.strategy.bloch_tables, replay[winner][2]):
         assert np.max(np.abs(got - want)) < 1e-12
     assert best == (optimize(ineq, opts, initial_state=state) if not mixed
                     else seesaw_measurements(ineq, state, opts))
@@ -284,10 +277,15 @@ def test_restart_batch_replays_the_sequential_loop(make, restarts, mixed):
 @pytest.mark.parametrize("make, restarts", RESTART_CASES,
                          ids=["gyni", "svetlichny", "chsh", "ring4"])
 def test_restart_batch_with_state_steps_reaches_the_sequential_best(make, restarts):
-    # At convergence the exact revert check compares numbers equal up to
-    # rounding, so only the best value is compared, not the traces.
+    # A state step must gain tol, so the winner's sweeps and trace replay
+    # too, not only its value.
     ineq = make()
     opts = OptimizerOptions(seed=9, restarts=restarts, optimize_state=True)
     replay = _replay_restarts(ineq, ghz_state(ineq.n), _initial_tables(ineq, opts), opts)
-    best = max(trace[-1] for trace, _, _ in replay)
-    assert abs(optimize(ineq, opts).best_value - best) < 1e-12
+    finals = [trace[-1] for trace, _, _ in replay]
+    trace, sweeps, _ = replay[next(r for r, v in enumerate(finals) if v >= max(finals) - 1e-12)]
+    result = optimize(ineq, opts)
+    assert abs(result.best_value - max(finals)) < 1e-12
+    assert result.sweeps_used == sweeps
+    assert len(result.value_trace) == len(trace)
+    assert np.max(np.abs(np.array(result.value_trace) - trace)) < 1e-12

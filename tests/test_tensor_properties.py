@@ -1,4 +1,5 @@
-"""Property tests: the Pauli-tensor paths against dense Kronecker oracles.
+"""Property tests: the Pauli-tensor paths and the Born rule against dense
+Kronecker oracles.
 
 Scenarios, states and Bloch vectors are random with n <= 4. Every expected
 value comes from ``oracles``, which builds the 2^n x 2^n operators with raw
@@ -10,8 +11,9 @@ import itertools
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from bellccp import BellInequality, MixedState, PureState, QuantumStrategy, correlator_table
-from bellccp.qubits import Observable2, pauli_tensor
+from bellccp import (BellInequality, MixedState, PureState, QuantumStrategy, correlator_table,
+                     outcome_distribution)
+from bellccp.qubits import pauli_tensor
 from bellccp.scenarios import input_tuples, make_scenario
 from bellccp.seesaw import DEGENERATE_GRADIENT, _Restarts, bell_operator, optimal_state
 
@@ -71,14 +73,29 @@ def test_pauli_tensor_matches_pauli_strings(case):
 def test_correlator_table_matches_kron(case):
     n, visibility, state, tables, _q = case
     scenario = make_scenario(n, visibility)
-    observables = {(i, t): Observable2(bloch=r)
-                   for i in range(1, n + 1)
-                   for t, r in zip(scenario.visible_tuples(i), tables[i - 1])}
     table = correlator_table(QuantumStrategy(scenario=scenario, state=state,
-                                             observables=observables))
+                                             bloch_tables=tables))
     expected = oracles.kron_correlators(state.density_matrix(), n, visibility, tables)
     got = np.array([table[x] for x in input_tuples(n)])
     assert np.max(np.abs(got - expected)) < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+def test_outcome_rows_match_the_kron_born_rule(case):
+    n, visibility, state, tables, _q = case
+    strategy = QuantumStrategy(scenario=make_scenario(n, visibility), state=state,
+                               bloch_tables=tables)
+    rho = state.density_matrix()
+    positions = oracles.setting_positions(n, visibility)
+    for k, x in enumerate(input_tuples(n)):
+        row = outcome_distribution(strategy, x)
+        assert list(row) == list(input_tuples(n))
+        observables = [oracles.bloch_operator(tables[i][positions[i][k]]) for i in range(n)]
+        for a, p in row.items():
+            assert p >= 0.0
+            assert abs(p - oracles.density_outcome_probability(rho, observables, a)) < 1e-12
+        assert abs(sum(row.values()) - 1.0) < 1e-12
 
 
 @PROPERTY_SETTINGS
@@ -108,10 +125,7 @@ def test_optimal_state_is_exact_top_eigenpair(case):
     scenario = make_scenario(n, visibility)
     ineq = BellInequality(scenario=scenario,
                           coeffs={x: int(v) for x, v in zip(input_tuples(n), q)})
-    observables = {(i, t): Observable2(bloch=r)
-                   for i in range(1, n + 1)
-                   for t, r in zip(scenario.visible_tuples(i), tables[i - 1])}
-    state, value = optimal_state(ineq, observables)
+    state, value = optimal_state(ineq, tables)
     op = oracles.kron_bell_operator(n, visibility, q, tables)
     top = np.linalg.eigvalsh(op)[-1]
     assert abs(value - top) < 1e-12
@@ -126,8 +140,5 @@ def test_bell_operator_matches_kron(case):
     scenario = make_scenario(n, visibility)
     ineq = BellInequality(scenario=scenario,
                           coeffs={x: int(v) for x, v in zip(input_tuples(n), q)})
-    observables = {(i, t): Observable2(bloch=r)
-                   for i in range(1, n + 1)
-                   for t, r in zip(scenario.visible_tuples(i), tables[i - 1])}
-    op = bell_operator(ineq, observables)
+    op = bell_operator(ineq, tables)
     assert np.max(np.abs(op - oracles.kron_bell_operator(n, visibility, q, tables))) < 1e-12

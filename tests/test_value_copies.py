@@ -46,10 +46,10 @@ _ARRAYS = {
     CausalScenario: lambda v: [v.setting_index(), tuple_array(v.n)],
     BellInequality: lambda v: [v.coefficient_array(), v.sign_array()],
     CcpInstance: lambda v: [v.probability_vector()],
-    QuantumStrategy: lambda v: list(v.bloch_tables()),
+    QuantumStrategy: lambda v: list(v.bloch_tables),
     PureState: lambda v: [v.amplitudes],
     MixedState: lambda v: [v.matrix],
-    Observable2: lambda v: [v.bloch, v.matrix],
+    Observable2: lambda v: [v.bloch],
     DeterministicStrategy: lambda v: [v.output_array()],
     ResponseFunction: lambda v: [],
     MessageStrategy: lambda v: [],
