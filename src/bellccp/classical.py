@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sized
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,6 +40,7 @@ from .scenarios import (
     CcpInstance,
     FrozenTable,
     FrozenValue,
+    canonical_values,
     input_tuples,
     read_only,
     tuple_array,
@@ -77,17 +78,12 @@ class ResponseFunction(FrozenValue):
     table: Mapping
 
     def __post_init__(self):
-        table = dict(self.table)
-        arities = {len(key) for key in table}
-        if len(arities) != 1:
-            raise ValidationError(f"party {self.party} table keys have mixed lengths")
-        arity = arities.pop()
-        expected = input_tuples(arity)
-        if sorted(table) != sorted(expected):
-            raise ValidationError(f"party {self.party} table must cover all {2**arity} settings")
-        if any(v not in (-1, 1) for v in table.values()):
+        first = next(iter(self.table), ())
+        arity = len(first) if isinstance(first, Sized) else 0
+        outputs = canonical_values(self.table, arity, f"party {self.party} setting")
+        if any(v not in (-1, 1) for v in outputs):
             raise ValidationError(f"party {self.party} outputs must be +1 or -1")
-        object.__setattr__(self, "table", FrozenTable({t: int(table[t]) for t in expected}))
+        object.__setattr__(self, "table", FrozenTable(zip(input_tuples(arity), map(int, outputs))))
 
     @property
     def arity(self) -> int:

@@ -26,6 +26,7 @@ from .scenarios import (
     NAMED_INEQUALITIES,
     BellInequality,
     CausalScenario,
+    canonical_values,
     make_scenario,
     named_inequality,
 )
@@ -51,7 +52,7 @@ def scenario_from_config(config: dict) -> CausalScenario:
 def inequality_to_config(ineq: BellInequality) -> dict:
     if ineq.name in NAMED_INEQUALITIES:
         return {"name": ineq.name}
-    coeffs = [{"x": list(x), "q": q} for x, q in sorted(ineq.coeffs.items()) if q != 0]
+    coeffs = [{"x": list(x), "q": q} for x, q in ineq.coeffs.items() if q != 0]
     return {"scenario": scenario_to_config(ineq.scenario), "coeffs": coeffs}
 
 
@@ -131,27 +132,24 @@ def strategy_from_config(config: dict, scenario: CausalScenario) -> QuantumStrat
     else:
         raise ValidationError('strategy state must be "ghz", {"amplitudes": [[re, im], ...]} '
                               'or {"density": [[[re, im], ...], ...]}')
-    blochs = {}
+    blochs = {i: {} for i in range(1, scenario.n + 1)}
     for entry in config["observables"]:
         for key in ("party", "setting", "bloch"):
             if key not in entry:
                 raise ValidationError(f'observable entry missing key "{key}"')
-        key = (int(entry["party"]), tuple(int(v) for v in entry["setting"]))
-        if key in blochs:
-            raise ValidationError(f"two observable entries for party {key[0]}, setting {key[1]}")
-        blochs[key] = unit_bloch(entry["bloch"])
-    keys = {(i, t) for i in range(1, scenario.n + 1) for t in scenario.visible_tuples(i)}
-    if set(blochs) != keys:
-        raise ValidationError(
-            f"observable entries incomplete or mismatched (missing {sorted(keys - set(blochs))}, "
-            f"unexpected {sorted(set(blochs) - keys)})")
+        party, setting = entry["party"], tuple(entry["setting"])
+        if party not in blochs:
+            raise ValidationError(f"observable entries name unknown party {party!r}")
+        if setting in blochs[party]:
+            raise ValidationError(f"two observable entries for party {party}, setting {setting}")
+        blochs[party][setting] = unit_bloch(entry["bloch"])
+    tables = [np.array(canonical_values(table, scenario.arity(i), f"observable entries: party {i}"))
+              for i, table in blochs.items()]
     v = config.get("visibility_v")
     if v is not None:
         if not 0.0 <= float(v) <= 1.0:
             raise ValidationError(f"visibility_v must lie in [0, 1], got {v}")
         state = depolarize(state, float(v))
-    tables = [np.array([blochs[(i, t)] for t in scenario.visible_tuples(i)])
-              for i in range(1, scenario.n + 1)]
     return QuantumStrategy(scenario=scenario, state=state, bloch_tables=tables)
 
 

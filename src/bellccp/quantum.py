@@ -47,7 +47,7 @@ from .scenarios import (
     BellInequality,
     CausalScenario,
     FrozenTable,
-    _validate_entries,
+    canonical_values,
     gyni_scenario,
     input_tuples,
     read_only,
@@ -152,12 +152,10 @@ def correlator_table(strategy: QuantumStrategy) -> dict[tuple[int, ...], float]:
 
 
 def bell_value(table: dict, ineq: BellInequality) -> float:
-    """Weighted sum of correlators: sum_x Q(x) E(x)."""
+    """Weighted sum of correlators: sum_x Q(x) E(x), over every input tuple."""
     total = 0.0
-    for x, q in ineq.coeffs.items():
-        if x not in table:
-            raise ValidationError(f"correlator table is missing tuple {x}")
-        total += q * table[x]
+    for q, value in zip(ineq.coeffs.values(), canonical_values(table, ineq.n, "correlator tuple")):
+        total += q * value
     return float(total)
 
 
@@ -192,9 +190,9 @@ def outcome_distribution(strategy: QuantumStrategy, x) -> dict[tuple[int, ...], 
     """
     scenario = strategy.scenario
     n = scenario.n
-    x = _validate_entries(x, n, "input tuple")
     projectors = []
-    for table, row in zip(strategy.bloch_tables, scenario.setting_index()[:, tuple_index(x)]):
+    for table, row in zip(strategy.bloch_tables,
+                          scenario.setting_index()[:, tuple_index(x, n, "input tuple")]):
         r = table[row]
         matrix = r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z
         projectors.append({a: (IDENTITY_2 + a * matrix) / 2.0 for a in (-1, 1)})

@@ -4,7 +4,9 @@ A causal scenario records which inputs each party's output may depend on.
 Parties are numbered 1..n and each party always sees its own input first.
 Input tuples are vectors in {-1, +1}^n, enumerated lexicographically with
 x_1 most significant and -1 ordered before +1; that order fixes table
-indexing everywhere (files, enumeration, sampling).
+indexing everywhere (files, enumeration, sampling). Every +/-1-keyed table
+enters it through :func:`tuple_index`: length n, each entry equal to +1 or
+-1 (1.0 and NumPy integers pass; 1.5 and "1" do not).
 
 An inequality is a coefficient table Q over all input tuples together with
 its normalizer Gamma = sum |Q|. The associated distributed game asks every
@@ -19,6 +21,7 @@ and each y_i a fair coin.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -103,21 +106,32 @@ def tuple_array(n: int) -> np.ndarray:
     return read_only(np.array(input_tuples(n), dtype=np.int8).reshape(2**n, n))
 
 
-def tuple_index(x: tuple[int, ...]) -> int:
-    """Position of a +/-1 tuple in the canonical order."""
-    idx = 0
+def tuple_index(x, n: int, what: str) -> int:
+    """Canonical position of x; ``ValidationError`` unless x is a +/-1 tuple of length n."""
+    try:
+        length = len(x)
+    except TypeError:
+        raise ValidationError(f"{what} must be a tuple of +1/-1 entries, got {x!r}") from None
+    if length != n:
+        raise ValidationError(f"{what} must have length {n}, got {length}")
+    index = 0
     for value in x:
-        idx = 2 * idx + (1 if value == 1 else 0)
-    return idx
+        if value != 1 and value != -1:
+            raise ValidationError(f"{what} entries must be +1 or -1, got {tuple(x)}")
+        index = 2 * index + (1 if value == 1 else 0)
+    return index
 
 
-def _validate_entries(x, n: int, what: str) -> tuple[int, ...]:
-    out = tuple(int(v) for v in x)
-    if len(out) != n:
-        raise ValidationError(f"{what} must have length {n}, got {len(out)}")
-    if any(v not in (-1, 1) for v in out):
-        raise ValidationError(f"{what} entries must be +1 or -1, got {out}")
-    return out
+def canonical_values(table: Mapping, n: int, what: str, fill=None) -> list:
+    """Values of a table keyed by +/-1 tuples of length n, in canonical order.
+    An absent tuple takes ``fill``; with ``fill=None`` none may be absent."""
+    values = [fill] * 2**n
+    for x, value in table.items():
+        values[tuple_index(x, n, what)] = value
+    missing = [x for x, v in zip(input_tuples(n), values) if v is None] if fill is None else []
+    if missing:
+        raise ValidationError(f"{what} table is missing {missing}")
+    return values
 
 
 @lru_cache(maxsize=256)
@@ -198,20 +212,16 @@ class BellInequality(FrozenValue):
 
     def __post_init__(self):
         n = self.scenario.n
-        table: dict[tuple[int, ...], float] = {}
-        for x in input_tuples(n):
-            table[x] = 0
-        for x, q in self.coeffs.items():
-            key = _validate_entries(x, n, "coefficient tuple")
-            if not isinstance(q, Real) or not np.isfinite(float(q)):
-                raise ValidationError(f"coefficient Q{key} must be a finite real, got {q!r}")
-            table[key] = int(q) if isinstance(q, Integral) or float(q).is_integer() else float(q)
-        gamma = sum(abs(q) for q in table.values())
+        values = canonical_values(self.coeffs, n, "coefficient tuple", 0)
+        for k, (x, q) in enumerate(zip(input_tuples(n), values)):
+            if not isinstance(q, Real) or not math.isfinite(q):
+                raise ValidationError(f"coefficient Q{x} must be a finite real, got {q!r}")
+            values[k] = int(q) if isinstance(q, Integral) or float(q).is_integer() else float(q)
+        gamma = sum(abs(q) for q in values)
         if gamma <= 0:
             raise ValidationError("all coefficients are zero; the inequality is empty")
-        object.__setattr__(self, "coeffs", FrozenTable(table))
+        object.__setattr__(self, "coeffs", FrozenTable(zip(input_tuples(n), values)))
         object.__setattr__(self, "gamma", gamma)
-        values = list(table.values())
         dtype = np.int64 if all(isinstance(q, Integral) for q in values) else float
         array = read_only(np.array(values, dtype=dtype))
         object.__setattr__(self, "_coefficient_array", array)
@@ -235,18 +245,17 @@ class BellInequality(FrozenValue):
         return self._sign_array
 
 
-def input_distribution(ineq: BellInequality) -> dict[tuple[int, ...], float]:
-    """q*(x) = |Q(x)| / Gamma; a valid distribution whenever Gamma > 0."""
-    gamma = ineq.gamma
-    return {x: abs(q) / gamma for x, q in ineq.coeffs.items()}
+def input_distribution(ineq: BellInequality) -> Mapping:
+    """q*(x) = |Q(x)| / Gamma by input tuple: the read-only table of the
+    default :class:`CcpInstance`."""
+    return CcpInstance(inequality=ineq).input_distribution
 
 
 def target_function(ineq: BellInequality, x, y) -> int:
     """f(x, y) = prod(y) * sign(Q(x)), valued in {-1, +1}."""
-    n = ineq.n
-    x = _validate_entries(x, n, "x")
-    y = _validate_entries(y, n, "y")
-    return int(np.prod(y) * ineq.sign_array()[tuple_index(x)])
+    k = tuple_index(x, ineq.n, "x")
+    tuple_index(y, ineq.n, "y")
+    return int(np.prod(y) * ineq.sign_array()[k])
 
 
 @dataclass(frozen=True)
@@ -258,22 +267,21 @@ class CcpInstance(FrozenValue):
     input_distribution: Mapping | None = None
 
     def __post_init__(self):
-        dist = self.input_distribution
+        ineq, dist = self.inequality, self.input_distribution
+        tuples = input_tuples(ineq.n)
         if dist is None:
-            dist = input_distribution(self.inequality)
-        n = self.inequality.n
-        table = {}
-        total = 0.0
-        for x in input_tuples(n):
-            p = float(dist.get(x, 0.0))
-            if p < 0:
-                raise ValidationError(f"probability of {x} is negative: {p}")
-            table[x] = p
-            total += p
-        if abs(total - 1.0) > 1e-12:
-            raise ValidationError(f"input distribution sums to {total}, not 1")
-        object.__setattr__(self, "input_distribution", FrozenTable(table))
-        object.__setattr__(self, "_probability_vector", read_only(np.array(list(table.values()))))
+            vector = np.abs(ineq.coefficient_array()) / ineq.gamma
+        else:
+            vector = np.array(canonical_values(dist, ineq.n, "input tuple", 0.0), dtype=float)
+            total = 0.0
+            for x, p in zip(tuples, vector.tolist()):
+                if not p >= 0:
+                    raise ValidationError(f"probability of {x} must be non-negative, got {p}")
+                total += p
+            if abs(total - 1.0) > 1e-12:
+                raise ValidationError(f"input distribution sums to {total}, not 1")
+        object.__setattr__(self, "input_distribution", FrozenTable(zip(tuples, vector.tolist())))
+        object.__setattr__(self, "_probability_vector", read_only(vector))
 
     def probability_vector(self) -> np.ndarray:
         """The input distribution in canonical tuple order. Computed once,
