@@ -29,6 +29,7 @@ from .scenarios import (
     canonical_values,
     make_scenario,
     named_inequality,
+    tuple_index,
 )
 
 
@@ -49,6 +50,13 @@ def scenario_from_config(config: dict) -> CausalScenario:
     return make_scenario(config["n"], config["visibility"])
 
 
+def _sign_key(value, n: int, what: str) -> tuple:
+    """A config's +/-1 list as a table key. It passes ``tuple_index`` first,
+    so a number, a wrong length or a non-sign entry raises ``ValidationError``."""
+    tuple_index(value, n, what)
+    return tuple(value)
+
+
 def inequality_to_config(ineq: BellInequality) -> dict:
     if ineq.name in NAMED_INEQUALITIES:
         return {"name": ineq.name}
@@ -67,7 +75,10 @@ def inequality_from_config(config: dict) -> BellInequality:
     for entry in config["coeffs"]:
         if "x" not in entry or "q" not in entry:
             raise ValidationError('each coefficient entry needs keys "x" and "q"')
-        coeffs[tuple(entry["x"])] = entry["q"]
+        x = _sign_key(entry["x"], scenario.n, "coefficient entry x")
+        if x in coeffs:
+            raise ValidationError(f"two coefficient entries for x = {x}")
+        coeffs[x] = entry["q"]
     return BellInequality(scenario=scenario, coeffs=coeffs)
 
 
@@ -137,9 +148,12 @@ def strategy_from_config(config: dict, scenario: CausalScenario) -> QuantumStrat
         for key in ("party", "setting", "bloch"):
             if key not in entry:
                 raise ValidationError(f'observable entry missing key "{key}"')
-        party, setting = entry["party"], tuple(entry["setting"])
-        if party not in blochs:
+        party = entry["party"]
+        # A range test, unlike a dict lookup, cannot fail on an unhashable party.
+        if party not in range(1, scenario.n + 1):
             raise ValidationError(f"observable entries name unknown party {party!r}")
+        setting = _sign_key(entry["setting"], scenario.arity(int(party)),
+                            f"observable entries: party {party} setting")
         if setting in blochs[party]:
             raise ValidationError(f"two observable entries for party {party}, setting {setting}")
         blochs[party][setting] = unit_bloch(entry["bloch"])

@@ -458,6 +458,43 @@ def test_inequality_from_config_rejects_bad_docs():
                                 "coeffs": [{"x": [1, 1]}]})
 
 
+@pytest.mark.parametrize("first_x", [[1, 1], [1.0, 1]])
+def test_repeated_coefficient_entry_rejected(first_x):
+    config = {"scenario": {"n": 2, "visibility": [[1], [2]]},
+              "coeffs": [{"x": first_x, "q": 1}, {"x": [-1, 1], "q": 2}, {"x": [1, 1], "q": 5}]}
+    with pytest.raises(ValidationError, match=r"two coefficient entries for x = \(1, 1\)"):
+        inequality_from_config(config)
+
+
+def _strategy_file_with(tmp_path, **edit):
+    config = strategy_to_config(canonical_strategy("gyni-paper"))
+    config["observables"][0].update(edit)
+    path = tmp_path / "strategy.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+@pytest.mark.parametrize("loader", ["inequality-x", "observable-setting", "observable-party"])
+def test_keys_that_are_not_lists_end_in_an_error_line(tmp_path, capsys, loader):
+    if loader == "inequality-x":
+        path = tmp_path / "ineq.json"
+        path.write_text(json.dumps({"scenario": {"n": 2, "visibility": [[1], [2]]},
+                                    "coeffs": [{"x": 5, "q": 1}]}))
+        argv, expected = ["bound", "--ineq", str(path)], "coefficient entry x must be a tuple"
+    elif loader == "observable-setting":
+        path = _strategy_file_with(tmp_path, setting=3)
+        argv = ["eval", "--ineq", "gyni", "--strategy", str(path)]
+        expected = "party 1 setting must be a tuple"
+    else:
+        path = _strategy_file_with(tmp_path, party=[1])
+        argv = ["eval", "--ineq", "gyni", "--strategy", str(path)]
+        expected = "unknown party [1]"
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and expected in err
+
+
 def test_threads_flag_rejected(capsys):
     code, out, err = run_cli(capsys, "bound", "--ineq", "chsh", "--threads", "4")
     assert code == 1

@@ -76,6 +76,37 @@ def test_tensor_product_order_and_errors():
         tensor_product([])
     with pytest.raises(ValidationError):
         tensor_product([np.eye(3)])
+    with pytest.raises(ValidationError):
+        tensor_product([SIGMA_X, SIGMA_Z, np.eye(3)])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_tensor_product_equals_the_kron_chain_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        factors = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+        got = tensor_product(list(factors))
+        assert got.shape == (2**n, 2**n)
+        assert np.array_equal(got, oracles.kron_chain(factors))
+
+
+def _random_density_matrix(rng, dim):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_mixed_expectation_matches_the_trace_of_the_product(n):
+    rng = np.random.default_rng(10 + n)
+    dim = 2**n
+    for _ in range(5):
+        state = MixedState(_random_density_matrix(rng, dim))
+        h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        op = h + h.conj().T
+        op /= np.linalg.norm(op, 2)          # |Tr[rho op]| <= 1, as for a Born-rule projector
+        want = np.trace(state.matrix @ op).real
+        assert abs(expectation(state, op) - want) <= 1e-15
 
 
 def test_ghz_state():
@@ -124,14 +155,14 @@ def test_depolarize_limits_and_linearity():
 
 
 def test_expectation_errors():
-    state = ghz_state(2)
-    with pytest.raises(ValidationError):
-        expectation(state, np.eye(8))
     # Non-Hermitian operator leaves a large imaginary residue.
     skew = np.zeros((4, 4), dtype=complex)
     skew[0, 3] = 1.0j
-    with pytest.raises(NumericError):
-        expectation(state, skew)
+    for state in (ghz_state(2), MixedState(_random_density_matrix(np.random.default_rng(3), 4))):
+        with pytest.raises(ValidationError):
+            expectation(state, np.eye(8))
+        with pytest.raises(NumericError):
+            expectation(state, skew)
 
 
 def test_state_validation():

@@ -1,15 +1,16 @@
 """Property tests: the Pauli-tensor paths and the Born rule against dense
 Kronecker oracles.
 
-Scenarios, states and Bloch vectors are random with n <= 4. Every expected
-value comes from ``oracles``, which builds the 2^n x 2^n operators with raw
-numpy.
+Scenarios, states and Bloch vectors are random with n <= 4; the outcome
+rows also run on fixed pure and mixed cases at n = 5, the largest size
+``bellccp verify`` meets in the benchmark. Every expected value comes from
+``oracles``, which builds the 2^n x 2^n operators with raw numpy.
 """
 
 import itertools
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bellccp import (BellInequality, MixedState, PureState, QuantumStrategy, correlator_table,
                      outcome_distribution)
@@ -33,17 +34,15 @@ def scenarios(draw):
     return n, visibility
 
 
-@st.composite
-def cases(draw):
-    """A scenario, a pure or mixed state, Bloch tables and coefficients."""
-    n, visibility = draw(scenarios())
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def make_case(n, visibility, seed, rank=None):
+    """(n, visibility, state, tables, q) from a seed: a pure state when
+    ``rank`` is None, else a random density matrix of that rank."""
+    rng = np.random.default_rng(seed)
     dim = 2**n
-    if draw(st.booleans()):
+    if rank is None:
         amplitudes = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         state = PureState(amplitudes / np.linalg.norm(amplitudes))
     else:
-        rank = draw(st.integers(1, dim))
         g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
         rho = g @ g.conj().T
         state = MixedState(rho / np.trace(rho).real)
@@ -54,6 +53,21 @@ def cases(draw):
     q = rng.integers(-3, 4, size=dim)
     q[0] = q[0] or 1            # keep the inequality non-empty
     return n, visibility, state, tables, q
+
+
+@st.composite
+def cases(draw):
+    """A scenario, a pure or mixed state, Bloch tables and coefficients."""
+    n, visibility = draw(scenarios())
+    seed = draw(st.integers(0, 2**32 - 1))
+    rank = None if draw(st.booleans()) else draw(st.integers(1, 2**n))
+    return make_case(n, visibility, seed, rank)
+
+
+# Five parties; each sees its own input and its left neighbour's (ring), or
+# parties 1-2 and 3-4 see each other's and party 5 only its own (exchange).
+RING_5 = [(1, 5), (2, 1), (3, 2), (4, 3), (5, 4)]
+EXCHANGE_5 = [(1, 2), (2, 1), (3, 4), (4, 3), (5,)]
 
 
 @PROPERTY_SETTINGS
@@ -82,6 +96,9 @@ def test_correlator_table_matches_kron(case):
 
 @PROPERTY_SETTINGS
 @given(cases())
+@example(make_case(5, RING_5, seed=5))
+@example(make_case(5, RING_5, seed=5, rank=3))
+@example(make_case(5, EXCHANGE_5, seed=6, rank=32))
 def test_outcome_rows_match_the_kron_born_rule(case):
     n, visibility, state, tables, _q = case
     strategy = QuantumStrategy(scenario=make_scenario(n, visibility), state=state,
