@@ -33,11 +33,33 @@ from .scenarios import (
 )
 
 
-def read_json(path) -> dict:
+_KIND_NAMES = {dict: "an object", list: "a list", str: "a string", (int, float): "a number"}
+
+
+def _field(doc, key: str, kind, what: str):
+    """``doc[key]`` once ``doc`` is a JSON object that holds ``key`` with a
+    value of type ``kind`` (``object`` for any); ``ValidationError``
+    otherwise, naming ``what`` the document is."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {doc!r}")
+    if key not in doc:
+        raise ValidationError(f'{what} needs key "{key}"')
+    value = doc[key]
+    if not isinstance(value, kind):
+        raise ValidationError(f'{what} "{key}" must be {_KIND_NAMES[kind]}, got {value!r}')
+    return value
+
+
+def read_json(path, wrapper: str) -> dict:
+    """The JSON document in a file, or the object under its ``wrapper`` key.
+    The loaders check the document's shape."""
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+    if isinstance(doc, dict) and wrapper in doc:
+        return _field(doc, wrapper, dict, str(path))
+    return doc
 
 
 def scenario_to_config(scenario: CausalScenario) -> dict:
@@ -45,9 +67,14 @@ def scenario_to_config(scenario: CausalScenario) -> dict:
 
 
 def scenario_from_config(config: dict) -> CausalScenario:
-    if not isinstance(config, dict) or "n" not in config or "visibility" not in config:
-        raise ValidationError('scenario config needs keys "n" and "visibility"')
-    return make_scenario(config["n"], config["visibility"])
+    n = _field(config, "n", object, "scenario config")
+    visibility = _field(config, "visibility", list, "scenario config")
+    for group in visibility:
+        if not isinstance(group, list) or not all(
+                isinstance(j, int) or isinstance(j, float) and j.is_integer() for j in group):
+            raise ValidationError(f"scenario visibility entries must be lists of party "
+                                  f"indices, got {group!r}")
+    return make_scenario(n, visibility)
 
 
 def _sign_key(value, n: int, what: str) -> tuple:
@@ -65,20 +92,17 @@ def inequality_to_config(ineq: BellInequality) -> dict:
 
 
 def inequality_from_config(config: dict) -> BellInequality:
-    if "name" in config:
-        return named_inequality(config["name"])
-    if "scenario" not in config or "coeffs" not in config:
-        raise ValidationError(
-            'inequality config needs "name", or "scenario" plus "coeffs"')
-    scenario = scenario_from_config(config["scenario"])
+    what = 'inequality config (a "name", or a "scenario" and "coeffs")'
+    if isinstance(config, dict) and "name" in config:
+        return named_inequality(_field(config, "name", str, what))
+    scenario = scenario_from_config(_field(config, "scenario", object, what))
     coeffs = {}
-    for entry in config["coeffs"]:
-        if "x" not in entry or "q" not in entry:
-            raise ValidationError('each coefficient entry needs keys "x" and "q"')
-        x = _sign_key(entry["x"], scenario.n, "coefficient entry x")
+    for entry in _field(config, "coeffs", list, what):
+        x = _sign_key(_field(entry, "x", object, "coefficient entry"), scenario.n,
+                      "coefficient entry x")
         if x in coeffs:
             raise ValidationError(f"two coefficient entries for x = {x}")
-        coeffs[x] = entry["q"]
+        coeffs[x] = _field(entry, "q", object, "coefficient entry")
     return BellInequality(scenario=scenario, coeffs=coeffs)
 
 
@@ -93,10 +117,7 @@ def load_inequality(source) -> BellInequality:
         return named_inequality(name)
     path = Path(name)
     if path.exists():
-        config = read_json(path)
-        if "inequality" in config:
-            config = config["inequality"]
-        return inequality_from_config(config)
+        return inequality_from_config(read_json(path, "inequality"))
     raise ValidationError(
         f"{name!r} is neither a known inequality name {sorted(NAMED_INEQUALITIES)} "
         "nor an existing config file")
@@ -127,41 +148,64 @@ def _observable_entries(strategy: QuantumStrategy) -> list[dict]:
             for setting, r in zip(scenario.visible_tuples(i), table.tolist())]
 
 
-def strategy_from_config(config: dict, scenario: CausalScenario) -> QuantumStrategy:
-    if "name" in config:
-        return canonical_strategy(config["name"])
-    if "state" not in config or "observables" not in config:
-        raise ValidationError('strategy config needs "state" and "observables" (or "name")')
-    spec = config["state"]
+def _floats(values, what: str) -> list[float]:
+    """A JSON list of numbers as floats."""
+    if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
+        raise ValidationError(f"{what} must be a list of numbers, got {values!r}")
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        raise ValidationError(f"{what} has an entry too large for a float") from None
+
+
+def _complex_array(pairs, what: str) -> np.ndarray:
+    """A JSON list of [re, im] number pairs as a complex array."""
+    if not isinstance(pairs, list):
+        raise ValidationError(f"{what} must be a list of [re, im] pairs, got {pairs!r}")
+    values = [_floats(pair, f"{what} entry") for pair in pairs]
+    if any(len(pair) != 2 for pair in values):
+        raise ValidationError(f"{what} entries must be [re, im] pairs")
+    return np.array([complex(re, im) for re, im in values], dtype=complex)
+
+
+def _state_from_config(spec, n: int) -> PureState | MixedState:
     if spec == "ghz":
-        state = ghz_state(scenario.n)
-    elif isinstance(spec, dict) and "amplitudes" in spec:
-        state = PureState(np.array([complex(re, im) for re, im in spec["amplitudes"]]))
-    elif isinstance(spec, dict) and "density" in spec:
-        state = MixedState(np.array([[complex(re, im) for re, im in row]
-                                     for row in spec["density"]]))
-    else:
-        raise ValidationError('strategy state must be "ghz", {"amplitudes": [[re, im], ...]} '
-                              'or {"density": [[[re, im], ...], ...]}')
+        return ghz_state(n)
+    if isinstance(spec, dict) and "amplitudes" in spec:
+        return PureState(_complex_array(spec["amplitudes"], "strategy state amplitudes"))
+    if isinstance(spec, dict) and "density" in spec:
+        rows = _field(spec, "density", list, "strategy state")
+        matrix = [_complex_array(row, "strategy state density row") for row in rows]
+        if any(len(row) != len(rows) for row in matrix):
+            raise ValidationError("strategy state density must be a square list of rows")
+        return MixedState(np.array(matrix, dtype=complex).reshape(len(rows), len(rows)))
+    raise ValidationError('strategy state must be "ghz", {"amplitudes": [[re, im], ...]} '
+                          'or {"density": [[[re, im], ...], ...]}')
+
+
+def strategy_from_config(config: dict, scenario: CausalScenario) -> QuantumStrategy:
+    what = 'strategy config (a "name", or a "state" and "observables")'
+    if isinstance(config, dict) and "name" in config:
+        return canonical_strategy(_field(config, "name", str, what))
+    state = _state_from_config(_field(config, "state", object, what), scenario.n)
     blochs = {i: {} for i in range(1, scenario.n + 1)}
-    for entry in config["observables"]:
-        for key in ("party", "setting", "bloch"):
-            if key not in entry:
-                raise ValidationError(f'observable entry missing key "{key}"')
-        party = entry["party"]
+    for entry in _field(config, "observables", list, what):
+        party = _field(entry, "party", object, "observable entry")
         # A range test, unlike a dict lookup, cannot fail on an unhashable party.
         if party not in range(1, scenario.n + 1):
             raise ValidationError(f"observable entries name unknown party {party!r}")
-        setting = _sign_key(entry["setting"], scenario.arity(int(party)),
+        setting = _sign_key(_field(entry, "setting", object, "observable entry"),
+                            scenario.arity(int(party)),
                             f"observable entries: party {party} setting")
         if setting in blochs[party]:
             raise ValidationError(f"two observable entries for party {party}, setting {setting}")
-        blochs[party][setting] = unit_bloch(entry["bloch"])
+        blochs[party][setting] = unit_bloch(
+            _floats(_field(entry, "bloch", object, "observable entry"), "observable entry bloch"))
     tables = [np.array(canonical_values(table, scenario.arity(i), f"observable entries: party {i}"))
               for i, table in blochs.items()]
-    v = config.get("visibility_v")
-    if v is not None:
-        if not 0.0 <= float(v) <= 1.0:
+    if config.get("visibility_v") is not None:
+        v = _field(config, "visibility_v", (int, float), what)
+        if not 0 <= v <= 1:
             raise ValidationError(f"visibility_v must lie in [0, 1], got {v}")
         state = depolarize(state, float(v))
     return QuantumStrategy(scenario=scenario, state=state, bloch_tables=tables)
@@ -178,10 +222,7 @@ def load_strategy(source, scenario: CausalScenario) -> QuantumStrategy:
         return canonical_strategy(name)
     path = Path(name)
     if path.exists():
-        config = read_json(path)
-        if "strategy" in config:
-            config = config["strategy"]
-        return strategy_from_config(config, scenario)
+        return strategy_from_config(read_json(path, "strategy"), scenario)
     raise ValidationError(
         f"{name!r} is neither a preset strategy {CANONICAL_STRATEGY_NAMES} "
         "nor an existing config file")

@@ -7,8 +7,9 @@ from the state's Pauli correlation tensor T (see :func:`qubits.pauli_tensor`):
 E(x) is the contraction of T's traceless block with the parties' Bloch
 vectors at x, done for all input tuples, and for a batch of strategies, at
 once by :func:`correlations`. The joint outcome distribution stays on the
-Born rule with the projectors (I + a r . sigma) / 2, outcome by outcome, so
-it checks the correlators independently.
+Born rule, so it checks the correlators independently: each row is the
+state read against the projectors onto the parties' product eigenbasis,
+all 2^n outcomes in one stacked :func:`qubits.expectation` call.
 
 The canonical presets are the optimal GHZ-state strategies for the ring
 (guess-your-neighbour) and Svetlichny structures, attaining 8 cos(pi/8)
@@ -28,10 +29,7 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .qubits import (
     ATOL,
-    IDENTITY_2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
+    PAULIS,
     MixedState,
     Observable2,
     PureState,
@@ -54,6 +52,10 @@ from .scenarios import (
     svetlichny_scenario,
     tuple_index,
 )
+
+# sigma_x, sigma_y, sigma_z as the rows of a (3, 4) matrix: the rows of
+# r @ _PAULI_ROWS are the flattened r . sigma.
+_PAULI_ROWS = np.stack(PAULIS).reshape(3, 4)
 
 # Mixing weight at which the ideal ring value 7.3909 degrades to 7.023.
 EXPERIMENT_VISIBILITY = 0.9502
@@ -183,32 +185,33 @@ def success_probability(bell_value: float, gamma: float) -> float:
 def outcome_distribution(strategy: QuantumStrategy, x) -> dict[tuple[int, ...], float]:
     """Joint probability of every +/-1 outcome tuple at input x.
 
-    Probabilities are Born-rule expectations of tensor products of the
-    outcome projectors (I + a r . sigma) / 2, each party's two built once
-    from its Bloch vector r at x; tiny negative values from roundoff are
-    zeroed. Keys come in the canonical tuple order.
+    One Born rule for the whole row. ``eigh`` of the parties' r . sigma at x
+    gives each party's outcome basis, eigenvalue -1 first as in the
+    canonical order. Column a of their :func:`qubits.tensor_product` is the
+    product basis vector |e_a>, and one :func:`qubits.expectation` call
+    reads all 2^n probabilities off the stack of projectors |e_a><e_a|.
+    Tiny negative values from roundoff are zeroed. Keys come in the
+    canonical tuple order.
     """
     scenario = strategy.scenario
     n = scenario.n
-    projectors = []
-    for table, row in zip(strategy.bloch_tables,
-                          scenario.setting_index()[:, tuple_index(x, n, "input tuple")]):
-        r = table[row]
-        matrix = r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z
-        projectors.append({a: (IDENTITY_2 + a * matrix) / 2.0 for a in (-1, 1)})
-    dist = {}
-    total = 0.0
-    for a in input_tuples(n):
-        op = tensor_product([pair[a_i] for pair, a_i in zip(projectors, a)])
-        p = expectation(strategy.state, op)
-        if p < -ATOL:
-            raise NumericError(f"outcome probability {p} at {x=}, {a=} is negative")
-        p = max(0.0, p)
-        dist[a] = p
-        total += p
+    rows = scenario.setting_index()[:, tuple_index(x, n, "input tuple")]
+    bloch = np.array([table[row] for table, row in zip(strategy.bloch_tables, rows)])
+    _, bases = np.linalg.eigh((bloch @ _PAULI_ROWS).reshape(n, 2, 2))
+    # Row a is |e_a>, contiguous so that the projector stack is too.
+    vectors = np.ascontiguousarray(tensor_product(bases).T)
+    projectors = vectors[:, :, None] * vectors.conj()[:, None, :]
+    probabilities = expectation(strategy.state, projectors)
+    outcomes = input_tuples(n)
+    if probabilities.min() < -ATOL:
+        k = int(np.argmin(probabilities))
+        raise NumericError(f"outcome probability {probabilities[k]} at {x=}, "
+                           f"a={outcomes[k]} is negative")
+    probabilities = np.maximum(probabilities, 0.0)
+    total = float(probabilities.sum())
     if abs(total - 1.0) > ATOL:
         raise NumericError(f"outcome probabilities at {x} sum to {total}")
-    return dist
+    return dict(zip(outcomes, probabilities.tolist()))
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)

@@ -248,27 +248,36 @@ def pauli_tensor(state: PureState | MixedState) -> np.ndarray:
     return real
 
 
-def expectation(state: PureState | MixedState, op: np.ndarray) -> float:
-    """<psi|op|psi> or Tr[rho op] as a real number.
+def expectation(state: PureState | MixedState, op: np.ndarray) -> float | np.ndarray:
+    """<psi|op|psi> or Tr[rho op] as a real number, or one per operator of a
+    stack.
 
-    Tr[rho op] is the O(d^2) contraction sum_ij rho[i, j] op[j, i]; the
-    O(d^3) product rho @ op is never formed. A leftover imaginary part above
-    1e-6 signals an inconsistent operator (non-Hermitian input) and raises;
-    smaller residue is discarded.
+    ``op`` is one (d, d) operator, which gives a Python float, or a stack of
+    k of them, shape (k, d, d), which gives k reals in one float array. The
+    stack is made contiguous and read by one matvec. For a pure state that
+    is op psi for every operator at once, then one product with psi*. For a
+    mixed state it is the O(d^2) contraction sum_ij rho[i, j] op[j, i] of
+    each flattened operator against rho^T; the O(d^3) product rho @ op is
+    never formed. A leftover imaginary part above 1e-6 in any entry signals
+    an inconsistent operator (non-Hermitian input) and raises; smaller
+    residue is discarded.
     """
     op = np.asarray(op, dtype=complex)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ValidationError(f"operator must be square, got shape {op.shape}")
-    if isinstance(state, PureState):
-        if op.shape[0] != state.dim:
-            raise ValidationError(f"operator dim {op.shape[0]} != state dim {state.dim}")
-        value = complex(state.amplitudes.conj() @ (op @ state.amplitudes))
-    elif isinstance(state, MixedState):
-        if op.shape[0] != state.dim:
-            raise ValidationError(f"operator dim {op.shape[0]} != state dim {state.dim}")
-        value = complex(np.einsum("ij,ji->", state.matrix, op))
-    else:
+    if op.ndim not in (2, 3) or op.shape[-1] != op.shape[-2]:
+        raise ValidationError(f"operator must be square, or a stack of square ones, "
+                              f"got shape {op.shape}")
+    if not isinstance(state, (PureState, MixedState)):
         raise ValidationError(f"unsupported state type {type(state).__name__}")
-    if abs(value.imag) > 1e-6:
-        raise NumericError(f"expectation has imaginary residue {value.imag}")
-    return float(value.real)
+    dim = state.dim
+    if op.shape[-1] != dim:
+        raise ValidationError(f"operator dim {op.shape[-1]} != state dim {dim}")
+    stack = np.ascontiguousarray(op).reshape(-1, dim, dim)
+    if isinstance(state, PureState):
+        psi = state.amplitudes
+        values = (stack.reshape(-1, dim) @ psi).reshape(-1, dim) @ psi.conj()
+    else:
+        values = stack.reshape(-1, dim * dim) @ state.matrix.T.ravel()
+    residue = float(np.max(np.abs(values.imag), initial=0.0))
+    if residue > 1e-6:
+        raise NumericError(f"expectation has imaginary residue {residue}")
+    return float(values[0].real) if op.ndim == 2 else values.real.copy()

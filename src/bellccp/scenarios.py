@@ -21,7 +21,6 @@ and each y_i a fair coin.
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -32,6 +31,10 @@ import numpy as np
 from .errors import ValidationError
 
 MAX_PARTIES = 6
+
+# Bound on |Q(x)|: integer coefficients stay exact as floats, and a signed
+# sum of 2^MAX_PARTIES of them cannot overflow int64.
+COEFFICIENT_LIMIT = 2**53
 
 
 class FrozenTable(Mapping):
@@ -156,7 +159,8 @@ class CausalScenario(FrozenValue):
 
     def __post_init__(self):
         if not isinstance(self.n, Integral) or not 2 <= self.n <= MAX_PARTIES:
-            raise ValidationError(f"party count must be an integer in [2, {MAX_PARTIES}], got {self.n}")
+            raise ValidationError(f"party count must be an integer in [2, {MAX_PARTIES}], "
+                                  f"got {self.n!r}")
         vis = tuple(tuple(int(j) for j in group) for group in self.visibility)
         if len(vis) != self.n:
             raise ValidationError(f"need one visibility list per party, got {len(vis)} for n={self.n}")
@@ -201,7 +205,8 @@ class BellInequality(FrozenValue):
 
     ``coeffs`` is stored read-only, with every input tuple in canonical
     order (absent tuples as 0). Integer coefficients are kept as Python
-    ints so sums over them (the classical bound, Gamma) stay exact.
+    ints so sums over them (the classical bound, Gamma) stay exact; each
+    |Q(x)| must be below ``COEFFICIENT_LIMIT``, so those sums also fit int64.
     ``gamma`` is derived, always sum |Q|, and is not a constructor argument.
     """
 
@@ -214,8 +219,9 @@ class BellInequality(FrozenValue):
         n = self.scenario.n
         values = canonical_values(self.coeffs, n, "coefficient tuple", 0)
         for k, (x, q) in enumerate(zip(input_tuples(n), values)):
-            if not isinstance(q, Real) or not math.isfinite(q):
-                raise ValidationError(f"coefficient Q{x} must be a finite real, got {q!r}")
+            if not isinstance(q, Real) or not abs(q) < COEFFICIENT_LIMIT:
+                raise ValidationError(f"coefficient Q{x} must be a finite real below 2^53 "
+                                      f"in magnitude, got {q!r}")
             values[k] = int(q) if isinstance(q, Integral) or float(q).is_integer() else float(q)
         gamma = sum(abs(q) for q in values)
         if gamma <= 0:

@@ -495,6 +495,55 @@ def test_keys_that_are_not_lists_end_in_an_error_line(tmp_path, capsys, loader):
     assert err.startswith("error: ") and expected in err
 
 
+_GYNI_FULL = {"scenario": {"n": 3, "visibility": [[1, 3], [2, 1], [3, 2]]},
+              "coeffs": [{"x": [1, 1, 1], "q": 1}]}
+
+
+@pytest.mark.parametrize("doc, expected", [
+    (dict(_GYNI_FULL, coeffs=5), '"coeffs" must be a list, got 5'),
+    (dict(_GYNI_FULL, coeffs=[5]), "coefficient entry must be a JSON object, got 5"),
+    (dict(_GYNI_FULL, scenario={"n": 3, "visibility": 3}), '"visibility" must be a list, got 3'),
+    (dict(_GYNI_FULL, scenario={"n": "3", "visibility": [[1], [2], [3]]}),
+     "party count must be an integer in [2, 6], got '3'"),
+    (5, "must be a JSON object, got 5"),
+    ({"inequality": 5}, '"inequality" must be an object, got 5'),
+], ids=["coeffs-number", "coeffs-list-of-number", "visibility-number", "n-string",
+        "bare-number", "wrapped-number"])
+def test_malformed_inequality_files_end_in_an_error_line(tmp_path, capsys, doc, expected):
+    path = tmp_path / "ineq.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "bound", "--ineq", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and expected in err
+
+
+@pytest.mark.parametrize("content", [b"[" * 100000 + b"]" * 100000, b"\xff\xfe{"],
+                         ids=["nested-too-deep", "not-utf8"])
+def test_unreadable_json_ends_in_an_error_line(tmp_path, capsys, content):
+    path = tmp_path / "ineq.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "bound", "--ineq", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "invalid JSON" in err
+
+
+@pytest.mark.parametrize("edit, expected", [
+    ({"observables": 5}, '"observables" must be a list, got 5'),
+    ({"observables": [5]}, "observable entry must be a JSON object, got 5"),
+    ({"state": {"amplitudes": 5}}, "amplitudes must be a list of [re, im] pairs, got 5"),
+    ({"visibility_v": "0.5"}, '"visibility_v" must be a number'),
+    (5, "must be a JSON object, got 5"),
+], ids=["observables-number", "observables-list-of-number", "amplitudes-number",
+        "visibility-string", "bare-number"])
+def test_malformed_strategy_files_end_in_an_error_line(tmp_path, capsys, edit, expected):
+    doc = edit if edit == 5 else dict(strategy_to_config(canonical_strategy("gyni-paper")), **edit)
+    path = tmp_path / "strategy.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "eval", "--ineq", "gyni", "--strategy", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and expected in err
+
+
 def test_threads_flag_rejected(capsys):
     code, out, err = run_cli(capsys, "bound", "--ineq", "chsh", "--threads", "4")
     assert code == 1

@@ -109,6 +109,51 @@ def test_mixed_expectation_matches_the_trace_of_the_product(n):
         assert abs(expectation(state, op) - want) <= 1e-15
 
 
+def _random_state(rng, n, mixed):
+    dim = 2**n
+    if mixed:
+        return MixedState(_random_density_matrix(rng, dim))
+    amplitudes = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return PureState(amplitudes / np.linalg.norm(amplitudes))
+
+
+def _hermitian_stack(rng, k, dim):
+    h = rng.standard_normal((k, dim, dim)) + 1j * rng.standard_normal((k, dim, dim))
+    ops = h + h.conj().transpose(0, 2, 1)
+    return ops / np.linalg.norm(ops, 2, axis=(1, 2))[:, None, None]
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stacked_expectation_matches_one_call_per_operator(n, mixed):
+    rng = np.random.default_rng(20 + n + 10 * mixed)
+    state = _random_state(rng, n, mixed)
+    ops = _hermitian_stack(rng, 5, 2**n)
+    # A strided view of the stack reads the same as the stack itself.
+    for stack in (ops, ops.transpose(0, 2, 1).conj()):
+        got = expectation(state, stack)
+        assert isinstance(got, np.ndarray) and got.shape == (5,) and got.dtype == float
+        for value, op in zip(got, stack):
+            single = expectation(state, op)
+            assert type(single) is float
+            assert abs(value - single) <= 1e-15
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+def test_stacked_expectation_checks_every_entry(mixed):
+    rng = np.random.default_rng(7)
+    state = _random_state(rng, 2, mixed)
+    ops = _hermitian_stack(rng, 4, 4)
+    ops[2, 0, 3] += 1.0j                      # only entry 2 is non-Hermitian
+    with pytest.raises(NumericError):
+        expectation(state, ops)
+    for bad in (np.zeros((3, 4, 2)), np.zeros((2, 3, 4, 4)), np.zeros((3, 8, 8)),
+                np.zeros(4)):
+        with pytest.raises(ValidationError):
+            expectation(state, bad)
+    assert expectation(state, np.zeros((0, 4, 4))).shape == (0,)
+
+
 def test_ghz_state():
     state = ghz_state(3)
     expected = np.zeros(8)

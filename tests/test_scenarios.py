@@ -93,6 +93,17 @@ def test_all_zero_coefficients_rejected():
         BellInequality(scenario=scenario, coeffs={x: 0 for x in input_tuples(2)})
 
 
+@pytest.mark.parametrize("q", [2**53, -2**62, 10**400, 1e308, math.inf, math.nan],
+                         ids=["2^53", "-2^62", "10^400", "1e308", "inf", "nan"])
+def test_coefficients_beyond_the_limit_rejected(q):
+    # Four coefficients of 2^62 once summed to a classical bound of 0 in int64.
+    scenario = make_scenario(2, [(1,), (2,)])
+    with pytest.raises(ValidationError, match="below 2\\^53"):
+        BellInequality(scenario=scenario, coeffs={x: q for x in input_tuples(2)})
+    below = BellInequality(scenario=scenario, coeffs={x: 2**53 - 1 for x in input_tuples(2)})
+    assert below.gamma == 4 * (2**53 - 1)
+
+
 def test_target_function_values():
     ineq = gyni_inequality()
     assert target_function(ineq, (-1, -1, -1), (1, 1, 1)) == -1

@@ -3,13 +3,15 @@ Kronecker oracles.
 
 Scenarios, states and Bloch vectors are random with n <= 4; the outcome
 rows also run on fixed pure and mixed cases at n = 5, the largest size
-``bellccp verify`` meets in the benchmark. Every expected value comes from
-``oracles``, which builds the 2^n x 2^n operators with raw numpy.
+``bellccp verify`` meets in the benchmark, and on a few rows at n = 6.
+Every expected value comes from ``oracles``, which builds the 2^n x 2^n
+operators with raw numpy.
 """
 
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bellccp import (BellInequality, MixedState, PureState, QuantumStrategy, correlator_table,
@@ -100,19 +102,32 @@ def test_correlator_table_matches_kron(case):
 @example(make_case(5, RING_5, seed=5, rank=3))
 @example(make_case(5, EXCHANGE_5, seed=6, rank=32))
 def test_outcome_rows_match_the_kron_born_rule(case):
+    _assert_rows_match_the_kron_born_rule(case, range(2 ** case[0]))
+
+
+def _assert_rows_match_the_kron_born_rule(case, row_indices):
     n, visibility, state, tables, _q = case
     strategy = QuantumStrategy(scenario=make_scenario(n, visibility), state=state,
                                bloch_tables=tables)
     rho = state.density_matrix()
     positions = oracles.setting_positions(n, visibility)
-    for k, x in enumerate(input_tuples(n)):
-        row = outcome_distribution(strategy, x)
+    for k in row_indices:
+        row = outcome_distribution(strategy, input_tuples(n)[k])
         assert list(row) == list(input_tuples(n))
         observables = [oracles.bloch_operator(tables[i][positions[i][k]]) for i in range(n)]
         for a, p in row.items():
             assert p >= 0.0
             assert abs(p - oracles.density_outcome_probability(rho, observables, a)) < 1e-12
         assert abs(sum(row.values()) - 1.0) < 1e-12
+
+
+# Six parties on a ring; a full n = 6 case would run 4096 Kronecker oracles.
+RING_6 = [(1, 6), (2, 1), (3, 2), (4, 3), (5, 4), (6, 5)]
+
+
+@pytest.mark.parametrize("rank", [None, 5], ids=["pure", "mixed"])
+def test_six_party_outcome_rows_match_the_kron_born_rule(rank):
+    _assert_rows_match_the_kron_born_rule(make_case(6, RING_6, seed=7, rank=rank), (0, 21, 63))
 
 
 @PROPERTY_SETTINGS
