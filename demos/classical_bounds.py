@@ -28,10 +28,10 @@ def show(ineq, label):
     print(f"  classical bound      {bound}   (Gamma = {ineq.gamma})")
     print(f"  success bound        {classical_success_bound(ineq)}")
     print(f"  witness value check  {strategy_bell_value(witness, ineq)}")
-    for response in witness.responses:
+    for party, outputs in enumerate(witness.tables, start=1):
         table = ", ".join(f"{setting}->{output:+d}" for setting, output in
-                          sorted(response.table.items()))
-        print(f"    party {response.party}: {table}")
+                          zip(witness.scenario.visible_tuples(party), outputs.tolist()))
+        print(f"    party {party}: {table}")
     print()
 
 

@@ -9,7 +9,6 @@ whose success probability is 1/2 + B / (2 Gamma) for inequality value B.
 from .classical import (
     DeterministicStrategy,
     MessageStrategy,
-    ResponseFunction,
     broadcast_messages,
     ccp_exhaustive_bound,
     classical_bound,

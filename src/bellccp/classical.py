@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping, Sized
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -38,10 +37,7 @@ from .scenarios import (
     BellInequality,
     CausalScenario,
     CcpInstance,
-    FrozenTable,
-    FrozenValue,
-    canonical_values,
-    input_tuples,
+    _ArrayValue,
     read_only,
     tuple_array,
 )
@@ -68,51 +64,44 @@ _CHUNK = 1 << 14
 DEFAULT_MESSAGE_GUARD = 2**20
 
 
-@dataclass(frozen=True)
-class ResponseFunction(FrozenValue):
-    """One party's deterministic output table over its visible settings.
-
-    The table is stored read-only, in canonical setting order."""
-
-    party: int
-    table: Mapping
+class _SignTables(_ArrayValue):
+    """Base of the classical strategies: a scenario plus one +/-1 table per
+    party whose first axis is the party's setting index, shape
+    (2^arity, *_trailing). The tables are copied and stored read-only as
+    int8; every entry must equal +1 or -1 (1.0 passes; 0, 1.5 and NaN do
+    not). Strategies compare and hash by value."""
 
     def __post_init__(self):
-        first = next(iter(self.table), ())
-        arity = len(first) if isinstance(first, Sized) else 0
-        outputs = canonical_values(self.table, arity, f"party {self.party} setting")
-        if any(v not in (-1, 1) for v in outputs):
-            raise ValidationError(f"party {self.party} outputs must be +1 or -1")
-        object.__setattr__(self, "table", FrozenTable(zip(input_tuples(arity), map(int, outputs))))
+        what = type(self).__name__
+        shapes = [(2 ** len(group), *self._trailing) for group in self.scenario.visibility]
+        try:
+            tables = [np.asarray(table) for table in self.tables]
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{what} tables must be arrays: {exc}") from None
+        if [table.shape for table in tables] != shapes:
+            raise ValidationError(f"{what} tables must have shapes {shapes}, "
+                                  f"got {[table.shape for table in tables]}")
+        # One check of every party's entries at once.
+        flat = np.concatenate(tables)
+        if flat.dtype.kind not in "iuf" or not (np.abs(flat) == 1).all():
+            raise ValidationError(f"every entry of the {what} tables must be +1 or -1")
+        object.__setattr__(self, "tables", tuple(read_only(t.astype(np.int8)) for t in tables))
 
-    @property
-    def arity(self) -> int:
-        return len(next(iter(self.table)))
+    def _value(self) -> tuple:
+        return self.scenario, tuple(tuple(table.ravel().tolist()) for table in self.tables)
 
 
-@dataclass(frozen=True)
-class DeterministicStrategy(FrozenValue):
-    """One response function per party, consistent with a scenario."""
+@dataclass(frozen=True, eq=False)
+class DeterministicStrategy(_SignTables):
+    """One deterministic output table per party, consistent with a scenario.
+
+    ``tables[i - 1]`` holds party i's +/-1 outputs by setting index, shape
+    (2^arity,): entry s is the output at the party's s-th visible tuple in
+    canonical order."""
 
     scenario: CausalScenario
-    responses: tuple
-
-    def __post_init__(self):
-        responses = tuple(self.responses)
-        parties = [r.party for r in responses]
-        if parties != list(range(1, self.scenario.n + 1)):
-            raise ValidationError(f"need parties 1..{self.scenario.n} in order, got {parties}")
-        for r in responses:
-            if r.arity != self.scenario.arity(r.party):
-                raise ValidationError(
-                    f"party {r.party} table arity {r.arity} does not match scenario "
-                    f"visibility of {self.scenario.arity(r.party)} inputs")
-        object.__setattr__(self, "responses", responses)
-
-    def outputs(self, x) -> tuple[int, ...]:
-        """All parties' outputs at input tuple x."""
-        return tuple(
-            r.table[self.scenario.visible_tuple(x, r.party)] for r in self.responses)
+    tables: tuple
+    _trailing = ()
 
     def output_array(self) -> np.ndarray:
         """Party i's output at every input tuple in column i-1, shape (2^n, n),
@@ -123,30 +112,28 @@ class DeterministicStrategy(FrozenValue):
     # whose outputs are never tabulated.
     @cached_property
     def _output_array(self) -> np.ndarray:
-        return read_only(np.stack(
-            [np.array(list(r.table.values()), dtype=np.int8)[row]
-             for r, row in zip(self.responses, self.scenario.setting_index())], axis=1))
+        return read_only(np.concatenate(self.tables)[_output_index(self.scenario)])
+
+
+@lru_cache(maxsize=256)
+def _output_index(scenario: CausalScenario) -> np.ndarray:
+    """Where party i's output at x sits in the concatenated tables, at [x, i - 1]."""
+    starts = np.cumsum([0] + [2 ** scenario.arity(i) for i in range(1, scenario.n)])
+    return read_only((scenario.setting_index() + starts[:, None]).T.copy())
 
 
 def constant_strategy(scenario: CausalScenario, value: int = 1) -> DeterministicStrategy:
     """Strategy in which every party always outputs ``value``."""
-    responses = tuple(
-        ResponseFunction(party=i, table={t: value for t in scenario.visible_tuples(i)})
-        for i in range(1, scenario.n + 1))
-    return DeterministicStrategy(scenario=scenario, responses=responses)
+    return DeterministicStrategy(scenario=scenario, tables=tuple(
+        np.full(2 ** scenario.arity(i), value) for i in range(1, scenario.n + 1)))
 
 
 def enumerate_strategies(scenario: CausalScenario):
     """Yield every deterministic strategy of a scenario (odometer order)."""
-    per_party = []
-    for i in range(1, scenario.n + 1):
-        settings = scenario.visible_tuples(i)
-        tables = []
-        for outputs in itertools.product((1, -1), repeat=len(settings)):
-            tables.append(ResponseFunction(party=i, table=dict(zip(settings, outputs))))
-        per_party.append(tables)
+    per_party = [np.array(list(itertools.product((1, -1), repeat=2 ** len(group))), np.int8)
+                 for group in scenario.visibility]
     for combo in itertools.product(*per_party):
-        yield DeterministicStrategy(scenario=scenario, responses=combo)
+        yield DeterministicStrategy(scenario=scenario, tables=combo)
 
 
 def strategy_bell_value(strategy: DeterministicStrategy, ineq: BellInequality):
@@ -244,9 +231,9 @@ def classical_bound(ineq: BellInequality):
     width = num_x // group_count
     order = np.argsort(vis_idx[eliminated - 1], kind="stable")
 
-    # Outputs of every candidate function of each swept party, in x-space.
-    rows = [_response_matrix(scenario.arity(i))[:size, vis_idx[i - 1]]
-            for i, size in zip(rest, sizes)]
+    # Every candidate function of each swept party, by setting and in x-space.
+    matrices = [_response_matrix(scenario.arity(i))[:size] for i, size in zip(rest, sizes)]
+    rows = [matrix[:, vis_idx[i - 1]] for i, matrix in zip(rest, matrices)]
     # The tail takes the last parties while it stays within _CHUNK
     # combinations and no larger than the head.
     split = len(rest)
@@ -280,22 +267,12 @@ def classical_bound(ineq: BellInequality):
             best_combo = start * tails + idx
 
     # Reconstruct the witness from the first maximizing combination.
-    responses = {}
-    prod = np.ones(num_x, dtype=np.int8)
-    stride = total
-    for party, size, outputs in zip(rest, sizes, rows):
-        stride //= size
-        fid = (best_combo // stride) % size
-        prod = prod * outputs[fid]
-        settings = scenario.visible_tuples(party)
-        table = {settings[k]: int(1 - 2 * ((fid >> k) & 1)) for k in range(len(settings))}
-        responses[party] = ResponseFunction(party=party, table=table)
+    fids = np.unravel_index(best_combo, sizes)
+    tables = {party: matrix[fid] for party, matrix, fid in zip(rest, matrices, fids)}
+    prod = np.prod([outputs[fid] for outputs, fid in zip(rows, fids)], axis=0)
     grouped = (prod * q)[order].reshape(group_count, width).sum(axis=1)
-    settings = scenario.visible_tuples(eliminated)
-    table = {settings[t]: (1 if grouped[t] >= 0 else -1) for t in range(group_count)}
-    responses[eliminated] = ResponseFunction(party=eliminated, table=table)
-    witness = DeterministicStrategy(
-        scenario=scenario, responses=tuple(responses[i] for i in parties))
+    tables[eliminated] = np.where(grouped >= 0, 1, -1)
+    witness = DeterministicStrategy(scenario=scenario, tables=tuple(tables[i] for i in parties))
 
     return best_value, witness
 
@@ -305,38 +282,23 @@ def classical_success_bound(ineq: BellInequality) -> float:
     return success_probability(classical_bound(ineq)[0], ineq.gamma)
 
 
-@dataclass(frozen=True)
-class MessageStrategy(FrozenValue):
-    """One +/-1 broadcast-message table per party over (setting, y) pairs.
+@dataclass(frozen=True, eq=False)
+class MessageStrategy(_SignTables):
+    """One +/-1 broadcast-message table per party.
 
-    The tables are stored read-only, in canonical (setting, y) order."""
+    ``tables[i - 1]`` has shape (2^arity, 2): entry [s, b] is party i's
+    message at its s-th visible tuple in canonical order and y bit b
+    (b = 1 for y = +1)."""
 
     scenario: CausalScenario
     tables: tuple
-
-    def __post_init__(self):
-        tables = tuple(dict(t) for t in self.tables)
-        if len(tables) != self.scenario.n:
-            raise ValidationError(f"need one message table per party, got {len(tables)}")
-        frozen = []
-        for i, table in enumerate(tables, start=1):
-            expected = [(t, y) for t in self.scenario.visible_tuples(i) for y in (-1, 1)]
-            if set(table) != set(expected):
-                raise ValidationError(f"party {i} message table must cover all (setting, y) pairs")
-            if any(v not in (-1, 1) for v in table.values()):
-                raise ValidationError(f"party {i} messages must be +1 or -1")
-            frozen.append(FrozenTable({key: int(table[key]) for key in expected}))
-        object.__setattr__(self, "tables", tuple(frozen))
+    _trailing = (2,)
 
 
 def broadcast_messages(strategy: DeterministicStrategy) -> MessageStrategy:
     """The protocol messages m_i = y_i * a_i of a deterministic strategy."""
-    scenario = strategy.scenario
-    tables = []
-    for r in strategy.responses:
-        tables.append({(t, y): y * r.table[t]
-                       for t in scenario.visible_tuples(r.party) for y in (-1, 1)})
-    return MessageStrategy(scenario=scenario, tables=tuple(tables))
+    return MessageStrategy(scenario=strategy.scenario, tables=tuple(
+        table[:, None] * np.array([-1, 1], dtype=np.int8) for table in strategy.tables))
 
 
 def message_protocol_success(instance: CcpInstance, messages: MessageStrategy,
@@ -353,19 +315,21 @@ def message_protocol_success(instance: CcpInstance, messages: MessageStrategy,
     if messages.scenario != scenario:
         raise ValidationError("message strategy does not match the instance scenario")
     n = scenario.n
-    tuples = input_tuples(n)
-    prod_ys = [math.prod(y) for y in tuples]
-    others = [(j - 1, messages.tables[j - 1]) for j in range(1, n + 1) if j != party]
+    tables = [table.tolist() for table in messages.tables]
+    ys = tuple_array(n)
+    y_rows = list(zip((ys > 0).tolist(), ys.prod(axis=1).tolist()))
     masses: dict[tuple, dict[int, float]] = {}
-    for x, weight_x, sign_q in zip(tuples, instance.probability_vector().tolist(),
-                                   ineq.sign_array().tolist()):
+    for settings, weight_x, sign_q in zip(scenario.setting_index().T.tolist(),
+                                          instance.probability_vector().tolist(),
+                                          ineq.sign_array().tolist()):
         if weight_x == 0.0:
             continue
         weight = weight_x / 2**n
-        visible = [scenario.visible_tuple(x, j) for j in range(1, n + 1)]
-        for y, prod_y in zip(tuples, prod_ys):
-            received = tuple(table[(visible[k], y[k])] for k, table in others)
-            info = (visible[party - 1], y[party - 1], received)
+        # Every party's messages at x, by y bit. The party's own message is
+        # fixed by its setting and y, so hearing it refines nothing.
+        rows = [table[s] for table, s in zip(tables, settings)]
+        for bits, prod_y in y_rows:
+            info = (settings[party - 1], bits[party - 1], tuple(map(list.__getitem__, rows, bits)))
             masses.setdefault(info, {1: 0.0, -1: 0.0})[prod_y * sign_q] += weight
     return sum(max(m[1], m[-1]) for m in masses.values())
 

@@ -70,8 +70,7 @@ def scenario_from_config(config: dict) -> CausalScenario:
     n = _field(config, "n", object, "scenario config")
     visibility = _field(config, "visibility", list, "scenario config")
     for group in visibility:
-        if not isinstance(group, list) or not all(
-                isinstance(j, int) or isinstance(j, float) and j.is_integer() for j in group):
+        if not isinstance(group, list):
             raise ValidationError(f"scenario visibility entries must be lists of party "
                                   f"indices, got {group!r}")
     return make_scenario(n, visibility)

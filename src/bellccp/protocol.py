@@ -216,10 +216,9 @@ def run_round(instance: CcpInstance, strategy, rng: RandomnessSource) -> RoundRe
 
     The round is a session block of one, played and recorded as sessions
     are. Each call builds the strategy's whole outcome table P[x, a], one
-    Born-rule row per input of nonzero weight, to play its one round: for
-    a three-party preset about 0.5 ms, some 200 times the cost of a kept
-    round inside a 1000-round session (2-core x86 host). To play many
-    rounds, use ``run_session(..., keep_rounds=True)``.
+    Born-rule row per input of nonzero weight, to play its one round. To
+    play many rounds, use ``run_session(..., keep_rounds=True)``, which
+    builds the table once.
     """
     tables = _Tables(instance, strategy)
     return _records(tables, *next(_play(tables, 1, rng)))[0]

@@ -29,11 +29,10 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .qubits import (
     ATOL,
-    PAULIS,
+    PAULI_ROWS,
     MixedState,
     Observable2,
     PureState,
-    _ArrayValue,
     depolarize,
     expectation,
     ghz_state,
@@ -45,6 +44,7 @@ from .scenarios import (
     BellInequality,
     CausalScenario,
     FrozenTable,
+    _ArrayValue,
     canonical_values,
     gyni_scenario,
     input_tuples,
@@ -52,10 +52,6 @@ from .scenarios import (
     svetlichny_scenario,
     tuple_index,
 )
-
-# sigma_x, sigma_y, sigma_z as the rows of a (3, 4) matrix: the rows of
-# r @ _PAULI_ROWS are the flattened r . sigma.
-_PAULI_ROWS = np.stack(PAULIS).reshape(3, 4)
 
 # Mixing weight at which the ideal ring value 7.3909 degrades to 7.023.
 EXPERIMENT_VISIBILITY = 0.9502
@@ -197,7 +193,7 @@ def outcome_distribution(strategy: QuantumStrategy, x) -> dict[tuple[int, ...], 
     n = scenario.n
     rows = scenario.setting_index()[:, tuple_index(x, n, "input tuple")]
     bloch = np.array([table[row] for table, row in zip(strategy.bloch_tables, rows)])
-    _, bases = np.linalg.eigh((bloch @ _PAULI_ROWS).reshape(n, 2, 2))
+    _, bases = np.linalg.eigh((bloch @ PAULI_ROWS).reshape(n, 2, 2))
     # Row a is |e_a>, contiguous so that the projector stack is too.
     vectors = np.ascontiguousarray(tensor_product(bases).T)
     projectors = vectors[:, :, None] * vectors.conj()[:, None, :]

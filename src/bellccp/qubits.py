@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BlochVectorError, NumericError, ValidationError
-from .scenarios import MAX_PARTIES, FrozenValue
+from .scenarios import MAX_PARTIES, _ArrayValue
 
 # Absolute tolerance used by every invariant check in the package.
 ATOL = 1e-9
@@ -35,6 +35,9 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+# sigma_x, sigma_y, sigma_z as the rows of a (3, 4) matrix: the rows of
+# r @ PAULI_ROWS are the flattened r . sigma.
+PAULI_ROWS = np.stack(PAULIS).reshape(3, 4)
 # sigma_p for p = 0 (identity), 1 (x), 2 (y), 3 (z).
 _PAULI_BASIS = np.stack([IDENTITY_2, *PAULIS])
 
@@ -56,24 +59,6 @@ def _qubit_count(dim: int, what: str) -> int:
     if n > MAX_PARTIES:
         raise ValidationError(f"{what} exceeds the cap of {MAX_PARTIES} qubits")
     return n
-
-
-class _ArrayValue(FrozenValue):
-    """Value ``==`` and ``hash`` over ``_value()``: by default the entries of
-    the read-only array named by ``_value_field``.
-
-    Entries compare as Python numbers, so -0.0 and 0.0 agree."""
-
-    def _value(self) -> tuple:
-        return tuple(getattr(self, self._value_field).ravel().tolist())
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._value() == other._value()
-
-    def __hash__(self) -> int:
-        return hash(self._value())
 
 
 @dataclass(frozen=True, eq=False)

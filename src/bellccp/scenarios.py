@@ -91,6 +91,24 @@ class FrozenValue:
         return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
+class _ArrayValue(FrozenValue):
+    """Value ``==`` and ``hash`` over ``_value()``: by default the entries of
+    the read-only array named by ``_value_field``.
+
+    Entries compare as Python numbers, so -0.0 and 0.0 agree."""
+
+    def _value(self) -> tuple:
+        return tuple(getattr(self, self._value_field).ravel().tolist())
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return hash(self._value())
+
+
 def read_only(array: np.ndarray) -> np.ndarray:
     """The array itself, made read-only."""
     array.setflags(write=False)
@@ -150,6 +168,19 @@ def _setting_index(n: int, visibility: tuple[tuple[int, ...], ...]) -> np.ndarra
     return read_only(index)
 
 
+def _party_indices(group) -> tuple[int, ...]:
+    """One visibility list as ints; ``ValidationError`` unless every entry
+    equals its int: an int, a NumPy integer or an integral float."""
+    group = tuple(group)
+    try:
+        indices = tuple(map(int, group))
+    except (TypeError, ValueError, OverflowError):
+        indices = None
+    if indices != group:
+        raise ValidationError(f"visibility entries must be integer party indices, got {group!r}")
+    return indices
+
+
 @dataclass(frozen=True)
 class CausalScenario(FrozenValue):
     """Party count plus per-party ordered input-visibility lists (1-based)."""
@@ -161,7 +192,7 @@ class CausalScenario(FrozenValue):
         if not isinstance(self.n, Integral) or not 2 <= self.n <= MAX_PARTIES:
             raise ValidationError(f"party count must be an integer in [2, {MAX_PARTIES}], "
                                   f"got {self.n!r}")
-        vis = tuple(tuple(int(j) for j in group) for group in self.visibility)
+        vis = tuple(_party_indices(group) for group in self.visibility)
         if len(vis) != self.n:
             raise ValidationError(f"need one visibility list per party, got {len(vis)} for n={self.n}")
         for i, group in enumerate(vis, start=1):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .qubits import PAULIS, PureState, MixedState, ghz_state, pauli_tensor
+from .qubits import PAULI_ROWS, PureState, MixedState, ghz_state, pauli_tensor
 from .quantum import QuantumStrategy, correlations, random_bloch_tables
 from .scenarios import BellInequality
 
@@ -39,9 +39,6 @@ DEGENERATE_GRADIENT = 1e-14
 
 # Cap on observable/state alternations when state optimization is enabled.
 _MAX_ALTERNATIONS = 100
-
-# sigma_x, sigma_y, sigma_z as the rows of a (3, 4) matrix.
-_PAULIS = np.stack(PAULIS).reshape(3, 4)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -222,7 +219,7 @@ def bell_operator(ineq: BellInequality, bloch_tables) -> np.ndarray:
     op = ineq.coefficient_array() @ products
     for _ in range(n):
         # Takes the leading party's Pauli axis, appends its row and column.
-        op = op.reshape(3, -1).T @ _PAULIS
+        op = op.reshape(3, -1).T @ PAULI_ROWS
     order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
     return op.reshape((2,) * (2 * n)).transpose(order).reshape(2**n, 2**n)
 

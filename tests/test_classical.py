@@ -8,6 +8,7 @@ import pytest
 from bellccp import (
     BellInequality,
     CcpInstance,
+    DeterministicStrategy,
     EnumerationGuardError,
     ValidationError,
     broadcast_messages,
@@ -25,7 +26,7 @@ from bellccp import (
     svetlichny_inequality,
 )
 from bellccp import classical
-from bellccp.classical import DEFAULT_MESSAGE_GUARD, MessageStrategy, ResponseFunction
+from bellccp.classical import DEFAULT_MESSAGE_GUARD, MessageStrategy
 
 import oracles
 
@@ -321,6 +322,19 @@ def test_protocol_messages_reach_the_bound():
             0.875, abs=1e-12)
 
 
+def test_broadcast_messages_are_y_times_a():
+    # Entry [s, b] of a message table is m = y a at setting s, with y = -1
+    # at b = 0 and y = +1 at b = 1.
+    rng = np.random.default_rng(31)
+    scenario = gyni_inequality().scenario
+    strategy = DeterministicStrategy(scenario=scenario,
+                                     tables=[rng.choice([-1, 1], size=4) for _ in range(3)])
+    for a, m in zip(strategy.tables, broadcast_messages(strategy).tables):
+        assert m.shape == (4, 2)
+        for s in range(4):
+            assert m[s].tolist() == [-a[s], a[s]]
+
+
 def test_message_search_dominates_sampled_strategies():
     ineq = chsh_inequality()
     instance = CcpInstance(inequality=ineq)
@@ -328,10 +342,8 @@ def test_message_search_dominates_sampled_strategies():
     scenario = ineq.scenario
     best = ccp_exhaustive_bound(instance)
     for _ in range(25):
-        tables = []
-        for i in (1, 2):
-            tables.append({(t, y): int(rng.choice((-1, 1)))
-                           for t in scenario.visible_tuples(i) for y in (-1, 1)})
+        tables = [[[int(rng.choice((-1, 1))) for _y in (-1, 1)]
+                   for _t in scenario.visible_tuples(i)] for i in (1, 2)]
         messages = MessageStrategy(scenario=scenario, tables=tuple(tables))
         for party in (1, 2):
             assert message_protocol_success(instance, messages, party) <= best + 1e-12
@@ -342,34 +354,59 @@ def test_equal_witnesses_hash_alike():
     second = classical_bound(gyni_inequality())[1]
     assert first is not second
     assert first == second and hash(first) == hash(second)
-    assert first.responses[0] == second.responses[0]
-    assert hash(first.responses[0]) == hash(second.responses[0])
     assert hash(broadcast_messages(first)) == hash(broadcast_messages(second))
-    # Equal tables given in another key order are equal and hash alike.
-    settings = first.scenario.visible_tuples(1)
-    table = dict(first.responses[0].table)
-    reordered = ResponseFunction(party=1, table={t: table[t] for t in reversed(settings)})
-    assert reordered == first.responses[0] and hash(reordered) == hash(first.responses[0])
+    # Equal tables given as float lists are equal and hash alike.
+    floats = DeterministicStrategy(scenario=first.scenario,
+                                   tables=[t.astype(float).tolist() for t in first.tables])
+    assert floats == first and hash(floats) == hash(first)
+    assert floats.tables[0].dtype == np.int8
     assert len({first, second, constant_strategy(first.scenario, -1)}) == 2
+    assert broadcast_messages(first) != broadcast_messages(constant_strategy(first.scenario, -1))
 
 
 def test_witness_tables_are_read_only():
     ineq = gyni_inequality()
     bound, witness = classical_bound(ineq)
-    key = next(iter(witness.responses[0].table))
-    with pytest.raises(TypeError):
-        witness.responses[0].table[key] = -1
+    with pytest.raises(ValueError):
+        witness.tables[0][0] = -witness.tables[0][0]
     messages = broadcast_messages(witness)
-    with pytest.raises(TypeError):
-        messages.tables[0][next(iter(messages.tables[0]))] = -1
+    with pytest.raises(ValueError):
+        messages.tables[0][0, 0] = -messages.tables[0][0, 0]
     # The table a caller passed in stays the caller's: changing it later does
-    # not reach the stored function.
-    table = {t: 1 for t in ineq.scenario.visible_tuples(1)}
-    response = ResponseFunction(party=1, table=table)
-    table[next(iter(table))] = -1
-    assert set(response.table.values()) == {1}
+    # not reach the stored strategy.
+    tables = [np.ones(4, dtype=np.int8) for _ in range(3)]
+    strategy = DeterministicStrategy(scenario=ineq.scenario, tables=tables)
+    tables[0][0] = -1
+    assert set(strategy.tables[0].tolist()) == {1}
     assert classical_bound(ineq) == (bound, witness)
     assert strategy_bell_value(classical_bound(ineq)[1], ineq) == bound
+
+
+def _set_last(tables, value):
+    tables[-1].flat[-1] = value
+    return tables
+
+
+@pytest.mark.parametrize("kind, trailing", [(DeterministicStrategy, ()), (MessageStrategy, (2,))],
+                         ids=["deterministic", "message"])
+@pytest.mark.parametrize("edit", [
+    lambda t: _set_last(t, 0),
+    lambda t: _set_last(t, 1.5),
+    lambda t: _set_last(t, np.nan),
+    lambda t: [t[0].astype(str), *t[1:]],
+    lambda t: [t[0][:-1], *t[1:]],
+    lambda t: [np.ones((len(t[0]), 3)), *t[1:]],
+    lambda t: [[[1, 1], [1]], *t[1:]],
+    lambda t: t[:-1],
+    lambda t: 5,
+], ids=["zero", "one-and-a-half", "nan", "string", "short", "wide", "ragged", "party-missing",
+        "not-a-list"])
+def test_tables_outside_the_layout_are_rejected(kind, trailing, edit):
+    scenario = gyni_inequality().scenario
+    tables = [np.ones((2 ** scenario.arity(i), *trailing)) for i in range(1, scenario.n + 1)]
+    assert kind(scenario=scenario, tables=tables).tables[0].dtype == np.int8
+    with pytest.raises(ValidationError):
+        kind(scenario=scenario, tables=edit(tables))
 
 
 def _tie_heavy_cases():
@@ -392,6 +429,12 @@ def _tie_heavy_cases():
             yield visibility, {x: int(v) for x, v in zip(input_tuples(n), q)}
 
 
+def _in_setting_order(tables, visibility):
+    """The oracle's {setting: output} dicts as lists by setting index."""
+    return [[table[s] for s in input_tuples(len(group))]
+            for table, group in zip(tables, visibility)]
+
+
 @pytest.mark.parametrize("visibility, coeffs", list(_tie_heavy_cases()))
 def test_witness_is_first_maximizer(visibility, coeffs, monkeypatch):
     n = len(visibility)
@@ -403,7 +446,7 @@ def test_witness_is_first_maximizer(visibility, coeffs, monkeypatch):
         ineq = BellInequality(scenario=make_scenario(n, visibility), coeffs=coeffs)
         bound, witness = classical_bound(ineq)
         assert bound == value
-        assert [dict(r.table) for r in witness.responses] == tables
+        assert [w.tolist() for w in witness.tables] == _in_setting_order(tables, visibility)
 
 
 def test_non_integral_bound_matches_first_maximizer():

@@ -8,6 +8,7 @@ probability exactly 1/2 + bound / (2 Gamma).
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -82,14 +83,14 @@ def best_listed_protocol(instance):
     party every table of every other party is listed; the party's own table
     stays all +1, since its score never reads its own message."""
     scenario = instance.inequality.scenario
-    keys = [[(t, y) for t in scenario.visible_tuples(i) for y in (-1, 1)]
-            for i in range(1, scenario.n + 1)]
+    shapes = [(2 ** scenario.arity(i), 2) for i in range(1, scenario.n + 1)]
     best = 0.0
     for party in range(1, scenario.n + 1):
         choices = [
-            [dict.fromkeys(k, 1)] if i == party
-            else [dict(zip(k, out)) for out in itertools.product((1, -1), repeat=len(k))]
-            for i, k in enumerate(keys, start=1)]
+            [np.ones(shape)] if i == party
+            else [np.reshape(out, shape)
+                  for out in itertools.product((1, -1), repeat=shape[0] * shape[1])]
+            for i, shape in enumerate(shapes, start=1)]
         for tables in itertools.product(*choices):
             messages = MessageStrategy(scenario=scenario, tables=tables)
             best = max(best, message_protocol_success(instance, messages, party))
@@ -100,14 +101,15 @@ def best_listed_y_odd_protocol(instance):
     """As best_listed_protocol, over the y-odd tables m = y * h(setting) of
     every listed response table h."""
     scenario = instance.inequality.scenario
-    settings_of = [scenario.visible_tuples(i) for i in range(1, scenario.n + 1)]
+    sizes = [2 ** scenario.arity(i) for i in range(1, scenario.n + 1)]
+    y = np.array([-1, 1])
     best = 0.0
     for party in range(1, scenario.n + 1):
         choices = [
-            [{(t, y): 1 for t in settings for y in (-1, 1)}] if i == party
-            else [{(t, y): y * h for t, h in zip(settings, outputs) for y in (-1, 1)}
-                  for outputs in itertools.product((1, -1), repeat=len(settings))]
-            for i, settings in enumerate(settings_of, start=1)]
+            [np.ones((size, 2))] if i == party
+            else [np.array(outputs)[:, None] * y
+                  for outputs in itertools.product((1, -1), repeat=size)]
+            for i, size in enumerate(sizes, start=1)]
         for tables in itertools.product(*choices):
             messages = MessageStrategy(scenario=scenario, tables=tables)
             best = max(best, message_protocol_success(instance, messages, party))
@@ -132,7 +134,8 @@ def test_witness_is_odometer_first_maximizer(ineq):
         scenario.n, list(scenario.visibility), ineq.coeffs)
     bound, witness = classical_bound(ineq)
     assert bound == value
-    assert [dict(r.table) for r in witness.responses] == tables
+    assert [w.tolist() for w in witness.tables] == [
+        [table[s] for s in scenario.visible_tuples(i)] for i, table in enumerate(tables, start=1)]
 
 
 @PROPERTY_SETTINGS

@@ -505,9 +505,16 @@ _GYNI_FULL = {"scenario": {"n": 3, "visibility": [[1, 3], [2, 1], [3, 2]]},
     (dict(_GYNI_FULL, scenario={"n": 3, "visibility": 3}), '"visibility" must be a list, got 3'),
     (dict(_GYNI_FULL, scenario={"n": "3", "visibility": [[1], [2], [3]]}),
      "party count must be an integer in [2, 6], got '3'"),
+    (dict(_GYNI_FULL, scenario={"n": 3, "visibility": [[1.5], [2], [3]]}),
+     "visibility entries must be integer party indices, got (1.5,)"),
+    (dict(_GYNI_FULL, scenario={"n": 3, "visibility": [[1], ["2"], [3]]}),
+     "visibility entries must be integer party indices, got ('2',)"),
+    (dict(_GYNI_FULL, scenario={"n": 3, "visibility": [[1], 2, [3]]}),
+     "scenario visibility entries must be lists of party indices, got 2"),
     (5, "must be a JSON object, got 5"),
     ({"inequality": 5}, '"inequality" must be an object, got 5'),
 ], ids=["coeffs-number", "coeffs-list-of-number", "visibility-number", "n-string",
+        "visibility-fraction", "visibility-string", "visibility-group-number",
         "bare-number", "wrapped-number"])
 def test_malformed_inequality_files_end_in_an_error_line(tmp_path, capsys, doc, expected):
     path = tmp_path / "ineq.json"

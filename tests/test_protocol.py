@@ -229,7 +229,9 @@ def _scalar_replay(instance, strategy, rounds, rng):
                 dist = outcome_distribution(strategy, x)
                 a = pick([dist[a] for a in tuples])
             else:
-                a = strategy.outputs(x)
+                sc = strategy.scenario
+                a = tuple(int(table[sc.visible_tuples(i).index(sc.visible_tuple(x, i))])
+                          for i, table in enumerate(strategy.tables, start=1))
         except RandomnessExhaustedError as exc:
             return records, exc
         records.append(_reference_record(instance.inequality, x, y, a))

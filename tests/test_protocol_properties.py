@@ -17,7 +17,6 @@ from bellccp import (
     MixedState,
     PureState,
     QuantumStrategy,
-    ResponseFunction,
     exact_success,
 )
 from bellccp.scenarios import input_tuples, make_scenario
@@ -73,9 +72,7 @@ def test_exact_success_matches_oracles_on_any_input_distribution(case):
     ineq = BellInequality(scenario=scenario, coeffs={x: int(v) for x, v in zip(tuples, q)})
     instance = CcpInstance(inequality=ineq, input_distribution=dict(zip(tuples, weights)))
     if kind == "deterministic":
-        strategy = DeterministicStrategy(scenario=scenario, responses=tuple(
-            ResponseFunction(party=i, table=dict(zip(scenario.visible_tuples(i), tables[i - 1])))
-            for i in range(1, n + 1)))
+        strategy = DeterministicStrategy(scenario=scenario, tables=tables)
         expected = oracles.deterministic_game_success(n, visibility, tables, weights, q)
     else:
         strategy = QuantumStrategy(scenario=scenario, state=state, bloch_tables=tables)

@@ -10,7 +10,6 @@ from bellccp import (
     BellInequality,
     CcpInstance,
     DeterministicStrategy,
-    ResponseFunction,
     ValidationError,
     chsh_inequality,
     gyni_inequality,
@@ -34,6 +33,10 @@ def test_make_scenario_accepts_known_structures():
     assert pair.arity(3) == 1
     bell = make_scenario(2, [(1,), (2,)])
     assert bell.arity(1) == bell.arity(2) == 1
+    # NumPy integers and integral floats name parties too, stored as ints.
+    loose = make_scenario(2, [(np.int64(1), 2.0), (np.float32(2),)])
+    assert loose == make_scenario(2, [(1, 2), (2,)])
+    assert all(type(j) is int for group in loose.visibility for j in group)
 
 
 @pytest.mark.parametrize("n,visibility", [
@@ -43,6 +46,10 @@ def test_make_scenario_accepts_known_structures():
     (3, [(1,), (2,)]),               # missing a party
     (1, [(1,)]),                     # too few parties
     (7, [(i,) for i in range(1, 8)]),  # too many parties
+    (2, [(1.5,), (2,)]),             # fractional index
+    (2, [("1",), (2,)]),             # string index
+    (2, [(float("nan"),), (2,)]),    # NaN index
+    (2, [(None,), (2,)]),            # missing index
 ])
 def test_make_scenario_rejects_invalid(n, visibility):
     with pytest.raises(ValidationError):
@@ -158,19 +165,14 @@ def test_setting_index_locates_each_visible_tuple(scenario, seed):
     index = scenario.setting_index()
     assert index.shape == (n, 2**n)
     rng = np.random.default_rng(seed)
-    responses = tuple(
-        ResponseFunction(party=i, table={
-            t: int(v) for t, v in zip(scenario.visible_tuples(i),
-                                      rng.choice([-1, 1], size=2**scenario.arity(i)))})
-        for i in range(1, n + 1))
-    strategy = DeterministicStrategy(scenario=scenario, responses=responses)
-    outputs = strategy.output_array()
+    tables = [rng.choice([-1, 1], size=2**scenario.arity(i)) for i in range(1, n + 1)]
+    outputs = DeterministicStrategy(scenario=scenario, tables=tables).output_array()
     assert outputs.shape == (2**n, n)
     for k, x in enumerate(input_tuples(n)):
         for i in range(1, n + 1):
-            assert index[i - 1, k] == scenario.visible_tuples(i).index(
-                scenario.visible_tuple(x, i))
-        assert tuple(outputs[k].tolist()) == strategy.outputs(x)
+            s = scenario.visible_tuples(i).index(scenario.visible_tuple(x, i))
+            assert index[i - 1, k] == s
+            assert outputs[k, i - 1] == tables[i - 1][s]
 
 
 @given(st.lists(st.sampled_from([-1, 1]), min_size=3, max_size=3),
@@ -247,9 +249,8 @@ def test_index_arrays_are_stored_once_and_read_only():
     ineq = gyni_inequality()
     scenario = ineq.scenario
     # Each party outputs the product of its two visible inputs.
-    strategy = DeterministicStrategy(scenario=scenario, responses=tuple(
-        ResponseFunction(party=i, table={t: t[0] * t[1] for t in scenario.visible_tuples(i)})
-        for i in range(1, 4)))
+    strategy = DeterministicStrategy(scenario=scenario, tables=tuple(
+        [t[0] * t[1] for t in scenario.visible_tuples(i)] for i in range(1, 4)))
     for array, again, want in (
             (ineq.coefficient_array(), ineq.coefficient_array(), [-1, 1, 1, 1, 1, 1, 1, 1]),
             (ineq.sign_array(), ineq.sign_array(), [-1, 1, 1, 1, 1, 1, 1, 1]),

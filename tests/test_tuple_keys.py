@@ -15,7 +15,6 @@ import pytest
 from bellccp import (
     BellInequality,
     CcpInstance,
-    ResponseFunction,
     ValidationError,
     bell_value,
     canonical_strategy,
@@ -134,10 +133,6 @@ def test_reversed_tables_build_equal_values_in_canonical_order():
     assert list(reversed_instance.input_distribution) == list(tuples)
     assert reversed_instance.probability_vector().tobytes() == \
         instance.probability_vector().tobytes()
-    settings = input_tuples(2)
-    response = ResponseFunction(party=1, table={t: t[0] for t in settings})
-    reversed_response = ResponseFunction(party=1, table={t: t[0] for t in reversed(settings)})
-    assert reversed_response == response and list(reversed_response.table) == list(settings)
 
 
 @pytest.mark.parametrize("given,stored", [

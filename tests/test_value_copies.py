@@ -20,7 +20,6 @@ from bellccp import (
     MixedState,
     PureState,
     QuantumStrategy,
-    ResponseFunction,
     broadcast_messages,
     canonical_strategy,
     classical_bound,
@@ -36,8 +35,7 @@ def _values():
     mixed = canonical_strategy("experiment-like")
     witness = classical_bound(ineq)[1]
     values = [ineq.scenario, ineq, CcpInstance(inequality=ineq), mixed, pure.state,
-              mixed.state, pure.observables[(1, (1, 1))], witness, witness.responses[0],
-              broadcast_messages(witness)]
+              mixed.state, pure.observables[(1, (1, 1))], witness, broadcast_messages(witness)]
     return {type(v).__name__: v for v in values}
 
 
@@ -50,16 +48,13 @@ _ARRAYS = {
     PureState: lambda v: [v.amplitudes],
     MixedState: lambda v: [v.matrix],
     Observable2: lambda v: [v.bloch],
-    DeterministicStrategy: lambda v: [v.output_array()],
-    ResponseFunction: lambda v: [],
-    MessageStrategy: lambda v: [],
+    DeterministicStrategy: lambda v: [*v.tables, v.output_array()],
+    MessageStrategy: lambda v: list(v.tables),
 }
 _TABLES = {
     BellInequality: lambda v: [v.coeffs],
     CcpInstance: lambda v: [v.input_distribution],
     QuantumStrategy: lambda v: [v.observables],
-    ResponseFunction: lambda v: [v.table],
-    MessageStrategy: lambda v: list(v.tables),
 }
 
 _COPIES = {
