@@ -29,9 +29,7 @@ from .protocol import (
     RoundRecord,
     SessionLog,
     exact_success,
-    run_round,
     run_session,
-    sample_inputs,
     write_session_log,
 )
 from .quantum import (

@@ -13,9 +13,9 @@ bit per party (party 1 first) sets the y's with bit 0 mapping to +1, then
 for quantum strategies one more uniform selects the joint outcome by
 inverse CDF over the canonical outcome order.
 
-One engine plays every round: sessions, single rounds and input samples
-all draw through ``RandomnessSource.draw_rounds``, which returns what the
-same sequence of ``uniform()``/``bit()`` calls would. The pass rule is
+``run_session`` is the one way to play: it draws its rounds a block at a
+time through ``RandomnessSource.draw_rounds``, which returns what the same
+sequence of ``uniform()``/``bit()`` calls would. The pass rule is
 computed once per outcome table, as a mask over (input, outcome) index
 pairs; session counts, exact success and round records all read it. Its
 sign of Q, with sign(0) = +1, is ``BellInequality.sign_array()``.
@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -120,25 +121,21 @@ class _Tables:
     tuple a at input x: the Born-rule distribution for quantum strategies,
     left at zero on inputs of zero weight, and one-hot at the row of
     ``output_array()`` for deterministic ones. ``passing[x, a]`` is the pass
-    rule, prod(a) = sign Q(x), with the signs of ``sign_array()``. Without a
-    strategy only the input side is built.
+    rule, prod(a) = sign Q(x), with the signs of ``sign_array()``.
     """
 
-    def __init__(self, instance: CcpInstance, strategy=None):
+    def __init__(self, instance: CcpInstance, strategy):
         ineq = instance.inequality
+        if not isinstance(strategy, (QuantumStrategy, DeterministicStrategy)):
+            raise ValidationError(f"unsupported strategy type {type(strategy).__name__}")
+        if strategy.scenario != ineq.scenario:
+            raise ValidationError("strategy scenario does not match the instance")
         self.n = ineq.n
         self.scenario = ineq.scenario
         self.tuples = tuple_array(self.n)
         self.weights = instance.probability_vector()
         self.cum_inputs = _cumulative(self.weights)
-        self.cum_outcomes = None
         self.quantum = isinstance(strategy, QuantumStrategy)
-        if strategy is None:
-            return
-        if not isinstance(strategy, (QuantumStrategy, DeterministicStrategy)):
-            raise ValidationError(f"unsupported strategy type {type(strategy).__name__}")
-        if strategy.scenario != ineq.scenario:
-            raise ValidationError("strategy scenario does not match the instance")
         if self.quantum:
             tuples = input_tuples(self.n)
             self.outcomes = np.zeros((len(tuples), len(tuples)))
@@ -153,8 +150,7 @@ class _Tables:
 
 def _play(tables: _Tables, rounds: int, rng: RandomnessSource):
     """Yield (x indices, y, outcome indices) for ``rounds`` rounds, one
-    ``draw_rounds`` call per block; the outcome indices are None without a
-    strategy."""
+    ``draw_rounds`` call per block."""
     for start in range(0, rounds, _BLOCK_ROUNDS):
         try:
             x_u, y_bits, a_u = rng.draw_rounds(min(_BLOCK_ROUNDS, rounds - start),
@@ -165,18 +161,9 @@ def _play(tables: _Tables, rounds: int, rng: RandomnessSource):
                 f"randomness exhausted after {completed} complete rounds",
                 bits_consumed=exc.bits_consumed, rounds_completed=completed) from exc
         x_idx = np.searchsorted(tables.cum_inputs, x_u, side="right")
-        a_idx = None
-        if tables.cum_outcomes is not None:
-            # One-hot deterministic rows give their outcome at u = 0.
-            u = 0.0 if a_u is None else a_u[:, None]
-            a_idx = (tables.cum_outcomes[x_idx] <= u).sum(axis=1)
-        yield x_idx, 1 - 2 * y_bits, a_idx
-
-
-def sample_inputs(instance: CcpInstance, rng: RandomnessSource):
-    """Draw (x, y): x by inverse CDF on the instance distribution, fair y's."""
-    x_idx, y, _ = next(_play(_Tables(instance), 1, rng))
-    return input_tuples(instance.inequality.n)[int(x_idx[0])], tuple(y[0].tolist())
+        # One-hot deterministic rows give their outcome at u = 0.
+        u = 0.0 if a_u is None else a_u[:, None]
+        yield x_idx, 1 - 2 * y_bits, (tables.cum_outcomes[x_idx] <= u).sum(axis=1)
 
 
 def _records(tables: _Tables, x_idx, y, a_idx) -> list:
@@ -211,28 +198,17 @@ def _records(tables: _Tables, x_idx, y, a_idx) -> list:
     return [built[k] for k in inverse.tolist()]
 
 
-def run_round(instance: CcpInstance, strategy, rng: RandomnessSource) -> RoundRecord:
-    """Sample inputs, obtain outcomes, broadcast, guess, and score one round.
-
-    The round is a session block of one, played and recorded as sessions
-    are. Each call builds the strategy's whole outcome table P[x, a], one
-    Born-rule row per input of nonzero weight, to play its one round. To
-    play many rounds, use ``run_session(..., keep_rounds=True)``, which
-    builds the table once.
-    """
-    tables = _Tables(instance, strategy)
-    return _records(tables, *next(_play(tables, 1, rng)))[0]
-
-
 def run_session(instance: CcpInstance, strategy, rounds: int, rng: RandomnessSource,
                 keep_rounds: bool = True, config: dict | None = None) -> SessionLog:
     """Run independent rounds and aggregate the pass statistics.
 
-    Finite sources that run dry raise with the number of completed rounds
-    attached.
+    One round is ``run_session(instance, strategy, 1, rng).rounds[0]``: it
+    makes the same draws and gives the same record as the first round of a
+    longer session on the same source. Finite sources that run dry raise
+    with the number of completed rounds attached.
     """
-    if rounds < 1:
-        raise ValidationError(f"session needs at least one round, got {rounds}")
+    if not isinstance(rounds, Integral) or rounds < 1:
+        raise ValidationError(f"session needs a whole number of rounds >= 1, got {rounds!r}")
     tables = _Tables(instance, strategy)
     echo = dict(config or {})
     echo.setdefault("rounds", rounds)

@@ -78,7 +78,10 @@ class QuantumStrategy(_ArrayValue):
         if self.state.dim != 2**scenario.n:
             raise ValidationError(
                 f"state dimension {self.state.dim} does not match {scenario.n} parties")
-        tables = tuple(np.array(table, dtype=float) for table in self.bloch_tables)
+        try:
+            tables = tuple(np.array(table, dtype=float) for table in self.bloch_tables)
+        except (TypeError, ValueError):
+            raise ValidationError("Bloch tables must be one numeric array per party") from None
         shapes = [(2 ** scenario.arity(i), 3) for i in range(1, scenario.n + 1)]
         if [table.shape for table in tables] != shapes:
             raise ValidationError(f"Bloch tables must have shapes {shapes}, "

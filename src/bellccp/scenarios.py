@@ -146,6 +146,8 @@ def tuple_index(x, n: int, what: str) -> int:
 def canonical_values(table: Mapping, n: int, what: str, fill=None) -> list:
     """Values of a table keyed by +/-1 tuples of length n, in canonical order.
     An absent tuple takes ``fill``; with ``fill=None`` none may be absent."""
+    if not isinstance(table, Mapping):
+        raise ValidationError(f"{what} table must be a mapping, got {type(table).__name__}")
     values = [fill] * 2**n
     for x, value in table.items():
         values[tuple_index(x, n, what)] = value
@@ -192,7 +194,12 @@ class CausalScenario(FrozenValue):
         if not isinstance(self.n, Integral) or not 2 <= self.n <= MAX_PARTIES:
             raise ValidationError(f"party count must be an integer in [2, {MAX_PARTIES}], "
                                   f"got {self.n!r}")
-        vis = tuple(_party_indices(group) for group in self.visibility)
+        try:
+            # Only a visibility or a group that is not iterable raises TypeError.
+            vis = tuple(_party_indices(group) for group in self.visibility)
+        except TypeError:
+            raise ValidationError(f"visibility must be a list of party lists, "
+                                  f"got {self.visibility!r}") from None
         if len(vis) != self.n:
             raise ValidationError(f"need one visibility list per party, got {len(vis)} for n={self.n}")
         for i, group in enumerate(vis, start=1):
@@ -227,7 +234,7 @@ class CausalScenario(FrozenValue):
 
 def make_scenario(n: int, visibility) -> CausalScenario:
     """Validate and build a causal scenario from 1-based visibility lists."""
-    return CausalScenario(n=n, visibility=tuple(tuple(group) for group in visibility))
+    return CausalScenario(n=n, visibility=visibility)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,9 @@ same rule as it would alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -50,12 +52,13 @@ class OptimizerOptions:
     optimize_state: bool = False
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValidationError(f"restarts must be >= 1, got {self.restarts}")
-        if self.tol <= 0:
-            raise ValidationError(f"tol must be positive, got {self.tol}")
-        if self.max_sweeps < 1:
-            raise ValidationError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
+        for name in ("restarts", "max_sweeps"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < 1:
+                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+        # NaN fails both comparisons, and a NaN tol would never stop a restart.
+        if not (isinstance(self.tol, Real) and 0 < self.tol < math.inf):
+            raise ValidationError(f"tol must be positive and finite, got {self.tol!r}")
 
 
 @dataclass(frozen=True)

@@ -448,6 +448,14 @@ def test_noise_with_state_optimization_rejected(capsys):
     assert "mixed" in err
 
 
+def test_nan_tolerance_ends_in_an_error_line(capsys):
+    code, out, err = run_cli(capsys, "optimize", "--ineq", "chsh", "--seed", "1",
+                             "--restarts", "2", "--tol", "nan")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "tol" in err
+
+
 def test_inequality_from_config_rejects_bad_docs():
     from bellccp import ValidationError
 

@@ -21,6 +21,7 @@ from bellccp import (
     canonical_strategy,
     classical_bound,
     classical_success_bound,
+    constant_strategy,
     enumerate_strategies,
     evaluate_strategy,
     exact_success,
@@ -33,9 +34,7 @@ from bellccp import (
     RoundRecord,
     SessionLog,
     random_strategy,
-    run_round,
     run_session,
-    sample_inputs,
     success_probability,
     svetlichny_inequality,
     write_session_log,
@@ -47,12 +46,19 @@ def _gyni_instance():
     return CcpInstance(inequality=gyni_inequality())
 
 
+def _input_draws(instance, rng, draws):
+    """(x, y) of each round of a ``constant_strategy`` session. Such a round
+    draws one x uniform and n y bits, and no outcome uniform."""
+    strategy = constant_strategy(instance.inequality.scenario)
+    return [(r.x, r.y) for r in run_session(instance, strategy, draws, rng).rounds]
+
+
 def test_sample_inputs_deterministic_replay():
     instance = _gyni_instance()
-    draws_a = [sample_inputs(instance, SeededPrng(42)) for _ in range(1)]
+    draws_a = _input_draws(instance, SeededPrng(42), 1)
     rng1, rng2 = SeededPrng(42), SeededPrng(42)
-    stream1 = [sample_inputs(instance, rng1) for _ in range(200)]
-    stream2 = [sample_inputs(instance, rng2) for _ in range(200)]
+    stream1 = _input_draws(instance, rng1, 200)
+    stream2 = _input_draws(instance, rng2, 200)
     assert stream1 == stream2
     assert stream1[0] == draws_a[0]
 
@@ -62,8 +68,7 @@ def test_sample_inputs_chi_square():
     rng = SeededPrng(7)
     counts = {x: 0 for x in input_tuples(3)}
     draws = 100_000
-    for _ in range(draws):
-        x, _ = sample_inputs(instance, rng)
+    for x, _ in _input_draws(instance, rng, draws):
         counts[x] += 1
     expected = draws / 8
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
@@ -76,7 +81,7 @@ def test_zero_mass_tuples_never_drawn():
         (-1, -1): 2, (-1, 1): 0, (1, -1): 1, (1, 1): 1})
     instance = CcpInstance(inequality=ineq)
     rng = SeededPrng(3)
-    seen = {sample_inputs(instance, rng)[0] for _ in range(100_000)}
+    seen = {x for x, _ in _input_draws(instance, rng, 100_000)}
     assert (-1, 1) not in seen
     assert seen == {(-1, -1), (1, -1), (1, 1)}
 
@@ -86,8 +91,7 @@ def test_y_bits_are_fair():
     rng = SeededPrng(11)
     total = np.zeros(3)
     draws = 40_000
-    for _ in range(draws):
-        _, y = sample_inputs(instance, rng)
+    for _, y in _input_draws(instance, rng, draws):
         total += y
     assert np.all(np.abs(total) < 5 * np.sqrt(draws))
 
@@ -97,8 +101,7 @@ def test_round_record_invariants():
     strategy = canonical_strategy("gyni-paper")
     rng = SeededPrng(5)
     sign_q = {x: (1 if instance.inequality.coeffs[x] >= 0 else -1) for x in input_tuples(3)}
-    for _ in range(300):
-        record = run_round(instance, strategy, rng)
+    for record in run_session(instance, strategy, 300, rng).rounds:
         assert record.m == tuple(record.y[i] * record.a[i] for i in range(3))
         assert record.guess == record.m[0] * record.m[1] * record.m[2]
         assert record.passed == (record.guess == record.f_value)
@@ -387,8 +390,9 @@ def test_session_estimate_converges_over_many_seeds():
 
 def test_session_validation():
     instance = _gyni_instance()
-    with pytest.raises(ValidationError):
-        run_session(instance, canonical_strategy("gyni-paper"), 0, SeededPrng(1))
+    for rounds in (0, 2.5, math.nan):
+        with pytest.raises(ValidationError, match="rounds"):
+            run_session(instance, canonical_strategy("gyni-paper"), rounds, SeededPrng(1))
 
 
 def test_bit_file_source(tmp_path):

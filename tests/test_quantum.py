@@ -210,6 +210,9 @@ def test_incomplete_observable_map_rejected():
     with pytest.raises(ValidationError):      # a setting short
         QuantumStrategy(scenario=scenario, state=ghz_state(3),
                         bloch_tables=[tables[0][:3], *tables[1:]])
+    for bad in (5, [5, 5, 5], [[(0.0, 0.0, 1.0), (0.0, 1.0)], *tables[1:]]):
+        with pytest.raises(ValidationError):  # not one numeric array per party
+            QuantumStrategy(scenario=scenario, state=ghz_state(3), bloch_tables=bad)
 
 
 def test_bloch_tables_are_checked_and_copied():

@@ -50,6 +50,8 @@ def test_make_scenario_accepts_known_structures():
     (2, [("1",), (2,)]),             # string index
     (2, [(float("nan"),), (2,)]),    # NaN index
     (2, [(None,), (2,)]),            # missing index
+    (2, [1, 2]),                     # groups that are not lists
+    (2, 5),                          # visibility that is not a list
 ])
 def test_make_scenario_rejects_invalid(n, visibility):
     with pytest.raises(ValidationError):

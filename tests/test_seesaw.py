@@ -35,6 +35,13 @@ def test_options_validation():
         OptimizerOptions(seed=1, restarts=0)
     with pytest.raises(ValidationError):
         OptimizerOptions(seed=1, tol=0.0)
+    for tol in (math.nan, math.inf, -math.inf, "1e-12"):
+        with pytest.raises(ValidationError, match="tol"):
+            OptimizerOptions(seed=1, tol=tol)
+    for name in ("restarts", "max_sweeps"):
+        for value in (2.5, 2.0, math.nan, "2"):
+            with pytest.raises(ValidationError, match=name):
+                OptimizerOptions(seed=1, **{name: value})
 
 
 def test_seesaw_reaches_known_optima():

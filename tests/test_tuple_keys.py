@@ -41,6 +41,12 @@ def test_inequality_rejects_keys_that_are_not_signs(key):
         BellInequality(scenario=CHSH_SCENARIO, coeffs=coeffs)
 
 
+@pytest.mark.parametrize("coeffs", [5, [1, 2]], ids=["number", "list"])
+def test_inequality_rejects_tables_that_are_not_mappings(coeffs):
+    with pytest.raises(ValidationError, match="must be a mapping"):
+        BellInequality(scenario=CHSH_SCENARIO, coeffs=coeffs)
+
+
 def _inequality_config_with_x(x):
     return {"scenario": {"n": 2, "visibility": [[1], [2]]},
             "coeffs": [{"x": [-1, -1], "q": 1}, {"x": x, "q": -1}]}
@@ -82,7 +88,9 @@ def test_game_functions_reject_inputs_that_are_not_signs(call):
     {(-1, -1): 1.0, (7, 7): 0.0},
     {(-1, -1): 1.0, (1, 1, 1): 0.0},
     {(-1, -1): 1.0, 5: 0.0},
-], ids=["nan-probability", "key-7-7", "length-3-key", "non-tuple-key"])
+    5,
+    [0.5, 0.5, 0.0, 0.0],
+], ids=["nan-probability", "key-7-7", "length-3-key", "non-tuple-key", "number", "list"])
 def test_ccp_instance_rejects_bad_distributions(dist):
     with pytest.raises(ValidationError):
         CcpInstance(inequality=chsh_inequality(), input_distribution=dist)
