@@ -69,7 +69,6 @@ from .scenarios import (
     CcpInstance,
     chsh_inequality,
     gyni_inequality,
-    input_distribution,
     input_tuples,
     make_scenario,
     named_inequality,

@@ -1,6 +1,6 @@
 """Round-by-round execution of the broadcast guessing game.
 
-Each round: draw the input tuple x from the instance distribution and a
+Each round: draw the input tuple x from q*(x) = |Q(x)| / Gamma and a
 fair y bit per party, have every party measure (or look up) its outcome
 a_i at its visible setting, broadcast m_i = y_i * a_i, and let everyone
 guess the product of all messages. The guess equals y_1..y_n a_1..a_n, so
@@ -116,9 +116,9 @@ class _Tables:
     """A strategy's outcome table on an instance, with the CDFs that sample it
     and the pass rule that scores it.
 
-    Rows and columns follow the canonical tuple order. ``weights[x]`` is the
-    input distribution and ``outcomes[x, a]`` the probability of outcome
-    tuple a at input x: the Born-rule distribution for quantum strategies,
+    Rows and columns follow the canonical tuple order. ``weights[x]`` is
+    q*(x) and ``outcomes[x, a]`` the probability of outcome tuple a at
+    input x: the Born-rule distribution for quantum strategies,
     left at zero on inputs of zero weight, and one-hot at the row of
     ``output_array()`` for deterministic ones. ``passing[x, a]`` is the pass
     rule, prod(a) = sign Q(x), with the signs of ``sign_array()``.
@@ -209,6 +209,7 @@ def run_session(instance: CcpInstance, strategy, rounds: int, rng: RandomnessSou
     """
     if not isinstance(rounds, Integral) or rounds < 1:
         raise ValidationError(f"session needs a whole number of rounds >= 1, got {rounds!r}")
+    rounds = int(rounds)
     tables = _Tables(instance, strategy)
     echo = dict(config or {})
     echo.setdefault("rounds", rounds)
@@ -227,11 +228,11 @@ def run_session(instance: CcpInstance, strategy, rounds: int, rng: RandomnessSou
 
 
 def exact_success(instance: CcpInstance, strategy) -> float:
-    """Expected pass rate, summed exactly over the input distribution.
+    """Expected pass rate, summed exactly over the inputs.
 
     One masked sum over the outcome table P[x, a] that sessions sample:
-    sum_x w(x) sum_a P[x, a] [prod(a) = sign Q(x)], with w the instance's
-    input distribution. Strategies of another type or scenario are rejected.
+    sum_x q*(x) sum_a P[x, a] [prod(a) = sign Q(x)]. Strategies of another
+    type or scenario are rejected.
     """
     tables = _Tables(instance, strategy)
     return float(tables.weights @ (tables.outcomes * tables.passing).sum(axis=1))

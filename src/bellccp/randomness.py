@@ -154,12 +154,11 @@ class BeaconRecordsSource(BitStreamSource):
         for k, record in enumerate(records):
             if len(record) != RECORD_BITS // 8:
                 raise ValidationError(f"record {k} has {len(record)} bytes, expected 64")
-        self.records = list(records)
         super().__init__(b"".join(records), origin=origin)
 
     def describe(self) -> dict:
         return {"kind": self.kind, "origin": self.origin,
-                "records": len(self.records), "bits": self.bits_total}
+                "records": self.bits_total // RECORD_BITS, "bits": self.bits_total}
 
 
 def parse_beacon_records(text: str, origin: str = "<memory>") -> list[bytes]:
@@ -211,5 +210,9 @@ def beacon_load(source, cache_path=None) -> BeaconRecordsSource:
         Path(cache_path).write_text(text)
         return BeaconRecordsSource(records, origin=source)
     path = Path(source)
-    records = parse_beacon_records(path.read_text(), origin=str(path))
+    try:
+        text = path.read_text(encoding="ascii")
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: beacon records must be ASCII hex text") from None
+    records = parse_beacon_records(text, origin=str(path))
     return BeaconRecordsSource(records, origin=str(path))

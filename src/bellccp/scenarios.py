@@ -15,7 +15,8 @@ party to output the value of
     f(x, y) = y_1 ... y_n * sign(Q(x))
 
 after a single broadcast bit each, with x drawn from q*(x) = |Q(x)| / Gamma
-and each y_i a fair coin.
+and each y_i a fair coin. The inequality states the whole game: a game
+with input weights w(x) >= 0 is the game of Q'(x) = sign Q(x) * w(x).
 """
 
 from __future__ import annotations
@@ -289,12 +290,6 @@ class BellInequality(FrozenValue):
         return self._sign_array
 
 
-def input_distribution(ineq: BellInequality) -> Mapping:
-    """q*(x) = |Q(x)| / Gamma by input tuple: the read-only table of the
-    default :class:`CcpInstance`."""
-    return CcpInstance(inequality=ineq).input_distribution
-
-
 def target_function(ineq: BellInequality, x, y) -> int:
     """f(x, y) = prod(y) * sign(Q(x)), valued in {-1, +1}."""
     k = tuple_index(x, ineq.n, "x")
@@ -304,32 +299,23 @@ def target_function(ineq: BellInequality, x, y) -> int:
 
 @dataclass(frozen=True)
 class CcpInstance(FrozenValue):
-    """An inequality plus the input distribution of the derived game (default
-    q*), stored read-only over every input tuple in canonical order."""
+    """The game derived from an inequality: inputs drawn from
+    q*(x) = |Q(x)| / Gamma, target prod(y) * sign Q(x).
+
+    A game with input weights w is the game of Q'(x) = sign Q(x) * w(x).
+    """
 
     inequality: BellInequality
-    input_distribution: Mapping | None = None
 
     def __post_init__(self):
-        ineq, dist = self.inequality, self.input_distribution
-        tuples = input_tuples(ineq.n)
-        if dist is None:
-            vector = np.abs(ineq.coefficient_array()) / ineq.gamma
-        else:
-            vector = np.array(canonical_values(dist, ineq.n, "input tuple", 0.0), dtype=float)
-            total = 0.0
-            for x, p in zip(tuples, vector.tolist()):
-                if not p >= 0:
-                    raise ValidationError(f"probability of {x} must be non-negative, got {p}")
-                total += p
-            if abs(total - 1.0) > 1e-12:
-                raise ValidationError(f"input distribution sums to {total}, not 1")
-        object.__setattr__(self, "input_distribution", FrozenTable(zip(tuples, vector.tolist())))
-        object.__setattr__(self, "_probability_vector", read_only(vector))
+        ineq = self.inequality
+        if not isinstance(ineq, BellInequality):
+            raise ValidationError(f"a game needs a BellInequality, got {ineq!r}")
+        object.__setattr__(self, "_probability_vector",
+                           read_only(np.abs(ineq.coefficient_array()) / ineq.gamma))
 
     def probability_vector(self) -> np.ndarray:
-        """The input distribution in canonical tuple order. Computed once,
-        read-only."""
+        """q* in canonical tuple order. Computed once, read-only."""
         return self._probability_vector
 
 

@@ -181,6 +181,16 @@ def test_simulate_with_beacon_records(tmp_path, capsys):
     assert replay == out
 
 
+def test_binary_beacon_file_ends_in_an_error_line(tmp_path, capsys):
+    records = tmp_path / "records.bin"
+    records.write_bytes(np.random.default_rng(0).bytes(300))
+    code, out, err = run_cli(capsys, "simulate", "--ineq", "gyni", "--strategy", "gyni-paper",
+                             "--rounds", "10", "--randomness", f"beacon:{records}")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and str(records) in err
+
+
 def test_verify_reports_identity(capsys):
     code, out, _ = run_cli(capsys, "verify", "--ineq", "svetlichny", "--seed", "12",
                            "--strategies", "25")

@@ -388,11 +388,18 @@ def test_session_estimate_converges_over_many_seeds():
     assert hits >= 999
 
 
-def test_session_validation():
+def test_session_validation(tmp_path):
     instance = _gyni_instance()
     for rounds in (0, 2.5, math.nan):
         with pytest.raises(ValidationError, match="rounds"):
             run_session(instance, canonical_strategy("gyni-paper"), rounds, SeededPrng(1))
+    # Any integral count is stored as a Python int, so the log stays JSON.
+    for rounds, want in ((np.int64(5), 5), (True, 1)):
+        log = run_session(instance, canonical_strategy("gyni-paper"), rounds, SeededPrng(1))
+        assert type(log.num_rounds) is int and log.num_rounds == want
+        write_session_log(log, tmp_path / "session.jsonl")
+        header = json.loads((tmp_path / "session.jsonl").read_text().splitlines()[0])
+        assert header["header"]["rounds"] == want and type(header["header"]["rounds"]) is int
 
 
 def test_bit_file_source(tmp_path):

@@ -1,7 +1,8 @@
 """Property tests: exact_success against dense Kronecker oracles.
 
 Scenarios, coefficients, strategies and input distributions are random
-with n <= 4; every distribution puts zero weight on some input tuple.
+with n <= 4; every distribution puts zero weight on some input tuple. A
+distribution w enters the game as the inequality Q' = sign Q * w.
 Quantum strategies (pure and mixed states) are checked against explicit
 Born-rule projectors on the density matrix, deterministic ones against the
 direct sum over input tuples, both from ``oracles``.
@@ -69,8 +70,9 @@ def test_exact_success_matches_oracles_on_any_input_distribution(case):
     n, visibility, q, weights, kind, state, tables = case
     scenario = make_scenario(n, visibility)
     tuples = input_tuples(n)
-    ineq = BellInequality(scenario=scenario, coeffs={x: int(v) for x, v in zip(tuples, q)})
-    instance = CcpInstance(inequality=ineq, input_distribution=dict(zip(tuples, weights)))
+    folded = np.where(q < 0, -1, 1) * weights
+    ineq = BellInequality(scenario=scenario, coeffs=dict(zip(tuples, folded.tolist())))
+    instance = CcpInstance(inequality=ineq)
     if kind == "deterministic":
         strategy = DeterministicStrategy(scenario=scenario, tables=tables)
         expected = oracles.deterministic_game_success(n, visibility, tables, weights, q)

@@ -13,7 +13,6 @@ from bellccp import (
     ValidationError,
     chsh_inequality,
     gyni_inequality,
-    input_distribution,
     input_tuples,
     make_scenario,
     named_inequality,
@@ -86,14 +85,17 @@ def test_gamma_recomputed_from_table():
         assert ineq.gamma == sum(abs(q) for q in ineq.coeffs.values())
 
 
+def _q_star(ineq):
+    return CcpInstance(inequality=ineq).probability_vector().tolist()
+
+
 def test_input_distribution():
-    assert set(input_distribution(gyni_inequality()).values()) == {1 / 8}
-    assert set(input_distribution(svetlichny_inequality()).values()) == {1 / 8}
+    assert set(_q_star(gyni_inequality())) == {1 / 8}
+    assert set(_q_star(svetlichny_inequality())) == {1 / 8}
     scenario = make_scenario(2, [(1,), (2,)])
     ineq = BellInequality(scenario=scenario, coeffs={
         (-1, -1): 2, (-1, 1): 0, (1, -1): 1, (1, 1): 1})
-    dist = input_distribution(ineq)
-    assert dist == {(-1, -1): 0.5, (-1, 1): 0.0, (1, -1): 0.25, (1, 1): 0.25}
+    assert _q_star(ineq) == [0.5, 0.0, 0.25, 0.25]
 
 
 def test_all_zero_coefficients_rejected():
@@ -127,7 +129,7 @@ def test_target_function_zero_coefficient_convention():
     ineq = BellInequality(scenario=scenario, coeffs={
         (-1, -1): 1, (-1, 1): 0, (1, -1): 1, (1, 1): 1})
     assert target_function(ineq, (-1, 1), (1, 1)) == 1
-    assert input_distribution(ineq)[(-1, 1)] == 0.0
+    assert _q_star(ineq)[1] == 0.0
 
 
 def _sign_rule(q):
@@ -195,17 +197,17 @@ def test_input_distribution_is_valid_for_any_table(values):
     scenario = make_scenario(3, [(1, 3), (2, 1), (3, 2)])
     ineq = BellInequality(scenario=scenario,
                           coeffs=dict(zip(input_tuples(3), values)))
-    dist = input_distribution(ineq)
-    assert all(p >= 0 for p in dist.values())
-    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+    dist = _q_star(ineq)
+    assert all(p >= 0 for p in dist)
+    assert sum(dist) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ccp_instance_distribution_checks():
     instance = CcpInstance(inequality=gyni_inequality())
-    assert sum(instance.input_distribution.values()) == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValidationError):
-        CcpInstance(inequality=gyni_inequality(),
-                    input_distribution={x: 0.5 for x in input_tuples(3)})
+    assert instance.probability_vector().sum() == pytest.approx(1.0, abs=1e-15)
+    for value in (5, None, "gyni"):
+        with pytest.raises(ValidationError, match="needs a BellInequality"):
+            CcpInstance(inequality=value)
 
 
 def test_named_inequality_lookup():
@@ -240,11 +242,9 @@ def test_coefficient_and_distribution_tables_are_read_only():
     assert ineq.coeffs[(1, 1, 1)] == 1 and ineq.gamma == 8
     assert list(ineq.coeffs) == list(input_tuples(3))
     instance = CcpInstance(inequality=ineq)
-    with pytest.raises(TypeError):
-        instance.input_distribution[(1, 1, 1)] = 0.9
-    assert sum(instance.input_distribution.values()) == pytest.approx(1.0, abs=1e-15)
-    sparse = CcpInstance(inequality=ineq, input_distribution={(1, 1, 1): 1.0})
-    assert list(sparse.input_distribution) == list(input_tuples(3))
+    with pytest.raises(ValueError):
+        instance.probability_vector()[7] = 0.9
+    assert instance.probability_vector().sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_index_arrays_are_stored_once_and_read_only():
@@ -275,11 +275,13 @@ def test_index_arrays_are_stored_once_and_read_only():
 def test_equal_instances_hash_alike():
     ineq = gyni_inequality()
     default = CcpInstance(inequality=ineq)
-    explicit = CcpInstance(inequality=gyni_inequality(),
-                           input_distribution={x: 1 / 8 for x in reversed(input_tuples(3))})
+    explicit = CcpInstance(inequality=BellInequality(
+        scenario=ineq.scenario, name="reversed",
+        coeffs={x: float(ineq.coeffs[x]) for x in reversed(input_tuples(3))}))
     assert default == explicit
     assert hash(default) == hash(explicit)
-    skewed = CcpInstance(inequality=ineq, input_distribution={(1, 1, 1): 1.0})
+    skewed = CcpInstance(inequality=BellInequality(scenario=ineq.scenario,
+                                                   coeffs={(1, 1, 1): 1}))
     assert len({default, explicit, skewed}) == 2
 
 

@@ -83,19 +83,6 @@ def test_game_functions_reject_inputs_that_are_not_signs(call):
         call()
 
 
-@pytest.mark.parametrize("dist", [
-    {(-1, -1): 1.0, (1, 1): math.nan},
-    {(-1, -1): 1.0, (7, 7): 0.0},
-    {(-1, -1): 1.0, (1, 1, 1): 0.0},
-    {(-1, -1): 1.0, 5: 0.0},
-    5,
-    [0.5, 0.5, 0.0, 0.0],
-], ids=["nan-probability", "key-7-7", "length-3-key", "non-tuple-key", "number", "list"])
-def test_ccp_instance_rejects_bad_distributions(dist):
-    with pytest.raises(ValidationError):
-        CcpInstance(inequality=chsh_inequality(), input_distribution=dist)
-
-
 @pytest.mark.parametrize("n", range(1, 7))
 def test_tuple_index_is_the_canonical_position(n):
     for k, x in enumerate(input_tuples(n)):
@@ -133,14 +120,6 @@ def test_reversed_tables_build_equal_values_in_canonical_order():
     reversed_ineq = BellInequality(scenario=ineq.scenario,
                                    coeffs={x: ineq.coeffs[x] for x in reversed(tuples)})
     assert reversed_ineq == ineq and list(reversed_ineq.coeffs) == list(tuples)
-    weights = {x: (k + 1) / 36 for k, x in enumerate(tuples)}
-    instance = CcpInstance(inequality=ineq, input_distribution=weights)
-    reversed_instance = CcpInstance(inequality=ineq, input_distribution=dict(
-        reversed(weights.items())))
-    assert reversed_instance == instance
-    assert list(reversed_instance.input_distribution) == list(tuples)
-    assert reversed_instance.probability_vector().tobytes() == \
-        instance.probability_vector().tobytes()
 
 
 @pytest.mark.parametrize("given,stored", [
@@ -175,5 +154,3 @@ def test_default_distribution_is_abs_q_over_gamma_bit_for_bit(ineq):
     want = np.array([abs(q) / ineq.gamma for q in ineq.coeffs.values()])
     instance = CcpInstance(inequality=ineq)
     assert instance.probability_vector().tobytes() == want.tobytes()
-    assert list(instance.input_distribution.values()) == want.tolist()
-    assert scenarios.input_distribution(ineq) == instance.input_distribution

@@ -53,7 +53,6 @@ _ARRAYS = {
 }
 _TABLES = {
     BellInequality: lambda v: [v.coeffs],
-    CcpInstance: lambda v: [v.input_distribution],
     QuantumStrategy: lambda v: [v.observables],
 }
 
