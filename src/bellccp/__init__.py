@@ -48,7 +48,6 @@ from .qubits import (
     MixedState,
     Observable2,
     PureState,
-    bloch_to_observable,
     depolarize,
     expectation,
     ghz_state,

@@ -60,8 +60,8 @@ _SWEEP_RATE = 4e9
 # times 2^n entries; also the cap on every block array of the message search.
 _CHUNK = 1 << 14
 
-# Default upper bound on message-function combinations enumerated per call.
-DEFAULT_MESSAGE_GUARD = 2**20
+# Upper bound on the message-function combinations ccp_exhaustive_bound scores.
+MESSAGE_WORK_GUARD = 2**20
 
 
 class _SignTables(_ArrayValue):
@@ -73,6 +73,8 @@ class _SignTables(_ArrayValue):
 
     def __post_init__(self):
         what = type(self).__name__
+        if not isinstance(self.scenario, CausalScenario):
+            raise ValidationError(f"a {what} needs a CausalScenario, got {self.scenario!r}")
         shapes = [(2 ** len(group), *self._trailing) for group in self.scenario.visibility]
         try:
             tables = [np.asarray(table) for table in self.tables]
@@ -347,8 +349,7 @@ def _message_table(arity: int, family: str) -> np.ndarray:
     return np.repeat(_response_matrix(arity), 2, axis=1) * y_sign
 
 
-def ccp_exhaustive_bound(instance: CcpInstance, guard: int = DEFAULT_MESSAGE_GUARD,
-                         message_family: str = "all") -> float:
+def ccp_exhaustive_bound(instance: CcpInstance, message_family: str = "all") -> float:
     """Best classical success of the game over one-bit broadcast protocols.
 
     Exhausts the message strategies of the chosen family, one of each +/-
@@ -399,10 +400,10 @@ def ccp_exhaustive_bound(instance: CcpInstance, guard: int = DEFAULT_MESSAGE_GUA
     family_sizes = [2 ** (2 ** (scenario.arity(i) + slot_bits)) // 2 for i in range(1, n + 1)]
     # Each party is maximized over the product of the others' families.
     work = sum(math.prod(family_sizes) // size for size in family_sizes)
-    if work > guard:
+    if work > MESSAGE_WORK_GUARD:
         raise EnumerationGuardError(
-            f"message search needs {work} combinations, above the guard {guard}; "
-            "raise the guard explicitly or restrict the message family")
+            f"message search needs {work} combinations, above the guard "
+            f"{MESSAGE_WORK_GUARD}; restrict the message family")
 
     # The (x, y) grid, flattened with x major.
     grid = num_x * num_x

@@ -113,6 +113,8 @@ def _emit(text: str, out_path) -> None:
 def _require_seed(args) -> int:
     if args.seed is None:
         raise ValidationError(f"{args.command} is randomized; an explicit --seed is required")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be a non-negative integer, got {args.seed}")
     return args.seed
 
 

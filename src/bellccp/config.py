@@ -210,21 +210,25 @@ def strategy_from_config(config: dict, scenario: CausalScenario) -> QuantumStrat
     return QuantumStrategy(scenario=scenario, state=state, bloch_tables=tables)
 
 
-def load_strategy(source, scenario: CausalScenario) -> QuantumStrategy:
-    """Resolve a preset name, a config dict, or a JSON file path."""
+def load_strategy(source, scenario: CausalScenario | None) -> QuantumStrategy:
+    """Resolve a strategy, a preset name, a config dict, or a JSON file path
+    to a strategy in ``scenario``; one in another scenario raises. With
+    ``scenario=None`` a strategy or preset comes back in its own scenario."""
     if isinstance(source, QuantumStrategy):
-        return source
-    if isinstance(source, dict):
-        return strategy_from_config(source, scenario)
-    name = str(source)
-    if name in CANONICAL_STRATEGY_NAMES:
-        return canonical_strategy(name)
-    path = Path(name)
-    if path.exists():
-        return strategy_from_config(read_json(path, "strategy"), scenario)
-    raise ValidationError(
-        f"{name!r} is neither a preset strategy {CANONICAL_STRATEGY_NAMES} "
-        "nor an existing config file")
+        strategy = source
+    elif isinstance(source, dict):
+        strategy = strategy_from_config(source, scenario)
+    elif (name := str(source)) in CANONICAL_STRATEGY_NAMES:
+        strategy = canonical_strategy(name)
+    elif Path(name).exists():
+        strategy = strategy_from_config(read_json(name, "strategy"), scenario)
+    else:
+        raise ValidationError(
+            f"{name!r} is neither a preset strategy {CANONICAL_STRATEGY_NAMES} "
+            "nor an existing config file")
+    if scenario is not None and strategy.scenario != scenario:
+        raise ValidationError("strategy scenario does not match the inequality")
+    return strategy
 
 
 def strategy_fingerprint(strategy: QuantumStrategy) -> str:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from numbers import Integral
+from types import MappingProxyType
 
 import numpy as np
 
@@ -43,7 +44,6 @@ from .qubits import (
 from .scenarios import (
     BellInequality,
     CausalScenario,
-    FrozenTable,
     _ArrayValue,
     canonical_values,
     gyni_scenario,
@@ -75,6 +75,11 @@ class QuantumStrategy(_ArrayValue):
 
     def __post_init__(self):
         scenario = self.scenario
+        if not isinstance(scenario, CausalScenario):
+            raise ValidationError(f"a strategy needs a CausalScenario, got {scenario!r}")
+        if not isinstance(self.state, (PureState, MixedState)):
+            raise ValidationError(f"a strategy state must be a PureState or MixedState, "
+                                  f"got {self.state!r}")
         if self.state.dim != 2**scenario.n:
             raise ValidationError(
                 f"state dimension {self.state.dim} does not match {scenario.n} parties")
@@ -99,13 +104,13 @@ class QuantumStrategy(_ArrayValue):
                 tuple(tuple(table.ravel().tolist()) for table in self.bloch_tables))
 
     @cached_property
-    def observables(self) -> FrozenTable:
+    def observables(self) -> MappingProxyType:
         """Read-only (party, visible tuple) -> :class:`Observable2` view of
         the tables, in canonical order (party, then setting index). Built on
         first read."""
-        return FrozenTable({(i, t): Observable2(bloch=r)
-                            for i, table in enumerate(self.bloch_tables, start=1)
-                            for t, r in zip(self.scenario.visible_tuples(i), table)})
+        return MappingProxyType({(i, t): Observable2(bloch=r)
+                                 for i, table in enumerate(self.bloch_tables, start=1)
+                                 for t, r in zip(self.scenario.visible_tuples(i), table)})
 
 
 def correlations(tensor: np.ndarray, tables: list[np.ndarray], index: np.ndarray,
@@ -170,6 +175,8 @@ def evaluate_strategy(strategy: QuantumStrategy, ineq: BellInequality) -> float:
 def success_probability(bell_value: float, gamma: float) -> float:
     """Game success implied by an inequality value: 1/2 + B / (2 Gamma);
     exact, then rounded once, when B and Gamma are both integral."""
+    if not (math.isfinite(bell_value) and math.isfinite(gamma)):
+        raise ValidationError(f"B and gamma must be finite, got {bell_value} and {gamma}")
     if gamma <= 0:
         raise ValidationError(f"gamma must be positive, got {gamma}")
     if isinstance(bell_value, Integral) and isinstance(gamma, Integral):

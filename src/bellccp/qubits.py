@@ -124,8 +124,8 @@ class MixedState(_ArrayValue):
 class Observable2(_ArrayValue):
     """Traceless binary qubit observable r . sigma with unit Bloch vector r.
 
-    Squares to the identity, so its eigenvalues are +/-1. Build through
-    :func:`bloch_to_observable`, which renormalizes slightly off-unit input.
+    Squares to the identity, so its eigenvalues are +/-1. Renormalize
+    slightly off-unit input with :func:`unit_bloch` first.
     """
 
     bloch: np.ndarray
@@ -139,7 +139,7 @@ class Observable2(_ArrayValue):
             raise ValidationError("Bloch vector entries must be finite")
         if abs(np.linalg.norm(r) - 1.0) > ATOL:
             raise ValidationError("Observable2 requires an exactly unit Bloch vector; "
-                                  "use bloch_to_observable to renormalize")
+                                  "use unit_bloch to renormalize")
         r.setflags(write=False)
         object.__setattr__(self, "bloch", r)
 
@@ -160,12 +160,6 @@ def unit_bloch(r) -> np.ndarray:
         raise BlochVectorError(f"Bloch vector norm {norm} outside "
                                f"[{1 - BLOCH_NORM_TOL}, {1 + BLOCH_NORM_TOL}]")
     return vec / norm
-
-
-def bloch_to_observable(r) -> Observable2:
-    """The observable r . sigma from a (nearly) unit 3-vector, renormalized
-    by :func:`unit_bloch`."""
-    return Observable2(bloch=unit_bloch(r))
 
 
 def tensor_product(factors) -> np.ndarray:

@@ -23,6 +23,7 @@ have funded in ``rounds_completed``.
 
 from __future__ import annotations
 
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,8 @@ class SeededPrng(RandomnessSource):
     kind = "seeded-prng"
 
     def __init__(self, seed: int):
+        if not isinstance(seed, Integral) or seed < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
         self.seed = int(seed)
         self._rng = np.random.Generator(np.random.PCG64(self.seed))
 

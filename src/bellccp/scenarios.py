@@ -26,6 +26,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from numbers import Integral, Real
+from types import MappingProxyType
 
 import numpy as np
 
@@ -38,58 +39,14 @@ MAX_PARTIES = 6
 COEFFICIENT_LIMIT = 2**53
 
 
-class FrozenTable(Mapping):
-    """Read-only mapping that keeps its insertion order.
-
-    Item assignment raises ``TypeError``. It equals any mapping with the
-    same items, hashes over its items, and pickles by value.
-    """
-
-    __slots__ = ("_items",)
-
-    def __init__(self, items=()):
-        self._items = dict(items)
-
-    def __getitem__(self, key):
-        return self._items[key]
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    # The stored dict's own views: they read without one lookup per key,
-    # and cannot write (their ``.mapping`` is a read-only proxy).
-    def keys(self):
-        return self._items.keys()
-
-    def values(self):
-        return self._items.values()
-
-    def items(self):
-        return self._items.items()
-
-    def __eq__(self, other):
-        return self._items == (other._items if isinstance(other, FrozenTable) else other)
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._items.items()))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self._items!r})"
-
-    def __reduce__(self):
-        return type(self), (self._items,)
-
-
 class FrozenValue:
     """Base of the frozen value types: copies and pickles rebuild the value
     through its constructor, so validation and read-only storage hold for
-    them too."""
+    them too. A read-only mapping field goes to the constructor as a dict."""
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+        args = (getattr(self, f.name) for f in fields(self) if f.init)
+        return type(self), tuple(dict(a) if isinstance(a, MappingProxyType) else a for a in args)
 
 
 class _ArrayValue(FrozenValue):
@@ -238,23 +195,27 @@ def make_scenario(n: int, visibility) -> CausalScenario:
     return CausalScenario(n=n, visibility=visibility)
 
 
-@dataclass(frozen=True)
-class BellInequality(FrozenValue):
+@dataclass(frozen=True, eq=False)
+class BellInequality(_ArrayValue):
     """Coefficient table Q over all input tuples, bound to a scenario.
 
-    ``coeffs`` is stored read-only, with every input tuple in canonical
-    order (absent tuples as 0). Integer coefficients are kept as Python
-    ints so sums over them (the classical bound, Gamma) stay exact; each
-    |Q(x)| must be below ``COEFFICIENT_LIMIT``, so those sums also fit int64.
-    ``gamma`` is derived, always sum |Q|, and is not a constructor argument.
+    ``coeffs`` is stored as a read-only mapping, with every input tuple in
+    canonical order (absent tuples as 0). Integer coefficients are kept as
+    Python ints so sums over them (the classical bound, Gamma) stay exact;
+    each |Q(x)| must be below ``COEFFICIENT_LIMIT``, so those sums also fit
+    int64. ``gamma`` is derived, always sum |Q|, and is not a constructor
+    argument. Inequalities compare and hash by scenario and coefficients;
+    ``gamma`` and ``name`` do not enter.
     """
 
     scenario: CausalScenario
     coeffs: Mapping
-    gamma: float = field(init=False, compare=False)
-    name: str | None = field(default=None, compare=False)
+    gamma: float = field(init=False)
+    name: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.scenario, CausalScenario):
+            raise ValidationError(f"an inequality needs a CausalScenario, got {self.scenario!r}")
         n = self.scenario.n
         values = canonical_values(self.coeffs, n, "coefficient tuple", 0)
         for k, (x, q) in enumerate(zip(input_tuples(n), values)):
@@ -265,7 +226,7 @@ class BellInequality(FrozenValue):
         gamma = sum(abs(q) for q in values)
         if gamma <= 0:
             raise ValidationError("all coefficients are zero; the inequality is empty")
-        object.__setattr__(self, "coeffs", FrozenTable(zip(input_tuples(n), values)))
+        object.__setattr__(self, "coeffs", MappingProxyType(dict(zip(input_tuples(n), values))))
         object.__setattr__(self, "gamma", gamma)
         dtype = np.int64 if all(isinstance(q, Integral) for q in values) else float
         array = read_only(np.array(values, dtype=dtype))
@@ -274,6 +235,9 @@ class BellInequality(FrozenValue):
         # sign is unobservable; +1 keeps it total.
         object.__setattr__(self, "_sign_array",
                            read_only(np.where(array < 0, -1, 1).astype(np.int8)))
+
+    def _value(self) -> tuple:
+        return self.scenario, tuple(self.coeffs.values())
 
     @property
     def n(self) -> int:

@@ -52,6 +52,9 @@ class OptimizerOptions:
     optimize_state: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         for name in ("restarts", "max_sweeps"):
             value = getattr(self, name)
             if not isinstance(value, Integral) or value < 1:

@@ -26,7 +26,7 @@ from bellccp import (
     svetlichny_inequality,
 )
 from bellccp import classical
-from bellccp.classical import DEFAULT_MESSAGE_GUARD, MessageStrategy
+from bellccp.classical import MESSAGE_WORK_GUARD, MessageStrategy
 
 import oracles
 
@@ -235,26 +235,30 @@ def test_four_party_search_matches_formula():
             classical_success_bound(ineq), abs=1e-12)
 
 
-def test_message_guard():
+def test_message_guard(monkeypatch):
     instance = CcpInstance(inequality=gyni_inequality())
+    assert 3 * 2**16 <= MESSAGE_WORK_GUARD
+    monkeypatch.setattr(classical, "MESSAGE_WORK_GUARD", 10)
     with pytest.raises(EnumerationGuardError):
-        ccp_exhaustive_bound(instance, guard=10)
-    assert 3 * 2**16 <= DEFAULT_MESSAGE_GUARD
+        ccp_exhaustive_bound(instance)
 
 
-def test_unknown_message_family_is_rejected_before_the_guard():
+def test_unknown_message_family_is_rejected_before_the_guard(monkeypatch):
     instance = CcpInstance(inequality=gyni_inequality())
+    monkeypatch.setattr(classical, "MESSAGE_WORK_GUARD", 10)
     with pytest.raises(ValidationError, match="'bogus'"):
-        ccp_exhaustive_bound(instance, guard=10, message_family="bogus")
+        ccp_exhaustive_bound(instance, message_family="bogus")
 
 
 @pytest.mark.parametrize("family, combos", [("all", 3 * 128**2), ("y-odd", 3 * 8**2)])
-def test_message_guard_counts_scored_combinations(family, combos):
+def test_message_guard_counts_scored_combinations(monkeypatch, family, combos):
     # Each gyni party scores every pair of the other two parties' functions.
     instance = CcpInstance(inequality=gyni_inequality())
-    assert ccp_exhaustive_bound(instance, guard=combos, message_family=family) == 0.875
+    monkeypatch.setattr(classical, "MESSAGE_WORK_GUARD", combos)
+    assert ccp_exhaustive_bound(instance, message_family=family) == 0.875
+    monkeypatch.setattr(classical, "MESSAGE_WORK_GUARD", combos - 1)
     with pytest.raises(EnumerationGuardError, match=f"needs {combos} combinations"):
-        ccp_exhaustive_bound(instance, guard=combos - 1, message_family=family)
+        ccp_exhaustive_bound(instance, message_family=family)
 
 
 @pytest.mark.parametrize("chunk", [100, 400])
@@ -407,6 +411,8 @@ def test_tables_outside_the_layout_are_rejected(kind, trailing, edit):
     assert kind(scenario=scenario, tables=tables).tables[0].dtype == np.int8
     with pytest.raises(ValidationError):
         kind(scenario=scenario, tables=edit(tables))
+    with pytest.raises(ValidationError, match="needs a CausalScenario"):
+        kind(scenario=None, tables=())
 
 
 def _tie_heavy_cases():

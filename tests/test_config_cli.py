@@ -458,6 +458,31 @@ def test_noise_with_state_optimization_rejected(capsys):
     assert "mixed" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--ineq", "gyni", "--strategy", "gyni-paper", "--rounds", "5"],
+    ["optimize", "--ineq", "chsh", "--restarts", "2"],
+    ["verify", "--ineq", "chsh", "--strategies", "2"],
+], ids=["simulate", "optimize", "verify"])
+def test_negative_seed_ends_in_an_error_line(capsys, command):
+    code, out, err = run_cli(capsys, *command, "--seed", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "--seed" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["eval"],
+    ["simulate", "--rounds", "5", "--seed", "1", "--dump-config"],
+], ids=["eval", "dump-config"])
+def test_preset_from_another_scenario_ends_in_an_error_line(capsys, command):
+    # gyni-paper is a ring strategy; svetlichny's structure is another one.
+    code, out, err = run_cli(capsys, command[0], "--ineq", "svetlichny",
+                             "--strategy", "gyni-paper", *command[1:])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "scenario does not match" in err
+
+
 def test_nan_tolerance_ends_in_an_error_line(capsys):
     code, out, err = run_cli(capsys, "optimize", "--ineq", "chsh", "--seed", "1",
                              "--restarts", "2", "--tol", "nan")

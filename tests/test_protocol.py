@@ -390,6 +390,11 @@ def test_session_estimate_converges_over_many_seeds():
 
 def test_session_validation(tmp_path):
     instance = _gyni_instance()
+    # A fractional seed once played its floor; a negative one failed in numpy.
+    for seed in (1.5, -1, None, "1"):
+        with pytest.raises(ValidationError, match="seed"):
+            SeededPrng(seed)
+    assert type(SeededPrng(np.int64(3)).seed) is int
     for rounds in (0, 2.5, math.nan):
         with pytest.raises(ValidationError, match="rounds"):
             run_session(instance, canonical_strategy("gyni-paper"), rounds, SeededPrng(1))

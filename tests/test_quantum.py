@@ -110,6 +110,9 @@ def test_success_probability_formula():
         success_probability(1.0, 0.0)
     with pytest.raises(NumericError):
         success_probability(10.0, 8.0)
+    for b, gamma in ((math.nan, 8), (1, math.nan), (math.inf, 8), (1, math.inf)):
+        with pytest.raises(ValidationError, match="finite"):
+            success_probability(b, gamma)
 
 
 @given(st.integers(1, 2**70).flatmap(
@@ -213,6 +216,10 @@ def test_incomplete_observable_map_rejected():
     for bad in (5, [5, 5, 5], [[(0.0, 0.0, 1.0), (0.0, 1.0)], *tables[1:]]):
         with pytest.raises(ValidationError):  # not one numeric array per party
             QuantumStrategy(scenario=scenario, state=ghz_state(3), bloch_tables=bad)
+    with pytest.raises(ValidationError, match="needs a CausalScenario"):
+        QuantumStrategy(scenario=None, state=ghz_state(3), bloch_tables=tables)
+    with pytest.raises(ValidationError, match="state must be"):
+        QuantumStrategy(scenario=scenario, state=5, bloch_tables=tables)
 
 
 def test_bloch_tables_are_checked_and_copied():

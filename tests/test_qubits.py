@@ -11,7 +11,6 @@ from bellccp import (
     PureState,
     QuantumStrategy,
     ValidationError,
-    bloch_to_observable,
     canonical_strategy,
     chsh_inequality,
     depolarize,
@@ -19,6 +18,7 @@ from bellccp import (
     ghz_state,
     outcome_distribution,
     tensor_product,
+    unit_bloch,
 )
 from bellccp.qubits import IDENTITY_2, SIGMA_X, SIGMA_Z, Observable2
 from bellccp.scenarios import MAX_PARTIES
@@ -40,7 +40,7 @@ def test_pauli_observables():
 
 
 def test_charlie_setting_is_renormalized():
-    obs = bloch_to_observable((-0.38, -0.92, 0.0))
+    obs = Observable2(bloch=unit_bloch((-0.38, -0.92, 0.0)))
     assert np.linalg.norm(obs.bloch) == pytest.approx(1.0, abs=1e-12)
     # direction preserved
     assert obs.bloch[0] / obs.bloch[1] == pytest.approx(0.38 / 0.92, abs=1e-12)
@@ -48,9 +48,9 @@ def test_charlie_setting_is_renormalized():
 
 def test_far_off_norm_rejected():
     with pytest.raises(BlochVectorError):
-        bloch_to_observable((0.5, 0.5, 0.0))
+        Observable2(bloch=unit_bloch((0.5, 0.5, 0.0)))
     with pytest.raises(BlochVectorError):
-        bloch_to_observable((0.0, 0.0, 0.0))
+        Observable2(bloch=unit_bloch((0.0, 0.0, 0.0)))
 
 
 @given(st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)))
@@ -59,7 +59,7 @@ def test_observable_invariants(raw):
     norm = np.linalg.norm(vec)
     if norm < 1e-6:
         return
-    matrix = oracles.bloch_operator(bloch_to_observable(vec / norm).bloch)
+    matrix = oracles.bloch_operator(Observable2(bloch=unit_bloch(vec / norm)).bloch)
     assert np.allclose(matrix @ matrix, IDENTITY_2, atol=1e-9)
     assert abs(np.trace(matrix)) < 1e-9
     plus, minus = (IDENTITY_2 + matrix) / 2, (IDENTITY_2 - matrix) / 2
@@ -240,7 +240,7 @@ def test_states_are_immutable():
     state = ghz_state(2)
     with pytest.raises(ValueError):
         state.amplitudes[0] = 0.0
-    obs = bloch_to_observable((0, 0, 1))
+    obs = Observable2(bloch=unit_bloch((0, 0, 1)))
     with pytest.raises(ValueError):
         obs.bloch[0] = 1.0
 
@@ -261,7 +261,7 @@ def test_states_and_observables_compare_and_hash_by_value():
         assert len({a, b}) == 1
     assert PureState([1.0, 0.0]) != PureState([0.0, 1.0])
     assert MixedState(np.diag([1.0, 0.0])) != MixedState(np.diag([0.0, 1.0]))
-    assert bloch_to_observable((0, 0, 1)) != bloch_to_observable((0, 0, -1))
+    assert Observable2(bloch=unit_bloch((0, 0, 1))) != Observable2(bloch=unit_bloch((0, 0, -1)))
     # Same entries, different types.
     assert PureState([1.0, 0.0]) != MixedState(np.diag([1.0, 0.0]))
     assert ghz_state(2) != ghz_state(2).amplitudes.tolist()

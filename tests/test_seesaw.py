@@ -42,6 +42,11 @@ def test_options_validation():
         for value in (2.5, 2.0, math.nan, "2"):
             with pytest.raises(ValidationError, match=name):
                 OptimizerOptions(seed=1, **{name: value})
+    # A seed that is not a non-negative integer would draw OS entropy or fail in numpy.
+    for seed in (None, 1.5, -1, "1"):
+        with pytest.raises(ValidationError, match="seed"):
+            OptimizerOptions(seed=seed)
+    assert type(OptimizerOptions(seed=np.int64(3)).seed) is int
 
 
 def test_seesaw_reaches_known_optima():

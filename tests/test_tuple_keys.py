@@ -45,6 +45,8 @@ def test_inequality_rejects_keys_that_are_not_signs(key):
 def test_inequality_rejects_tables_that_are_not_mappings(coeffs):
     with pytest.raises(ValidationError, match="must be a mapping"):
         BellInequality(scenario=CHSH_SCENARIO, coeffs=coeffs)
+    with pytest.raises(ValidationError, match="needs a CausalScenario"):
+        BellInequality(scenario=5, coeffs={(1, 1): 1})
 
 
 def _inequality_config_with_x(x):
