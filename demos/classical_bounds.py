@@ -17,7 +17,6 @@ from bellccp import (
     classical_success_bound,
     gyni_inequality,
     make_scenario,
-    strategy_bell_value,
     svetlichny_inequality,
 )
 
@@ -27,7 +26,8 @@ def show(ineq, label):
     print(f"{label}:")
     print(f"  classical bound      {bound}   (Gamma = {ineq.gamma})")
     print(f"  success bound        {classical_success_bound(ineq)}")
-    print(f"  witness value check  {strategy_bell_value(witness, ineq)}")
+    value = ineq.coefficient_array() @ witness.output_array().prod(axis=1)
+    print(f"  witness value check  {value}")
     for party, outputs in enumerate(witness.tables, start=1):
         table = ", ".join(f"{setting}->{output:+d}" for setting, output in
                           zip(witness.scenario.visible_tuples(party), outputs.tolist()))

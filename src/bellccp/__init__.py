@@ -8,15 +8,9 @@ whose success probability is 1/2 + B / (2 Gamma) for inequality value B.
 
 from .classical import (
     DeterministicStrategy,
-    MessageStrategy,
-    broadcast_messages,
     ccp_exhaustive_bound,
     classical_bound,
     classical_success_bound,
-    constant_strategy,
-    enumerate_strategies,
-    message_protocol_success,
-    strategy_bell_value,
 )
 from .errors import (
     BlochVectorError,
@@ -72,7 +66,6 @@ from .scenarios import (
     make_scenario,
     named_inequality,
     svetlichny_inequality,
-    target_function,
 )
 from .seesaw import (
     OptimizationResult,

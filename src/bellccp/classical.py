@@ -24,7 +24,6 @@ reduction in its own terms.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -64,18 +63,24 @@ _CHUNK = 1 << 14
 MESSAGE_WORK_GUARD = 2**20
 
 
-class _SignTables(_ArrayValue):
-    """Base of the classical strategies: a scenario plus one +/-1 table per
-    party whose first axis is the party's setting index, shape
-    (2^arity, *_trailing). The tables are copied and stored read-only as
-    int8; every entry must equal +1 or -1 (1.0 passes; 0, 1.5 and NaN do
-    not). Strategies compare and hash by value."""
+@dataclass(frozen=True, eq=False)
+class DeterministicStrategy(_ArrayValue):
+    """One deterministic output table per party, consistent with a scenario.
+
+    ``tables[i - 1]`` holds party i's +/-1 outputs by setting index, shape
+    (2^arity,): entry s is the output at the party's s-th visible tuple in
+    canonical order. The tables are copied and stored read-only as int8;
+    every entry must equal +1 or -1 (1.0 passes; 0, 1.5 and NaN do not).
+    Strategies compare and hash by value."""
+
+    scenario: CausalScenario
+    tables: tuple
 
     def __post_init__(self):
         what = type(self).__name__
         if not isinstance(self.scenario, CausalScenario):
             raise ValidationError(f"a {what} needs a CausalScenario, got {self.scenario!r}")
-        shapes = [(2 ** len(group), *self._trailing) for group in self.scenario.visibility]
+        shapes = [(2 ** len(group),) for group in self.scenario.visibility]
         try:
             tables = [np.asarray(table) for table in self.tables]
         except (TypeError, ValueError) as exc:
@@ -90,28 +95,14 @@ class _SignTables(_ArrayValue):
         object.__setattr__(self, "tables", tuple(read_only(t.astype(np.int8)) for t in tables))
 
     def _value(self) -> tuple:
-        return self.scenario, tuple(tuple(table.ravel().tolist()) for table in self.tables)
-
-
-@dataclass(frozen=True, eq=False)
-class DeterministicStrategy(_SignTables):
-    """One deterministic output table per party, consistent with a scenario.
-
-    ``tables[i - 1]`` holds party i's +/-1 outputs by setting index, shape
-    (2^arity,): entry s is the output at the party's s-th visible tuple in
-    canonical order."""
-
-    scenario: CausalScenario
-    tables: tuple
-    _trailing = ()
+        return self.scenario, tuple(tuple(table.tolist()) for table in self.tables)
 
     def output_array(self) -> np.ndarray:
         """Party i's output at every input tuple in column i-1, shape (2^n, n),
         in canonical tuple order. Computed once, on first call; read-only."""
         return self._output_array
 
-    # Built on first use: searches and listings construct many strategies
-    # whose outputs are never tabulated.
+    # Built on first use: the witness of a search is often never tabulated.
     @cached_property
     def _output_array(self) -> np.ndarray:
         return read_only(np.concatenate(self.tables)[_output_index(self.scenario)])
@@ -122,27 +113,6 @@ def _output_index(scenario: CausalScenario) -> np.ndarray:
     """Where party i's output at x sits in the concatenated tables, at [x, i - 1]."""
     starts = np.cumsum([0] + [2 ** scenario.arity(i) for i in range(1, scenario.n)])
     return read_only((scenario.setting_index() + starts[:, None]).T.copy())
-
-
-def constant_strategy(scenario: CausalScenario, value: int = 1) -> DeterministicStrategy:
-    """Strategy in which every party always outputs ``value``."""
-    return DeterministicStrategy(scenario=scenario, tables=tuple(
-        np.full(2 ** scenario.arity(i), value) for i in range(1, scenario.n + 1)))
-
-
-def enumerate_strategies(scenario: CausalScenario):
-    """Yield every deterministic strategy of a scenario (odometer order)."""
-    per_party = [np.array(list(itertools.product((1, -1), repeat=2 ** len(group))), np.int8)
-                 for group in scenario.visibility]
-    for combo in itertools.product(*per_party):
-        yield DeterministicStrategy(scenario=scenario, tables=combo)
-
-
-def strategy_bell_value(strategy: DeterministicStrategy, ineq: BellInequality):
-    """Inequality value of a deterministic strategy: sum_x Q(x) prod_i a_i."""
-    if strategy.scenario != ineq.scenario:
-        raise ValidationError("strategy visibility structure does not match the inequality")
-    return (ineq.coefficient_array() @ strategy.output_array().prod(axis=1)).item()
 
 
 def _response_matrix(arity: int) -> np.ndarray:
@@ -282,58 +252,6 @@ def classical_bound(ineq: BellInequality):
 def classical_success_bound(ineq: BellInequality) -> float:
     """Best classical success of the derived game: 1/2 + bound / (2 Gamma)."""
     return success_probability(classical_bound(ineq)[0], ineq.gamma)
-
-
-@dataclass(frozen=True, eq=False)
-class MessageStrategy(_SignTables):
-    """One +/-1 broadcast-message table per party.
-
-    ``tables[i - 1]`` has shape (2^arity, 2): entry [s, b] is party i's
-    message at its s-th visible tuple in canonical order and y bit b
-    (b = 1 for y = +1)."""
-
-    scenario: CausalScenario
-    tables: tuple
-    _trailing = (2,)
-
-
-def broadcast_messages(strategy: DeterministicStrategy) -> MessageStrategy:
-    """The protocol messages m_i = y_i * a_i of a deterministic strategy."""
-    return MessageStrategy(scenario=strategy.scenario, tables=tuple(
-        table[:, None] * np.array([-1, 1], dtype=np.int8) for table in strategy.tables))
-
-
-def message_protocol_success(instance: CcpInstance, messages: MessageStrategy,
-                             party: int) -> float:
-    """Success of one party under fixed messages and a pointwise-best guess.
-
-    For every realization of the party's information (its visible inputs,
-    its own y, the messages it receives) the guess with the larger weighted
-    mass of matching target values is exact, so this is the party's optimal
-    success for the given message strategy.
-    """
-    ineq = instance.inequality
-    scenario = ineq.scenario
-    if messages.scenario != scenario:
-        raise ValidationError("message strategy does not match the instance scenario")
-    n = scenario.n
-    tables = [table.tolist() for table in messages.tables]
-    ys = tuple_array(n)
-    y_rows = list(zip((ys > 0).tolist(), ys.prod(axis=1).tolist()))
-    masses: dict[tuple, dict[int, float]] = {}
-    for settings, weight_x, sign_q in zip(scenario.setting_index().T.tolist(),
-                                          instance.probability_vector().tolist(),
-                                          ineq.sign_array().tolist()):
-        if weight_x == 0.0:
-            continue
-        weight = weight_x / 2**n
-        # Every party's messages at x, by y bit. The party's own message is
-        # fixed by its setting and y, so hearing it refines nothing.
-        rows = [table[s] for table, s in zip(tables, settings)]
-        for bits, prod_y in y_rows:
-            info = (settings[party - 1], bits[party - 1], tuple(map(list.__getitem__, rows, bits)))
-            masses.setdefault(info, {1: 0.0, -1: 0.0})[prod_y * sign_q] += weight
-    return sum(max(m[1], m[-1]) for m in masses.values())
 
 
 def _message_table(arity: int, family: str) -> np.ndarray:

@@ -186,6 +186,8 @@ def strategy_from_config(config: dict, scenario: CausalScenario) -> QuantumStrat
     what = 'strategy config (a "name", or a "state" and "observables")'
     if isinstance(config, dict) and "name" in config:
         return canonical_strategy(_field(config, "name", str, what))
+    if not isinstance(scenario, CausalScenario):
+        raise ValidationError(f"a strategy config with a state needs a scenario, got {scenario!r}")
     state = _state_from_config(_field(config, "state", object, what), scenario.n)
     blochs = {i: {} for i in range(1, scenario.n + 1)}
     for entry in _field(config, "observables", list, what):

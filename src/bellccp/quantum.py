@@ -175,7 +175,11 @@ def evaluate_strategy(strategy: QuantumStrategy, ineq: BellInequality) -> float:
 def success_probability(bell_value: float, gamma: float) -> float:
     """Game success implied by an inequality value: 1/2 + B / (2 Gamma);
     exact, then rounded once, when B and Gamma are both integral."""
-    if not (math.isfinite(bell_value) and math.isfinite(gamma)):
+    try:
+        finite = math.isfinite(bell_value) and math.isfinite(gamma)
+    except OverflowError:
+        raise ValidationError("B and gamma must lie within the float range") from None
+    if not finite:
         raise ValidationError(f"B and gamma must be finite, got {bell_value} and {gamma}")
     if gamma <= 0:
         raise ValidationError(f"gamma must be positive, got {gamma}")

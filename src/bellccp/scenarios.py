@@ -254,13 +254,6 @@ class BellInequality(_ArrayValue):
         return self._sign_array
 
 
-def target_function(ineq: BellInequality, x, y) -> int:
-    """f(x, y) = prod(y) * sign(Q(x)), valued in {-1, +1}."""
-    k = tuple_index(x, ineq.n, "x")
-    tuple_index(y, ineq.n, "y")
-    return int(np.prod(y) * ineq.sign_array()[k])
-
-
 @dataclass(frozen=True)
 class CcpInstance(FrozenValue):
     """The game derived from an inequality: inputs drawn from

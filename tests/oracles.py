@@ -1,13 +1,14 @@
 """Independent reference computations used to freeze expected test values.
 
-Everything here is deliberately written against raw numpy / itertools and
-never calls into the package, so a test comparing a library result with an
-oracle result exercises two separate code paths.
+Everything here is deliberately written against raw numpy, itertools and
+math and never calls into the package, so a test comparing a library result
+with an oracle result exercises two separate code paths.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -64,15 +65,23 @@ def bloch_operator(r) -> np.ndarray:
     return r[0] * SX + r[1] * SY + r[2] * SZ
 
 
+# Setting positions by (n, visibility); a listing scores many tables of one
+# scenario, so each scenario's positions are computed once.
+_POSITIONS = {}
+
+
 def setting_positions(n, visibility):
     """For each party, every input tuple's position among its visible settings
     (both in lexicographic order with -1 first)."""
-    xs = list(itertools.product((-1, 1), repeat=n))
-    positions = []
-    for group in visibility:
-        settings = list(itertools.product((-1, 1), repeat=len(group)))
-        positions.append([settings.index(tuple(x[j - 1] for j in group)) for x in xs])
-    return positions
+    key = (n, tuple(tuple(group) for group in visibility))
+    if key not in _POSITIONS:
+        xs = list(itertools.product((-1, 1), repeat=n))
+        positions = []
+        for group in key[1]:
+            settings = list(itertools.product((-1, 1), repeat=len(group)))
+            positions.append(tuple(settings.index(tuple(x[j - 1] for j in group)) for x in xs))
+        _POSITIONS[key] = tuple(positions)
+    return _POSITIONS[key]
 
 
 def kron_correlators(rho, n, visibility, tables) -> np.ndarray:
@@ -148,6 +157,50 @@ def deterministic_game_success(n, visibility, tables, weights, q) -> float:
         if product == (-1 if q[k] < 0 else 1):
             total += weights[k]
     return total
+
+
+def response_tables(visibility):
+    """Every tuple of +/-1 output tables, one table per party over its
+    2^|group| settings, in odometer order: the first party most significant,
+    each party's tables in ``itertools.product((1, -1), ...)`` order."""
+    return itertools.product(*(itertools.product((1, -1), repeat=2 ** len(group))
+                               for group in visibility))
+
+
+def deterministic_bell_value(n, visibility, tables, q):
+    """sum_x Q(x) prod_i a_i(x), where ``tables[i][s]`` is party i+1's output
+    at its setting s and ``q`` is in canonical order."""
+    positions = setting_positions(n, visibility)
+    return sum(q[k] * math.prod(tables[i][positions[i][k]] for i in range(n))
+               for k in range(2**n))
+
+
+def message_success(n, visibility, tables, q, party):
+    """Success of one party under fixed broadcast messages and a
+    pointwise-best guess of the target prod(y) sign Q(x) (+1 where Q(x) = 0).
+
+    x is drawn from |Q| / Gamma and y uniformly. ``tables[i][s][b]`` is party
+    i+1's message at its setting s and y bit b (b = 1 for y = +1). The party
+    sees its own setting, its own y and every message; for each such view
+    the guess with the larger mass of matching targets is exact, so this is
+    the party's optimal success for the given messages."""
+    positions = setting_positions(n, visibility)
+    gamma = sum(abs(v) for v in q)
+    ys = [([(v + 1) // 2 for v in y], math.prod(y))
+          for y in itertools.product((-1, 1), repeat=n)]
+    masses = {}
+    for k in range(2**n):
+        if q[k] == 0:
+            continue
+        weight = abs(q[k]) / gamma / 2**n
+        sign = -1 if q[k] < 0 else 1
+        rows = [tables[i][positions[i][k]] for i in range(n)]
+        for bits, prod_y in ys:
+            view = (positions[party - 1][k], bits[party - 1],
+                    *[row[b] for row, b in zip(rows, bits)])
+            mass = masses.setdefault(view, {1: 0.0, -1: 0.0})
+            mass[prod_y * sign] += weight
+    return sum(max(mass.values()) for mass in masses.values())
 
 
 def odometer_classical_bound(n, visibility, coeffs):

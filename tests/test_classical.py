@@ -11,22 +11,18 @@ from bellccp import (
     DeterministicStrategy,
     EnumerationGuardError,
     ValidationError,
-    broadcast_messages,
     ccp_exhaustive_bound,
     chsh_inequality,
     classical_bound,
     classical_success_bound,
-    constant_strategy,
-    enumerate_strategies,
+    exact_success,
     gyni_inequality,
     input_tuples,
     make_scenario,
-    message_protocol_success,
-    strategy_bell_value,
     svetlichny_inequality,
 )
 from bellccp import classical
-from bellccp.classical import MESSAGE_WORK_GUARD, MessageStrategy
+from bellccp.classical import MESSAGE_WORK_GUARD
 
 import oracles
 
@@ -48,32 +44,43 @@ def _random_inequality(rng, scenario):
     return BellInequality(scenario=scenario, coeffs=coeffs)
 
 
+def _constant(scenario, value):
+    """The strategy in which every party always outputs ``value``."""
+    return DeterministicStrategy(scenario=scenario, tables=[
+        np.full(2 ** scenario.arity(i), value) for i in range(1, scenario.n + 1)])
+
+
+def _value(tables, ineq):
+    """The oracle's sum_x Q(x) prod_i a_i(x) of one table per party."""
+    return oracles.deterministic_bell_value(ineq.n, ineq.scenario.visibility, tables,
+                                            ineq.coefficient_array().tolist())
+
+
+def _strategy_value(strategy, ineq):
+    return _value([table.tolist() for table in strategy.tables], ineq)
+
+
 def test_all_plus_strategies():
-    assert strategy_bell_value(constant_strategy(gyni_inequality().scenario),
-                               gyni_inequality()) == 6
-    assert strategy_bell_value(constant_strategy(svetlichny_inequality().scenario),
-                               svetlichny_inequality()) == 4
+    for ineq, value in ((gyni_inequality(), 6), (svetlichny_inequality(), 4)):
+        assert _strategy_value(_constant(ineq.scenario, 1), ineq) == value
 
 
 def test_bell_value_is_an_int_when_q_is_integral():
     ineq = gyni_inequality()
-    assert type(strategy_bell_value(classical_bound(ineq)[1], ineq)) is int
+    assert type(classical_bound(ineq)[0]) is int
     halves = BellInequality(scenario=ineq.scenario,
                             coeffs={x: q / 2 for x, q in ineq.coeffs.items()})
-    value = strategy_bell_value(constant_strategy(ineq.scenario), halves)
+    value = classical_bound(halves)[0]
     assert type(value) is float and value == 3.0
 
 
 def test_global_flip_negates_for_three_parties():
-    ineq = gyni_inequality()
-    plus = constant_strategy(ineq.scenario, 1)
-    minus = constant_strategy(ineq.scenario, -1)
-    assert strategy_bell_value(minus, ineq) == -strategy_bell_value(plus, ineq)
-
-
-def test_scenario_mismatch_rejected():
-    with pytest.raises(ValidationError):
-        strategy_bell_value(constant_strategy(chsh_inequality().scenario), gyni_inequality())
+    # With three parties, negating every output negates prod_i a_i, so every
+    # passing round fails and every failing round passes.
+    instance = CcpInstance(inequality=gyni_inequality())
+    plus = exact_success(instance, _constant(instance.inequality.scenario, 1))
+    minus = exact_success(instance, _constant(instance.inequality.scenario, -1))
+    assert plus == 0.875 and minus == 1 - plus
 
 
 def test_known_bounds():
@@ -97,9 +104,9 @@ def test_bound_matches_plain_odometer_oracle():
 def test_witness_attains_bound_and_no_strategy_beats_it():
     for ineq in (gyni_inequality(), svetlichny_inequality(), chsh_inequality()):
         bound, witness = classical_bound(ineq)
-        assert strategy_bell_value(witness, ineq) == bound
-        assert all(strategy_bell_value(s, ineq) <= bound
-                   for s in enumerate_strategies(ineq.scenario))
+        assert _strategy_value(witness, ineq) == bound
+        assert all(_value(tables, ineq) <= bound
+                   for tables in oracles.response_tables(ineq.scenario.visibility))
 
 
 def test_bound_leaves_the_inequality_unchanged():
@@ -318,25 +325,12 @@ def test_protocol_messages_reach_the_bound():
     # The broadcast m_i = y_i a_i of the optimal deterministic strategy,
     # scored via pointwise-optimal guessing, attains the success bound.
     ineq = gyni_inequality()
-    instance = CcpInstance(inequality=ineq)
     _, witness = classical_bound(ineq)
-    messages = broadcast_messages(witness)
+    messages = [[(-a, a) for a in table.tolist()] for table in witness.tables]
     for party in (1, 2, 3):
-        assert message_protocol_success(instance, messages, party) == pytest.approx(
-            0.875, abs=1e-12)
-
-
-def test_broadcast_messages_are_y_times_a():
-    # Entry [s, b] of a message table is m = y a at setting s, with y = -1
-    # at b = 0 and y = +1 at b = 1.
-    rng = np.random.default_rng(31)
-    scenario = gyni_inequality().scenario
-    strategy = DeterministicStrategy(scenario=scenario,
-                                     tables=[rng.choice([-1, 1], size=4) for _ in range(3)])
-    for a, m in zip(strategy.tables, broadcast_messages(strategy).tables):
-        assert m.shape == (4, 2)
-        for s in range(4):
-            assert m[s].tolist() == [-a[s], a[s]]
+        assert oracles.message_success(3, ineq.scenario.visibility, messages,
+                                       ineq.coefficient_array().tolist(),
+                                       party) == pytest.approx(0.875, abs=1e-12)
 
 
 def test_message_search_dominates_sampled_strategies():
@@ -344,13 +338,14 @@ def test_message_search_dominates_sampled_strategies():
     instance = CcpInstance(inequality=ineq)
     rng = np.random.default_rng(29)
     scenario = ineq.scenario
+    q = ineq.coefficient_array().tolist()
     best = ccp_exhaustive_bound(instance)
     for _ in range(25):
         tables = [[[int(rng.choice((-1, 1))) for _y in (-1, 1)]
                    for _t in scenario.visible_tuples(i)] for i in (1, 2)]
-        messages = MessageStrategy(scenario=scenario, tables=tuple(tables))
         for party in (1, 2):
-            assert message_protocol_success(instance, messages, party) <= best + 1e-12
+            assert oracles.message_success(2, scenario.visibility, tables, q,
+                                           party) <= best + 1e-12
 
 
 def test_equal_witnesses_hash_alike():
@@ -358,14 +353,12 @@ def test_equal_witnesses_hash_alike():
     second = classical_bound(gyni_inequality())[1]
     assert first is not second
     assert first == second and hash(first) == hash(second)
-    assert hash(broadcast_messages(first)) == hash(broadcast_messages(second))
     # Equal tables given as float lists are equal and hash alike.
     floats = DeterministicStrategy(scenario=first.scenario,
                                    tables=[t.astype(float).tolist() for t in first.tables])
     assert floats == first and hash(floats) == hash(first)
     assert floats.tables[0].dtype == np.int8
-    assert len({first, second, constant_strategy(first.scenario, -1)}) == 2
-    assert broadcast_messages(first) != broadcast_messages(constant_strategy(first.scenario, -1))
+    assert len({first, second, _constant(first.scenario, -1)}) == 2
 
 
 def test_witness_tables_are_read_only():
@@ -373,9 +366,6 @@ def test_witness_tables_are_read_only():
     bound, witness = classical_bound(ineq)
     with pytest.raises(ValueError):
         witness.tables[0][0] = -witness.tables[0][0]
-    messages = broadcast_messages(witness)
-    with pytest.raises(ValueError):
-        messages.tables[0][0, 0] = -messages.tables[0][0, 0]
     # The table a caller passed in stays the caller's: changing it later does
     # not reach the stored strategy.
     tables = [np.ones(4, dtype=np.int8) for _ in range(3)]
@@ -383,7 +373,7 @@ def test_witness_tables_are_read_only():
     tables[0][0] = -1
     assert set(strategy.tables[0].tolist()) == {1}
     assert classical_bound(ineq) == (bound, witness)
-    assert strategy_bell_value(classical_bound(ineq)[1], ineq) == bound
+    assert _strategy_value(classical_bound(ineq)[1], ineq) == bound
 
 
 def _set_last(tables, value):
@@ -391,8 +381,7 @@ def _set_last(tables, value):
     return tables
 
 
-@pytest.mark.parametrize("kind, trailing", [(DeterministicStrategy, ()), (MessageStrategy, (2,))],
-                         ids=["deterministic", "message"])
+@pytest.mark.parametrize("kind", [DeterministicStrategy], ids=["deterministic"])
 @pytest.mark.parametrize("edit", [
     lambda t: _set_last(t, 0),
     lambda t: _set_last(t, 1.5),
@@ -405,9 +394,9 @@ def _set_last(tables, value):
     lambda t: 5,
 ], ids=["zero", "one-and-a-half", "nan", "string", "short", "wide", "ragged", "party-missing",
         "not-a-list"])
-def test_tables_outside_the_layout_are_rejected(kind, trailing, edit):
+def test_tables_outside_the_layout_are_rejected(kind, edit):
     scenario = gyni_inequality().scenario
-    tables = [np.ones((2 ** scenario.arity(i), *trailing)) for i in range(1, scenario.n + 1)]
+    tables = [np.ones(2 ** scenario.arity(i)) for i in range(1, scenario.n + 1)]
     assert kind(scenario=scenario, tables=tables).tables[0].dtype == np.int8
     with pytest.raises(ValidationError):
         kind(scenario=scenario, tables=edit(tables))
@@ -463,4 +452,4 @@ def test_non_integral_bound_matches_first_maximizer():
     value, _tables = oracles.odometer_first_maximizer(4, visibility, coeffs)
     bound, witness = classical_bound(ineq)
     assert abs(bound - value) <= 1e-12 * ineq.gamma
-    assert abs(strategy_bell_value(witness, ineq) - bound) <= 1e-12 * ineq.gamma
+    assert abs(_strategy_value(witness, ineq) - bound) <= 1e-12 * ineq.gamma

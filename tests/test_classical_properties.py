@@ -8,7 +8,6 @@ probability exactly 1/2 + bound / (2 Gamma).
 
 import itertools
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,13 +17,9 @@ from bellccp import (
     ccp_exhaustive_bound,
     classical_bound,
     classical_success_bound,
-    enumerate_strategies,
     input_tuples,
     make_scenario,
-    message_protocol_success,
-    strategy_bell_value,
 )
-from bellccp.classical import MessageStrategy
 
 import oracles
 
@@ -78,50 +73,47 @@ def neighbour_inequalities(draw):
     return BellInequality(scenario=make_scenario(4, visibility), coeffs=draw(coefficients(4)))
 
 
-def best_listed_protocol(instance):
-    """Best message_protocol_success over listed message strategies. For each
-    party every table of every other party is listed; the party's own table
-    stays all +1, since its score never reads its own message."""
-    scenario = instance.inequality.scenario
-    shapes = [(2 ** scenario.arity(i), 2) for i in range(1, scenario.n + 1)]
-    best = 0.0
-    for party in range(1, scenario.n + 1):
-        choices = [
-            [np.ones(shape)] if i == party
-            else [np.reshape(out, shape)
-                  for out in itertools.product((1, -1), repeat=shape[0] * shape[1])]
-            for i, shape in enumerate(shapes, start=1)]
-        for tables in itertools.product(*choices):
-            messages = MessageStrategy(scenario=scenario, tables=tables)
-            best = max(best, message_protocol_success(instance, messages, party))
-    return best
-
-
-def best_listed_y_odd_protocol(instance):
-    """As best_listed_protocol, over the y-odd tables m = y * h(setting) of
-    every listed response table h."""
-    scenario = instance.inequality.scenario
+def _best_listed(ineq, listed):
+    """Best oracles.message_success over listed message tables. For each party
+    ``listed(size)`` gives every table of every other party over its ``size``
+    settings, as pairs (message at y = -1, message at y = +1); the party's own
+    table stays all +1, since its score never reads its own message."""
+    scenario = ineq.scenario
+    q = ineq.coefficient_array().tolist()
     sizes = [2 ** scenario.arity(i) for i in range(1, scenario.n + 1)]
-    y = np.array([-1, 1])
     best = 0.0
     for party in range(1, scenario.n + 1):
-        choices = [
-            [np.ones((size, 2))] if i == party
-            else [np.array(outputs)[:, None] * y
-                  for outputs in itertools.product((1, -1), repeat=size)]
-            for i, size in enumerate(sizes, start=1)]
+        choices = [[[(1, 1)] * size] if i == party else listed(size)
+                   for i, size in enumerate(sizes, start=1)]
         for tables in itertools.product(*choices):
-            messages = MessageStrategy(scenario=scenario, tables=tables)
-            best = max(best, message_protocol_success(instance, messages, party))
+            best = max(best, oracles.message_success(scenario.n, scenario.visibility,
+                                                     tables, q, party))
     return best
+
+
+def best_listed_protocol(ineq):
+    """Best success over every message table m(setting, y)."""
+    return _best_listed(ineq, lambda size: [
+        list(zip(out[0::2], out[1::2])) for out in itertools.product((1, -1), repeat=2 * size)])
+
+
+def best_listed_y_odd_protocol(ineq):
+    """Best success over the y-odd tables m = y * h(setting) of every listed
+    response table h."""
+    return _best_listed(ineq, lambda size: [
+        [(-h, h) for h in outputs] for outputs in itertools.product((1, -1), repeat=size)])
 
 
 @PROPERTY_SETTINGS
 @given(listable_inequalities())
 def test_bound_is_best_listed_strategy(ineq):
+    n, visibility = ineq.n, ineq.scenario.visibility
+    q = ineq.coefficient_array().tolist()
     bound, witness = classical_bound(ineq)
-    assert bound == max(strategy_bell_value(s, ineq) for s in enumerate_strategies(ineq.scenario))
-    assert strategy_bell_value(witness, ineq) == bound
+    assert bound == max(oracles.deterministic_bell_value(n, visibility, tables, q)
+                        for tables in oracles.response_tables(visibility))
+    assert oracles.deterministic_bell_value(
+        n, visibility, [table.tolist() for table in witness.tables], q) == bound
     assert ccp_exhaustive_bound(CcpInstance(inequality=ineq)) == pytest.approx(
         classical_success_bound(ineq), abs=1e-12)
 
@@ -143,7 +135,7 @@ def test_witness_is_odometer_first_maximizer(ineq):
 def test_protocol_search_is_best_listed_protocol(ineq):
     instance = CcpInstance(inequality=ineq)
     searched = ccp_exhaustive_bound(instance)
-    assert searched == pytest.approx(best_listed_protocol(instance), abs=1e-12)
+    assert searched == pytest.approx(best_listed_protocol(ineq), abs=1e-12)
     assert searched == pytest.approx(classical_success_bound(ineq), abs=1e-12)
 
 
@@ -152,7 +144,7 @@ def test_protocol_search_is_best_listed_protocol(ineq):
 def test_y_odd_search_is_best_listed_y_odd_protocol(ineq):
     instance = CcpInstance(inequality=ineq)
     searched = ccp_exhaustive_bound(instance, message_family="y-odd")
-    assert searched == pytest.approx(best_listed_y_odd_protocol(instance), abs=1e-12)
+    assert searched == pytest.approx(best_listed_y_odd_protocol(ineq), abs=1e-12)
     assert searched == pytest.approx(classical_success_bound(ineq), abs=1e-12)
 
 

@@ -322,6 +322,22 @@ def test_strategy_visibility_v(tmp_path):
         0.5 * ideal, abs=1e-9)
 
 
+@pytest.mark.parametrize("form", ["dict", "file"])
+def test_strategy_config_without_a_scenario_rejected(tmp_path, form):
+    # scenario=None means the strategy's own scenario, which only a strategy
+    # or a preset carries.
+    source = {"state": "ghz", "observables": []}
+    if form == "file":
+        path = tmp_path / "strategy.json"
+        path.write_text(json.dumps(source))
+        source = str(path)
+    with pytest.raises(ValidationError, match="needs a scenario"):
+        load_strategy(source, None)
+    preset = canonical_strategy("gyni-paper")
+    assert load_strategy("gyni-paper", None) == preset
+    assert load_strategy({"name": "gyni-paper"}, None) == preset
+
+
 def test_dump_config_round_trip(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "eval", "--ineq", "gyni", "--strategy", "gyni-paper",
                            "--dump-config")

@@ -14,6 +14,7 @@ from bellccp import (
     BellInequality,
     BitFileSource,
     CcpInstance,
+    DeterministicStrategy,
     RandomnessExhaustedError,
     SeededPrng,
     ValidationError,
@@ -21,8 +22,6 @@ from bellccp import (
     canonical_strategy,
     classical_bound,
     classical_success_bound,
-    constant_strategy,
-    enumerate_strategies,
     evaluate_strategy,
     exact_success,
     gyni_inequality,
@@ -41,15 +40,19 @@ from bellccp import (
 )
 from bellccp import protocol
 
+import oracles
+
 
 def _gyni_instance():
     return CcpInstance(inequality=gyni_inequality())
 
 
 def _input_draws(instance, rng, draws):
-    """(x, y) of each round of a ``constant_strategy`` session. Such a round
-    draws one x uniform and n y bits, and no outcome uniform."""
-    strategy = constant_strategy(instance.inequality.scenario)
+    """(x, y) of each round of a session whose parties always output +1. Such
+    a round draws one x uniform and n y bits, and no outcome uniform."""
+    scenario = instance.inequality.scenario
+    strategy = DeterministicStrategy(scenario=scenario, tables=[
+        np.ones(2 ** scenario.arity(i)) for i in range(1, scenario.n + 1)])
     return [(r.x, r.y) for r in run_session(instance, strategy, draws, rng).rounds]
 
 
@@ -154,7 +157,8 @@ def test_exact_success_classical_witness_and_bound():
     _, witness = classical_bound(ineq)
     assert exact_success(instance, witness) == 0.875
     bound = classical_success_bound(ineq)
-    for strategy in enumerate_strategies(ineq.scenario):
+    for tables in oracles.response_tables(ineq.scenario.visibility):
+        strategy = DeterministicStrategy(scenario=ineq.scenario, tables=tables)
         assert exact_success(instance, strategy) <= bound + 1e-12
 
 

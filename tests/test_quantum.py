@@ -113,6 +113,10 @@ def test_success_probability_formula():
     for b, gamma in ((math.nan, 8), (1, math.nan), (math.inf, 8), (1, math.inf)):
         with pytest.raises(ValidationError, match="finite"):
             success_probability(b, gamma)
+    # Integers beyond the float range, where float() overflows.
+    for b, gamma in ((10**400, 8), (1, 10**400), (-10**400, 10**401)):
+        with pytest.raises(ValidationError, match="float range"):
+            success_probability(b, gamma)
 
 
 @given(st.integers(1, 2**70).flatmap(

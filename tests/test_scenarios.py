@@ -17,7 +17,6 @@ from bellccp import (
     make_scenario,
     named_inequality,
     svetlichny_inequality,
-    target_function,
 )
 from bellccp.config import inequality_from_config, inequality_to_config
 from bellccp.scenarios import tuple_array
@@ -115,20 +114,25 @@ def test_coefficients_beyond_the_limit_rejected(q):
     assert below.gamma == 4 * (2**53 - 1)
 
 
+def _target(ineq, x, y):
+    """The game's target f(x, y) = prod(y) * sign Q(x)."""
+    return math.prod(y) * int(ineq.sign_array()[input_tuples(ineq.n).index(x)])
+
+
 def test_target_function_values():
     ineq = gyni_inequality()
-    assert target_function(ineq, (-1, -1, -1), (1, 1, 1)) == -1
-    assert target_function(ineq, (1, 1, -1), (1, -1, 1)) == -1
+    assert _target(ineq, (-1, -1, -1), (1, 1, 1)) == -1
+    assert _target(ineq, (1, 1, -1), (1, -1, 1)) == -1
     for x in input_tuples(3):
         if ineq.coeffs[x] > 0:
-            assert target_function(ineq, x, (1, 1, 1)) == 1
+            assert _target(ineq, x, (1, 1, 1)) == 1
 
 
 def test_target_function_zero_coefficient_convention():
     scenario = make_scenario(2, [(1,), (2,)])
     ineq = BellInequality(scenario=scenario, coeffs={
         (-1, -1): 1, (-1, 1): 0, (1, -1): 1, (1, 1): 1})
-    assert target_function(ineq, (-1, 1), (1, 1)) == 1
+    assert _target(ineq, (-1, 1), (1, 1)) == 1
     assert _q_star(ineq)[1] == 0.0
 
 
@@ -149,7 +153,7 @@ def test_sign_rule_sends_zero_to_plus_one(case):
     assert signs.dtype == np.int8
     for k, (x, q) in enumerate(zip(input_tuples(n), values)):
         assert signs[k] == _sign_rule(q)
-        assert target_function(ineq, x, y) == math.prod(y) * _sign_rule(q)
+        assert _target(ineq, x, y) == math.prod(y) * _sign_rule(q)
 
 
 @st.composite
@@ -177,17 +181,6 @@ def test_setting_index_locates_each_visible_tuple(scenario, seed):
             s = scenario.visible_tuples(i).index(scenario.visible_tuple(x, i))
             assert index[i - 1, k] == s
             assert outputs[k, i - 1] == tables[i - 1][s]
-
-
-@given(st.lists(st.sampled_from([-1, 1]), min_size=3, max_size=3),
-       st.lists(st.sampled_from([-1, 1]), min_size=3, max_size=3),
-       st.lists(st.sampled_from([-1, 1]), min_size=3, max_size=3))
-def test_target_function_odd_in_each_y(x, y, y_prime):
-    ineq = gyni_inequality()
-    product = 1
-    for a, b in zip(y, y_prime):
-        product *= a * b
-    assert (target_function(ineq, x, y) * target_function(ineq, x, y_prime)) == product
 
 
 @given(st.lists(st.integers(-5, 5), min_size=8, max_size=8))

@@ -25,7 +25,6 @@ from bellccp import (
     make_scenario,
     outcome_distribution,
     svetlichny_inequality,
-    target_function,
 )
 from bellccp import scenarios
 from bellccp.config import inequality_from_config, strategy_from_config, strategy_to_config
@@ -74,12 +73,10 @@ def test_config_rejects_entries_that_are_not_signs(load):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: target_function(gyni_inequality(), BAD_X, (1, 1, 1)),
-    lambda: target_function(gyni_inequality(), (1, -1, 1), BAD_X),
     lambda: outcome_distribution(canonical_strategy("gyni-paper"), BAD_X),
     lambda: bell_value({**correlator_table(canonical_strategy("gyni-paper")), BAD_X: 0.0},
                        gyni_inequality()),
-], ids=["target-x", "target-y", "outcome-x", "bell-value-key"])
+], ids=["outcome-x", "bell-value-key"])
 def test_game_functions_reject_inputs_that_are_not_signs(call):
     with pytest.raises(ValidationError, match="entries must be"):
         call()

@@ -17,11 +17,9 @@ from bellccp import (
     CausalScenario,
     CcpInstance,
     DeterministicStrategy,
-    MessageStrategy,
     MixedState,
     PureState,
     QuantumStrategy,
-    broadcast_messages,
     canonical_strategy,
     classical_bound,
     gyni_inequality,
@@ -36,7 +34,7 @@ def _values():
     mixed = canonical_strategy("experiment-like")
     witness = classical_bound(ineq)[1]
     values = [ineq.scenario, ineq, CcpInstance(inequality=ineq), mixed, pure.state,
-              mixed.state, pure.observables[(1, (1, 1))], witness, broadcast_messages(witness)]
+              mixed.state, pure.observables[(1, (1, 1))], witness]
     return {type(v).__name__: v for v in values}
 
 
@@ -50,7 +48,6 @@ _ARRAYS = {
     MixedState: lambda v: [v.matrix],
     Observable2: lambda v: [v.bloch],
     DeterministicStrategy: lambda v: [*v.tables, v.output_array()],
-    MessageStrategy: lambda v: list(v.tables),
 }
 _TABLES = {
     BellInequality: lambda v: [v.coeffs],
