@@ -9,7 +9,9 @@ vectors at x, done for all input tuples, and for a batch of strategies, at
 once by :func:`correlations`. The joint outcome distribution stays on the
 Born rule, so it checks the correlators independently: each row is the
 state read against the projectors onto the parties' product eigenbasis,
-all 2^n outcomes in one stacked :func:`qubits.expectation` call.
+all 2^n outcomes in one stacked :func:`qubits.expectation` call. The
+parties' eigenbases are computed once per strategy, on first use, for
+every row of every Bloch table; a row only gathers them.
 
 The canonical presets are the optimal GHZ-state strategies for the ring
 (guess-your-neighbour) and Svetlichny structures, attaining 8 cos(pi/8)
@@ -22,6 +24,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate
 from numbers import Integral
 from types import MappingProxyType
 
@@ -92,9 +95,12 @@ class QuantumStrategy(_ArrayValue):
             raise ValidationError(f"Bloch tables must have shapes {shapes}, "
                                   f"got {[table.shape for table in tables]}")
         for i, table in enumerate(tables, start=1):
-            if not np.all(np.isfinite(table)):
+            # No entry of a unit row exceeds 1 + ATOL. Checking that first
+            # keeps huge entries out of the norms, where they would overflow.
+            largest = float(np.abs(table).max())
+            if not math.isfinite(largest):
                 raise ValidationError(f"party {i}'s Bloch vectors must be finite")
-            if np.any(np.abs(np.linalg.norm(table, axis=1) - 1.0) > ATOL):
+            if largest > 1.0 + ATOL or np.any(np.abs(np.linalg.norm(table, axis=1) - 1.0) > ATOL):
                 raise ValidationError(f"party {i}'s Bloch vectors must be unit within {ATOL}; "
                                       "use unit_bloch to renormalize")
         object.__setattr__(self, "bloch_tables", tuple(read_only(table) for table in tables))
@@ -102,6 +108,19 @@ class QuantumStrategy(_ArrayValue):
     def _value(self) -> tuple:
         return (self.scenario, self.state,
                 tuple(tuple(table.ravel().tolist()) for table in self.bloch_tables))
+
+    # Built on first use, by one eigh over all parties' tables, and never
+    # copied: pickles and copies rebuild the strategy through its fields.
+    @cached_property
+    def _eigenbases(self) -> tuple:
+        """Party i's outcome bases by setting index at [i - 1], read-only,
+        shape (2^arity, 2, 2): column 0 of each is the eigenvector of r . sigma
+        for outcome -1, column 1 for +1."""
+        _, bases = np.linalg.eigh(
+            (np.concatenate(self.bloch_tables) @ PAULI_ROWS).reshape(-1, 2, 2))
+        read_only(bases)
+        ends = accumulate(len(table) for table in self.bloch_tables)
+        return tuple(bases[end - len(table):end] for table, end in zip(self.bloch_tables, ends))
 
     @cached_property
     def observables(self) -> MappingProxyType:
@@ -195,19 +214,19 @@ def success_probability(bell_value: float, gamma: float) -> float:
 def outcome_distribution(strategy: QuantumStrategy, x) -> dict[tuple[int, ...], float]:
     """Joint probability of every +/-1 outcome tuple at input x.
 
-    One Born rule for the whole row. ``eigh`` of the parties' r . sigma at x
-    gives each party's outcome basis, eigenvalue -1 first as in the
-    canonical order. Column a of their :func:`qubits.tensor_product` is the
-    product basis vector |e_a>, and one :func:`qubits.expectation` call
-    reads all 2^n probabilities off the stack of projectors |e_a><e_a|.
-    Tiny negative values from roundoff are zeroed. Keys come in the
-    canonical tuple order.
+    One Born rule for the whole row. Each party's outcome basis at x is the
+    ``eigh`` basis of its r . sigma, eigenvalue -1 first as in the canonical
+    order; the strategy computes these once, on first use, for every
+    setting, and the row gathers the parties' bases at x. Column a of their
+    :func:`qubits.tensor_product` is the product basis vector |e_a>, and one
+    :func:`qubits.expectation` call reads all 2^n probabilities off the
+    stack of projectors |e_a><e_a|. Tiny negative values from roundoff are
+    zeroed. Keys come in the canonical tuple order.
     """
     scenario = strategy.scenario
     n = scenario.n
     rows = scenario.setting_index()[:, tuple_index(x, n, "input tuple")]
-    bloch = np.array([table[row] for table, row in zip(strategy.bloch_tables, rows)])
-    _, bases = np.linalg.eigh((bloch @ PAULI_ROWS).reshape(n, 2, 2))
+    bases = [party[row] for party, row in zip(strategy._eigenbases, rows)]
     # Row a is |e_a>, contiguous so that the projector stack is too.
     vectors = np.ascontiguousarray(tensor_product(bases).T)
     projectors = vectors[:, :, None] * vectors.conj()[:, None, :]

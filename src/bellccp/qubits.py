@@ -15,6 +15,7 @@ pickles rebuild them through their constructors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,11 @@ ATOL = 1e-9
 # anything further off is rejected. Wide enough to accept unit vectors whose
 # components were rounded to two decimals.
 BLOCH_NORM_TOL = 1e-2
+
+# No entry of a unit vector or of a density matrix comes near this
+# magnitude. Larger entries are rejected before anything squares or
+# subtracts them, where they could overflow.
+_MAGNITUDE_LIMIT = 2.0
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -52,6 +58,17 @@ def _frozen_complex_array(values, shape) -> np.ndarray:
     return arr
 
 
+def _norm(arr: np.ndarray) -> float:
+    """Euclidean norm of a finite vector, as ``np.linalg.norm`` gives it.
+
+    A vector with an entry beyond ``_MAGNITUDE_LIMIT`` is no unit vector;
+    its norm comes from ``math.hypot``, which cannot overflow on the squares.
+    """
+    if np.abs(arr).max() <= _MAGNITUDE_LIMIT:
+        return float(np.linalg.norm(arr))
+    return math.hypot(*arr.real.tolist(), *arr.imag.tolist())
+
+
 def _qubit_count(dim: int, what: str) -> int:
     n = int(dim).bit_length() - 1
     if dim <= 0 or 2**n != dim:
@@ -72,7 +89,7 @@ class PureState(_ArrayValue):
     def __post_init__(self):
         arr = _frozen_complex_array(self.amplitudes, (np.size(self.amplitudes),))
         n = _qubit_count(arr.shape[0], "state")
-        norm = np.linalg.norm(arr)
+        norm = _norm(arr)
         if abs(norm - 1.0) > ATOL:
             raise ValidationError(f"state norm {norm} differs from 1 by more than {ATOL}")
         object.__setattr__(self, "amplitudes", arr)
@@ -101,6 +118,10 @@ class MixedState(_ArrayValue):
             raise ValidationError(f"density matrix must be square, got shape {mat.shape}")
         mat = _frozen_complex_array(mat, mat.shape)
         n = _qubit_count(mat.shape[0], "density matrix")
+        largest = float(np.abs(mat).max())
+        if largest > _MAGNITUDE_LIMIT:
+            raise ValidationError(f"density matrix entry of magnitude {largest} exceeds 1, "
+                                  "so it is not a unit-trace positive matrix")
         if np.max(np.abs(mat - mat.conj().T)) > ATOL:
             raise ValidationError("density matrix is not Hermitian")
         trace = np.trace(mat).real
@@ -137,7 +158,7 @@ class Observable2(_ArrayValue):
             raise ValidationError(f"Bloch vector must have 3 components, got shape {r.shape}")
         if not np.all(np.isfinite(r)):
             raise ValidationError("Bloch vector entries must be finite")
-        if abs(np.linalg.norm(r) - 1.0) > ATOL:
+        if abs(_norm(r) - 1.0) > ATOL:
             raise ValidationError("Observable2 requires an exactly unit Bloch vector; "
                                   "use unit_bloch to renormalize")
         r.setflags(write=False)
@@ -155,7 +176,7 @@ def unit_bloch(r) -> np.ndarray:
         raise BlochVectorError(f"Bloch vector must have 3 components, got shape {vec.shape}")
     if not np.all(np.isfinite(vec)):
         raise BlochVectorError("Bloch vector entries must be finite")
-    norm = float(np.linalg.norm(vec))
+    norm = _norm(vec)
     if abs(norm - 1.0) > BLOCH_NORM_TOL:
         raise BlochVectorError(f"Bloch vector norm {norm} outside "
                                f"[{1 - BLOCH_NORM_TOL}, {1 + BLOCH_NORM_TOL}]")

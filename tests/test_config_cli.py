@@ -1,5 +1,6 @@
 """Tests for config round-trips, the CLI surface, and file formats."""
 
+import hashlib
 import json
 import math
 import os
@@ -102,6 +103,33 @@ def test_simulate_replays_identically(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+# Round lines of `simulate --out` logs, everything after the header line, by
+# sha256. A change to how rounds are sampled or written must leave them as
+# they are; BITS stands for a fixed bit file.
+_PINNED_ROUND_LINES = {
+    "gyni-prng": (["--strategy", "gyni-paper", "--rounds", "3000", "--seed", "11"],
+                  "8bd835e8bdca078b87d01e763ebdf5f2a286687ee12e701924ab9f5093e32568"),
+    "experiment-prng": (["--strategy", "experiment-like", "--rounds", "3000", "--seed", "12"],
+                        "22615a3df64c83b505168c275521772e6c56b731c1d2901b1e4e473de28b873a"),
+    "gyni-bit-file": (["--strategy", "gyni-paper", "--rounds", "600", "--randomness", "file:BITS"],
+                      "3bf649e4c7334c8d3baf8d9ab9203f0295cc8dfe472381db9be0f473a29f6d56"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_PINNED_ROUND_LINES))
+def test_session_log_round_lines_are_pinned(tmp_path, capsys, run):
+    bits = tmp_path / "bits.bin"
+    bits.write_bytes(b"".join(hashlib.sha256(k.to_bytes(4, "big")).digest()
+                              for k in range(256)))
+    argv, digest = _PINNED_ROUND_LINES[run]
+    log = tmp_path / "session.jsonl"
+    code, _, err = run_cli(capsys, "simulate", "--ineq", "gyni",
+                           *(arg.replace("BITS", str(bits)) for arg in argv), "--out", str(log))
+    assert (code, err) == (0, "")
+    _header, rounds = log.read_bytes().split(b"\n", 1)
+    assert hashlib.sha256(rounds).hexdigest() == digest
 
 
 def test_simulate_validation_exit_codes(capsys):
@@ -608,6 +636,14 @@ def test_malformed_strategy_files_end_in_an_error_line(tmp_path, capsys, edit, e
     code, out, err = run_cli(capsys, "eval", "--ineq", "gyni", "--strategy", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and expected in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_bloch_entry_ends_in_an_error_line_without_a_warning(tmp_path, capsys):
+    path = _strategy_file_with(tmp_path, bloch=[1e200, 0, 0])
+    code, out, err = run_cli(capsys, "eval", "--ineq", "gyni", "--strategy", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: Bloch vector norm 1e+200 outside [0.99, 1.01]\n"
 
 
 def test_threads_flag_rejected(capsys):

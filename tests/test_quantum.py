@@ -1,6 +1,8 @@
 """Tests for quantum correlators, distributions, and canonical strategies."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +31,7 @@ from bellccp import (
 )
 from bellccp.quantum import EXPERIMENT_VISIBILITY, random_bloch_tables
 from bellccp.scenarios import make_scenario
-from bellccp.qubits import PureState
+from bellccp.qubits import ATOL, PureState
 
 import oracles
 
@@ -240,6 +242,85 @@ def test_bloch_tables_are_checked_and_copied():
     assert isinstance(strategy.bloch_tables, tuple)
     for table in strategy.bloch_tables:
         assert not table.flags.writeable
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_bloch_entries_are_rejected_without_a_warning():
+    scenario = gyni_inequality().scenario
+    tables = _uniform_tables(scenario, (0.0, 0.0, 1.0))
+    tables[1][2] = (1e200, 0.0, 0.0)
+    with pytest.raises(ValidationError, match="party 2's Bloch vectors must be unit"):
+        QuantumStrategy(scenario=scenario, state=ghz_state(3), bloch_tables=tables)
+
+
+def _ring_strategy(seed, mixed=False):
+    ring = make_scenario(4, [(1, 4), (2, 1), (3, 2), (4, 3)])
+    return random_strategy(ring, np.random.default_rng(seed), mixed=mixed)
+
+
+def test_cached_eigenbases_are_read_only_eigenvectors():
+    for strategy in (canonical_strategy("gyni-paper"), canonical_strategy("svetlichny-paper"),
+                     _ring_strategy(1)):
+        bases = strategy._eigenbases
+        assert strategy._eigenbases is bases
+        assert len(bases) == strategy.scenario.n
+        for table, party in zip(strategy.bloch_tables, bases):
+            assert party.shape == (len(table), 2, 2)
+            with pytest.raises(ValueError):
+                party[0, 0, 0] = 1.0
+            for r, basis in zip(table, party):
+                operator = oracles.bloch_operator(r)
+                # Column 0 has eigenvalue -1 and column 1 has +1, as in the
+                # canonical outcome order.
+                for eigenvalue, vector in zip((-1.0, 1.0), basis.T):
+                    assert np.max(np.abs(operator @ vector - eigenvalue * vector)) < ATOL
+                assert np.max(np.abs(basis.conj().T @ basis - np.eye(2))) < ATOL
+
+
+def test_cached_eigenbases_stay_out_of_values_and_copies():
+    built, fresh = canonical_strategy("experiment-like"), canonical_strategy("experiment-like")
+    outcome_distribution(built, (1, 1, 1))
+    assert "_eigenbases" in vars(built) and "_eigenbases" not in vars(fresh)
+    assert built == fresh and hash(built) == hash(fresh)
+    assert pickle.dumps(built) == pickle.dumps(fresh)
+    for copied in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built), copy.copy(built)):
+        assert copied == built
+        assert "_eigenbases" not in vars(copied)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+def test_rows_do_not_depend_on_the_order_they_are_read_in(mixed):
+    strategy = _ring_strategy(3, mixed)
+    twin = copy.deepcopy(strategy)
+    tuples = input_tuples(4)
+    forward = {x: outcome_distribution(strategy, x) for x in tuples}
+    backward = {x: outcome_distribution(twin, x) for x in reversed(tuples)}
+    for x in tuples:
+        assert list(forward[x]) == list(backward[x])
+        assert (np.array(list(forward[x].values())).tobytes()
+                == np.array(list(backward[x].values())).tobytes())
+
+
+def test_rows_take_one_eigh_per_strategy_and_one_product_per_row(monkeypatch):
+    from bellccp import quantum
+
+    calls = []
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls.append(name)
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    for name in ("tensor_product", "expectation"):
+        monkeypatch.setattr(quantum, name, counted(name, getattr(quantum, name)))
+    instance = CcpInstance(gyni_inequality())
+    rows = np.count_nonzero(instance.probability_vector())
+    strategy = canonical_strategy("gyni-paper")
+    exact_success(instance, strategy)
+    exact_success(instance, strategy)
+    assert sorted(calls) == ["eigh"] + ["expectation"] * 2 * rows + ["tensor_product"] * 2 * rows
 
 
 def test_observables_are_read_only_in_canonical_order():

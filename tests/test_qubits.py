@@ -225,6 +225,31 @@ def test_state_validation():
     assert rho.n == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_bloch_vector_is_rejected_without_a_warning():
+    with pytest.raises(BlochVectorError, match=r"norm 1e\+200 outside"):
+        unit_bloch([1e200, 0, 0])
+    with pytest.raises(BlochVectorError, match=r"norm 1.7320508075688772e\+308 outside"):
+        unit_bloch([1e308, 1e308, 1e308])
+    with pytest.raises(ValidationError, match="exactly unit"):
+        Observable2(bloch=[1e200, 0, 0])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_amplitudes_are_rejected_without_a_warning():
+    with pytest.raises(ValidationError, match=r"state norm 1e\+200 differs from 1"):
+        PureState([1e200, 0])
+    with pytest.raises(ValidationError, match="state norm"):
+        PureState([complex(1e308, 1e308), 0])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_density_matrix_entries_are_rejected_without_a_warning():
+    for matrix in ([[1e308, 1e308], [-1e308, 1]], [[1e308, 0], [0, -1e308]]):
+        with pytest.raises(ValidationError, match="not a unit-trace positive matrix"):
+            MixedState(matrix)
+
+
 def test_derived_fields_are_not_constructor_arguments():
     with pytest.raises(TypeError):
         PureState(np.array([1.0, 0.0, 0.0, 0.0]), n=2)
