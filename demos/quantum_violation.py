@@ -32,8 +32,8 @@ def show(name, ineq):
     value = evaluate_strategy(strategy, ineq)
     print(f"{name} on the {ineq.name} inequality")
     print("  x1 x2 x3    Q     E")
-    for x in input_tuples(3):
-        print(f"  {x[0]:+d} {x[1]:+d} {x[2]:+d}   {ineq.coeffs[x]:+d}  {table[x]:+.6f}")
+    for x, e in zip(input_tuples(3), table.tolist()):
+        print(f"  {x[0]:+d} {x[1]:+d} {x[2]:+d}   {ineq.coeffs[x]:+d}  {e:+.6f}")
     bound = classical_bound(ineq)[0]
     print(f"  value {value:.6f}  vs classical bound {bound}")
     print(f"  success probability {success_probability(value, ineq.gamma):.6f}")

@@ -29,7 +29,6 @@ from .protocol import (
 from .quantum import (
     EXPERIMENT_VISIBILITY,
     QuantumStrategy,
-    bell_value,
     canonical_strategy,
     correlator_table,
     evaluate_strategy,

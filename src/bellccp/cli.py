@@ -20,7 +20,6 @@ from .errors import NumericError, RandomnessExhaustedError, ValidationError
 from .protocol import exact_success, run_session, write_session_log
 from .quantum import (
     EXPERIMENT_VISIBILITY,
-    bell_value,
     canonical_strategy,
     correlator_table,
     evaluate_strategy,
@@ -171,20 +170,18 @@ def _cmd_optimize(args, ineq, strategy) -> int:
     return 0
 
 
-def _correlator_csv(ineq, table) -> str:
-    n = ineq.n
+def _correlator_csv(n: int, correlators: np.ndarray) -> str:
     lines = [",".join([f"x_{i}" for i in range(1, n + 1)] + ["E"])]
-    for x in input_tuples(n):
-        lines.append(",".join([str(v) for v in x] + [f"{table[x]:.12g}"]))
+    for x, value in zip(input_tuples(n), correlators.tolist(), strict=True):
+        lines.append(",".join([str(v) for v in x] + [f"{value:.12g}"]))
     return "\n".join(lines)
 
 
 def _cmd_eval(args, ineq, strategy) -> int:
-    table = correlator_table(strategy)
-    value = bell_value(table, ineq)
     if args.format == "csv":
-        _emit(_correlator_csv(ineq, table), args.out)
+        _emit(_correlator_csv(ineq.n, correlator_table(strategy)), args.out)
         return 0
+    value = evaluate_strategy(strategy, ineq)
     payload = {
         "bell_value": value,
         "bell_value_normalized": value / ineq.gamma,

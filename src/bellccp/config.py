@@ -26,7 +26,7 @@ from .scenarios import (
     NAMED_INEQUALITIES,
     BellInequality,
     CausalScenario,
-    canonical_values,
+    input_tuples,
     make_scenario,
     named_inequality,
     tuple_index,
@@ -38,14 +38,14 @@ _KIND_NAMES = {dict: "an object", list: "a list", str: "a string", (int, float):
 
 def _field(doc, key: str, kind, what: str):
     """``doc[key]`` once ``doc`` is a JSON object that holds ``key`` with a
-    value of type ``kind`` (``object`` for any); ``ValidationError``
-    otherwise, naming ``what`` the document is."""
+    value of type ``kind`` (``object`` for any; a JSON boolean is no
+    number); ``ValidationError`` otherwise, naming ``what`` the document is."""
     if not isinstance(doc, dict):
         raise ValidationError(f"{what} must be a JSON object, got {doc!r}")
     if key not in doc:
         raise ValidationError(f'{what} needs key "{key}"')
     value = doc[key]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is not object and isinstance(value, bool)):
         raise ValidationError(f'{what} "{key}" must be {_KIND_NAMES[kind]}, got {value!r}')
     return value
 
@@ -76,13 +76,6 @@ def scenario_from_config(config: dict) -> CausalScenario:
     return make_scenario(n, visibility)
 
 
-def _sign_key(value, n: int, what: str) -> tuple:
-    """A config's +/-1 list as a table key. It passes ``tuple_index`` first,
-    so a number, a wrong length or a non-sign entry raises ``ValidationError``."""
-    tuple_index(value, n, what)
-    return tuple(value)
-
-
 def inequality_to_config(ineq: BellInequality) -> dict:
     if ineq.name in NAMED_INEQUALITIES:
         return {"name": ineq.name}
@@ -97,8 +90,8 @@ def inequality_from_config(config: dict) -> BellInequality:
     scenario = scenario_from_config(_field(config, "scenario", object, what))
     coeffs = {}
     for entry in _field(config, "coeffs", list, what):
-        x = _sign_key(_field(entry, "x", object, "coefficient entry"), scenario.n,
-                      "coefficient entry x")
+        x = input_tuples(scenario.n)[tuple_index(_field(entry, "x", object, "coefficient entry"),
+                                                 scenario.n, "coefficient entry x")]
         if x in coeffs:
             raise ValidationError(f"two coefficient entries for x = {x}")
         coeffs[x] = _field(entry, "q", object, "coefficient entry")
@@ -148,8 +141,9 @@ def _observable_entries(strategy: QuantumStrategy) -> list[dict]:
 
 
 def _floats(values, what: str) -> list[float]:
-    """A JSON list of numbers as floats."""
-    if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
+    """A JSON list of numbers, not booleans, as floats."""
+    if not isinstance(values, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
         raise ValidationError(f"{what} must be a list of numbers, got {values!r}")
     try:
         return [float(v) for v in values]
@@ -189,21 +183,26 @@ def strategy_from_config(config: dict, scenario: CausalScenario) -> QuantumStrat
     if not isinstance(scenario, CausalScenario):
         raise ValidationError(f"a strategy config with a state needs a scenario, got {scenario!r}")
     state = _state_from_config(_field(config, "state", object, what), scenario.n)
-    blochs = {i: {} for i in range(1, scenario.n + 1)}
+    # Row s of party i's table is its s-th setting; None marks a row not yet given.
+    rows = [[None] * len(scenario.visible_tuples(i)) for i in range(1, scenario.n + 1)]
     for entry in _field(config, "observables", list, what):
         party = _field(entry, "party", object, "observable entry")
         # A range test, unlike a dict lookup, cannot fail on an unhashable party.
-        if party not in range(1, scenario.n + 1):
+        if isinstance(party, bool) or party not in range(1, scenario.n + 1):
             raise ValidationError(f"observable entries name unknown party {party!r}")
-        setting = _sign_key(_field(entry, "setting", object, "observable entry"),
-                            scenario.arity(int(party)),
-                            f"observable entries: party {party} setting")
-        if setting in blochs[party]:
-            raise ValidationError(f"two observable entries for party {party}, setting {setting}")
-        blochs[party][setting] = unit_bloch(
+        party = int(party)
+        k = tuple_index(_field(entry, "setting", object, "observable entry"),
+                        scenario.arity(party), f"observable entries: party {party} setting")
+        if rows[party - 1][k] is not None:
+            raise ValidationError(f"two observable entries for party {party}, "
+                                  f"setting {scenario.visible_tuples(party)[k]}")
+        rows[party - 1][k] = unit_bloch(
             _floats(_field(entry, "bloch", object, "observable entry"), "observable entry bloch"))
-    tables = [np.array(canonical_values(table, scenario.arity(i), f"observable entries: party {i}"))
-              for i, table in blochs.items()]
+    for i, table in enumerate(rows, start=1):
+        missing = [t for t, r in zip(scenario.visible_tuples(i), table) if r is None]
+        if missing:
+            raise ValidationError(f"observable entries: party {i} table is missing {missing}")
+    tables = [np.array(table) for table in rows]
     if config.get("visibility_v") is not None:
         v = _field(config, "visibility_v", (int, float), what)
         if not 0 <= v <= 1:

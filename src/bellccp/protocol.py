@@ -140,8 +140,7 @@ class _Tables:
             tuples = input_tuples(self.n)
             self.outcomes = np.zeros((len(tuples), len(tuples)))
             for k in np.flatnonzero(self.weights):
-                # outcome_distribution keys its dict in canonical order.
-                self.outcomes[k] = list(outcome_distribution(strategy, tuples[k]).values())
+                self.outcomes[k] = outcome_distribution(strategy, tuples[k])
         else:
             self.outcomes = (strategy.output_array()[:, None] == self.tuples).all(axis=2) * 1.0
         self.cum_outcomes = _cumulative(self.outcomes)

@@ -2,16 +2,19 @@
 
 A quantum strategy is a shared n-qubit state plus, for every party, one
 binary observable r . sigma per visible-input setting, stored as that
-party's Bloch table: its unit vectors r by setting index. Correlators come
-from the state's Pauli correlation tensor T (see :func:`qubits.pauli_tensor`):
-E(x) is the contraction of T's traceless block with the parties' Bloch
-vectors at x, done for all input tuples, and for a batch of strategies, at
-once by :func:`correlations`. The joint outcome distribution stays on the
-Born rule, so it checks the correlators independently: each row is the
-state read against the projectors onto the parties' product eigenbasis,
-all 2^n outcomes in one stacked :func:`qubits.expectation` call. The
-parties' eigenbases are computed once per strategy, on first use, for
-every row of every Bloch table; a row only gathers them.
+party's Bloch table: its unit vectors r by setting index. The correlators
+E and each outcome row P(a|x) are float64 arrays of shape (2^n,) in the
+canonical tuple order, so the Bell value is the dot product Q . E with
+:meth:`BellInequality.coefficient_array`. Correlators come from the
+state's Pauli correlation tensor T (see :func:`qubits.pauli_tensor`): E(x)
+is the contraction of T's traceless block with the parties' Bloch vectors
+at x, done for all input tuples, and for a batch of strategies, at once by
+:func:`correlations`. The joint outcome distribution stays on the Born
+rule, so it checks the correlators independently: each row is the state
+read against the projectors onto the parties' product eigenbasis, all 2^n
+outcomes in one stacked :func:`qubits.expectation` call. The parties'
+eigenbases are computed once per strategy, on first use, for every row of
+every Bloch table; a row only gathers them.
 
 The canonical presets are the optimal GHZ-state strategies for the ring
 (guess-your-neighbour) and Svetlichny structures, attaining 8 cos(pi/8)
@@ -48,7 +51,6 @@ from .scenarios import (
     BellInequality,
     CausalScenario,
     _ArrayValue,
-    canonical_values,
     gyni_scenario,
     input_tuples,
     read_only,
@@ -156,8 +158,8 @@ def correlations(tensor: np.ndarray, tables: list[np.ndarray], index: np.ndarray
     return out[:, :, 0] if leave_out is None else out
 
 
-def correlator_table(strategy: QuantumStrategy) -> dict[tuple[int, ...], float]:
-    """Full correlator E(x) for every input tuple.
+def correlator_table(strategy: QuantumStrategy) -> np.ndarray:
+    """Full correlator E(x) at every input tuple, shape (2^n,) in canonical order.
 
     E(x) is the expectation of the tensor product of the parties' chosen
     observables, equal to the +/-1-weighted sum of joint outcome
@@ -168,27 +170,20 @@ def correlator_table(strategy: QuantumStrategy) -> dict[tuple[int, ...], float]:
     tables = [table[None] for table in strategy.bloch_tables]
     values = correlations(pauli_tensor(strategy.state)[None], tables,
                           scenario.setting_index())[0]
-    table = {}
-    for x, value in zip(input_tuples(scenario.n), values.tolist()):
-        if abs(value) > 1.0 + ATOL:
-            raise NumericError(f"correlator at {x} is {value}, outside [-1, 1]")
-        table[x] = min(1.0, max(-1.0, value))
-    return table
-
-
-def bell_value(table: dict, ineq: BellInequality) -> float:
-    """Weighted sum of correlators: sum_x Q(x) E(x), over every input tuple."""
-    total = 0.0
-    for q, value in zip(ineq.coeffs.values(), canonical_values(table, ineq.n, "correlator tuple")):
-        total += q * value
-    return float(total)
+    outside = np.flatnonzero(np.abs(values) > 1.0 + ATOL)
+    if outside.size:
+        k = int(outside[0])
+        raise NumericError(f"correlator at {input_tuples(scenario.n)[k]} is {values[k]}, "
+                           "outside [-1, 1]")
+    return np.clip(values, -1.0, 1.0)
 
 
 def evaluate_strategy(strategy: QuantumStrategy, ineq: BellInequality) -> float:
-    """Bell value of a quantum strategy: its correlators weighted by Q."""
+    """Bell value of a quantum strategy: sum_x Q(x) E(x), the dot product of
+    the inequality's coefficients with its correlators."""
     if strategy.scenario != ineq.scenario:
         raise ValidationError("strategy scenario does not match the inequality")
-    return bell_value(correlator_table(strategy), ineq)
+    return float(ineq.coefficient_array() @ correlator_table(strategy))
 
 
 def success_probability(bell_value: float, gamma: float) -> float:
@@ -211,8 +206,9 @@ def success_probability(bell_value: float, gamma: float) -> float:
     return min(1.0, max(0.0, p))
 
 
-def outcome_distribution(strategy: QuantumStrategy, x) -> dict[tuple[int, ...], float]:
-    """Joint probability of every +/-1 outcome tuple at input x.
+def outcome_distribution(strategy: QuantumStrategy, x) -> np.ndarray:
+    """Joint probability of every +/-1 outcome tuple a at input x, shape
+    (2^n,) in the canonical order of a.
 
     One Born rule for the whole row. Each party's outcome basis at x is the
     ``eigh`` basis of its r . sigma, eigenvalue -1 first as in the canonical
@@ -221,7 +217,7 @@ def outcome_distribution(strategy: QuantumStrategy, x) -> dict[tuple[int, ...], 
     :func:`qubits.tensor_product` is the product basis vector |e_a>, and one
     :func:`qubits.expectation` call reads all 2^n probabilities off the
     stack of projectors |e_a><e_a|. Tiny negative values from roundoff are
-    zeroed. Keys come in the canonical tuple order.
+    zeroed.
     """
     scenario = strategy.scenario
     n = scenario.n
@@ -231,16 +227,15 @@ def outcome_distribution(strategy: QuantumStrategy, x) -> dict[tuple[int, ...], 
     vectors = np.ascontiguousarray(tensor_product(bases).T)
     projectors = vectors[:, :, None] * vectors.conj()[:, None, :]
     probabilities = expectation(strategy.state, projectors)
-    outcomes = input_tuples(n)
     if probabilities.min() < -ATOL:
         k = int(np.argmin(probabilities))
         raise NumericError(f"outcome probability {probabilities[k]} at {x=}, "
-                           f"a={outcomes[k]} is negative")
+                           f"a={input_tuples(n)[k]} is negative")
     probabilities = np.maximum(probabilities, 0.0)
     total = float(probabilities.sum())
     if abs(total - 1.0) > ATOL:
         raise NumericError(f"outcome probabilities at {x} sum to {total}")
-    return dict(zip(outcomes, probabilities.tolist()))
+    return probabilities
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)

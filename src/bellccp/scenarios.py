@@ -4,9 +4,10 @@ A causal scenario records which inputs each party's output may depend on.
 Parties are numbered 1..n and each party always sees its own input first.
 Input tuples are vectors in {-1, +1}^n, enumerated lexicographically with
 x_1 most significant and -1 ordered before +1; that order fixes table
-indexing everywhere (files, enumeration, sampling). Every +/-1-keyed table
+indexing everywhere (files, enumeration, sampling): a table over the
+input tuples is an array of shape (2^n,) in that order. Every +/-1 tuple
 enters it through :func:`tuple_index`: length n, each entry equal to +1 or
--1 (1.0 and NumPy integers pass; 1.5 and "1" do not).
+-1 (1.0 and NumPy integers pass; 1.5, "1" and True do not).
 
 An inequality is a coefficient table Q over all input tuples together with
 its normalizer Gamma = sum |Q|. The associated distributed game asks every
@@ -85,6 +86,9 @@ def tuple_array(n: int) -> np.ndarray:
     return read_only(np.array(input_tuples(n), dtype=np.int8).reshape(2**n, n))
 
 
+_NP_TRUE = np.True_
+
+
 def tuple_index(x, n: int, what: str) -> int:
     """Canonical position of x; ``ValidationError`` unless x is a +/-1 tuple of length n."""
     try:
@@ -95,24 +99,11 @@ def tuple_index(x, n: int, what: str) -> int:
         raise ValidationError(f"{what} must have length {n}, got {length}")
     index = 0
     for value in x:
-        if value != 1 and value != -1:
+        # False already fails the test; True and NumPy's True are singletons.
+        if value is True or value is _NP_TRUE or (value != 1 and value != -1):
             raise ValidationError(f"{what} entries must be +1 or -1, got {tuple(x)}")
         index = 2 * index + (1 if value == 1 else 0)
     return index
-
-
-def canonical_values(table: Mapping, n: int, what: str, fill=None) -> list:
-    """Values of a table keyed by +/-1 tuples of length n, in canonical order.
-    An absent tuple takes ``fill``; with ``fill=None`` none may be absent."""
-    if not isinstance(table, Mapping):
-        raise ValidationError(f"{what} table must be a mapping, got {type(table).__name__}")
-    values = [fill] * 2**n
-    for x, value in table.items():
-        values[tuple_index(x, n, what)] = value
-    missing = [x for x, v in zip(input_tuples(n), values) if v is None] if fill is None else []
-    if missing:
-        raise ValidationError(f"{what} table is missing {missing}")
-    return values
 
 
 @lru_cache(maxsize=256)
@@ -130,13 +121,13 @@ def _setting_index(n: int, visibility: tuple[tuple[int, ...], ...]) -> np.ndarra
 
 def _party_indices(group) -> tuple[int, ...]:
     """One visibility list as ints; ``ValidationError`` unless every entry
-    equals its int: an int, a NumPy integer or an integral float."""
+    equals its int: an int, a NumPy integer or an integral float, not a bool."""
     group = tuple(group)
     try:
         indices = tuple(map(int, group))
     except (TypeError, ValueError, OverflowError):
         indices = None
-    if indices != group:
+    if indices != group or any(isinstance(j, (bool, np.bool_)) for j in group):
         raise ValidationError(f"visibility entries must be integer party indices, got {group!r}")
     return indices
 
@@ -174,19 +165,15 @@ class CausalScenario(FrozenValue):
         """Number of inputs visible to a party."""
         return len(self.visibility[party - 1])
 
-    def visible_tuple(self, x, party: int) -> tuple[int, ...]:
-        """Restriction of an input tuple to the party's visibility list."""
-        return tuple(x[j - 1] for j in self.visibility[party - 1])
-
     def visible_tuples(self, party: int) -> tuple[tuple[int, ...], ...]:
         """All settings of a party, in canonical order."""
         return input_tuples(self.arity(party))
 
     def setting_index(self) -> np.ndarray:
         """Row i-1 holds party i's setting index at every input tuple, in
-        canonical order: the position of ``visible_tuple(x, i)`` among
-        ``visible_tuples(i)``. Shape (n, 2^n); computed once per distinct
-        scenario, read-only."""
+        canonical order: the position among ``visible_tuples(i)`` of x
+        restricted to party i's visibility list. Shape (n, 2^n); computed
+        once per distinct scenario, read-only."""
         return _setting_index(self.n, self.visibility)
 
 
@@ -217,9 +204,14 @@ class BellInequality(_ArrayValue):
         if not isinstance(self.scenario, CausalScenario):
             raise ValidationError(f"an inequality needs a CausalScenario, got {self.scenario!r}")
         n = self.scenario.n
-        values = canonical_values(self.coeffs, n, "coefficient tuple", 0)
+        if not isinstance(self.coeffs, Mapping):
+            raise ValidationError(f"coefficient table must be a mapping, "
+                                  f"got {type(self.coeffs).__name__}")
+        values = [0] * 2**n
+        for x, q in self.coeffs.items():
+            values[tuple_index(x, n, "coefficient tuple")] = q
         for k, (x, q) in enumerate(zip(input_tuples(n), values)):
-            if not isinstance(q, Real) or not abs(q) < COEFFICIENT_LIMIT:
+            if isinstance(q, bool) or not isinstance(q, Real) or not abs(q) < COEFFICIENT_LIMIT:
                 raise ValidationError(f"coefficient Q{x} must be a finite real below 2^53 "
                                       f"in magnitude, got {q!r}")
             values[k] = int(q) if isinstance(q, Integral) or float(q).is_integer() else float(q)

@@ -65,6 +65,12 @@ def bloch_operator(r) -> np.ndarray:
     return r[0] * SX + r[1] * SY + r[2] * SZ
 
 
+def visible_tuple(x, group) -> tuple:
+    """The entries of input tuple x that a party with the 1-based visibility
+    list ``group`` sees, in that list's order."""
+    return tuple(x[j - 1] for j in group)
+
+
 # Setting positions by (n, visibility); a listing scores many tables of one
 # scenario, so each scenario's positions are computed once.
 _POSITIONS = {}
@@ -79,7 +85,7 @@ def setting_positions(n, visibility):
         positions = []
         for group in key[1]:
             settings = list(itertools.product((-1, 1), repeat=len(group)))
-            positions.append(tuple(settings.index(tuple(x[j - 1] for j in group)) for x in xs))
+            positions.append(tuple(settings.index(visible_tuple(x, group)) for x in xs))
         _POSITIONS[key] = tuple(positions)
     return _POSITIONS[key]
 
@@ -211,7 +217,7 @@ def odometer_classical_bound(n, visibility, coeffs):
     sum_x Q(x) prod_i a_i(x restricted to party i's visibility).
     """
     xs = list(itertools.product((-1, 1), repeat=n))
-    restricted = [[tuple(x[j - 1] for j in visibility[i]) for x in xs] for i in range(n)]
+    restricted = [[visible_tuple(x, visibility[i]) for x in xs] for i in range(n)]
     settings = [sorted(set(restricted[i])) for i in range(n)]
     best = None
     for tables in itertools.product(*(
@@ -243,7 +249,7 @@ def odometer_first_maximizer(n, visibility, coeffs):
     """
     xs = list(itertools.product((-1, 1), repeat=n))
     settings = [list(itertools.product((-1, 1), repeat=len(group))) for group in visibility]
-    restricted = [[tuple(x[j - 1] for j in group) for x in xs] for group in visibility]
+    restricted = [[visible_tuple(x, group) for x in xs] for group in visibility]
     eliminated = max(range(n), key=lambda i: len(visibility[i]))
     swept = [i for i in range(n) if i != eliminated]
     best = None

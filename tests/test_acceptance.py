@@ -196,11 +196,11 @@ def test_criterion_7_property_suites():
         for k in range(10):
             strategy = random_strategy(ineq.scenario, rng, mixed=(k % 3 == 2))
             table = correlator_table(strategy)
-            bound_ok &= all(abs(e) <= 1 + 1e-9 for e in table.values())
+            bound_ok &= all(abs(e) <= 1 + 1e-9 for e in table)
             for x in input_tuples(3):
                 dist = outcome_distribution(strategy, x)
-                dist_ok &= all(p >= 0.0 for p in dist.values())
-                dist_ok &= abs(sum(dist.values()) - 1.0) <= 1e-9
+                dist_ok &= all(p >= 0.0 for p in dist)
+                dist_ok &= abs(sum(dist) - 1.0) <= 1e-9
     checks.append(("correlator bounds", bound_ok))
     checks.append(("outcome distributions", dist_ok))
 

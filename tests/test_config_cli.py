@@ -638,6 +638,53 @@ def test_malformed_strategy_files_end_in_an_error_line(tmp_path, capsys, edit, e
     assert err.startswith("error: ") and expected in err
 
 
+@pytest.mark.parametrize("field, expected", [
+    ("q", "coefficient Q(-1, -1, -1) must be a finite real"),
+    ("x", "coefficient entry x entries must be +1 or -1"),
+    ("visibility", "visibility entries must be integer party indices, got (True, 3)"),
+    ("visibility_v", '"visibility_v" must be a number, got True'),
+    ("bloch", "observable entry bloch must be a list of numbers, got [False, True, False]"),
+    ("party", "observable entries name unknown party True"),
+    ("setting", "party 1 setting entries must be +1 or -1"),
+], ids=["q", "x", "visibility", "visibility_v", "bloch", "party", "setting"])
+def test_json_booleans_are_not_numbers(tmp_path, capsys, field, expected):
+    # Each edit reads as a valid file when true counts as 1 and false as 0.
+    ineq = {"scenario": scenario_to_config(gyni_inequality().scenario),
+            "coeffs": [{"x": list(x), "q": q} for x, q in gyni_inequality().coeffs.items()]}
+    strategy = strategy_to_config(canonical_strategy("gyni-paper"))
+    if field == "q":
+        ineq["coeffs"][0]["q"] = True
+    elif field == "x":
+        ineq["coeffs"] = [{"x": [True, -1, -1], "q": 1}]
+    elif field == "visibility":
+        ineq["scenario"]["visibility"][0] = [True, 3]
+    elif field == "visibility_v":
+        strategy["visibility_v"] = True
+    elif field == "setting":
+        assert strategy["observables"][2]["setting"] == [1, -1]
+        strategy["observables"][2]["setting"] = [True, -1]
+    else:
+        strategy["observables"][0][field] = True if field == "party" else [False, True, False]
+    ineq_path, strategy_path = tmp_path / "ineq.json", tmp_path / "strategy.json"
+    ineq_path.write_text(json.dumps(ineq))
+    strategy_path.write_text(json.dumps(strategy))
+    code, out, err = run_cli(capsys, "eval", "--ineq", str(ineq_path),
+                             "--strategy", str(strategy_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and expected in err
+
+
+def test_strategy_file_missing_a_setting_names_it(tmp_path, capsys):
+    config = strategy_to_config(canonical_strategy("gyni-paper"))
+    config["observables"] = [entry for entry in config["observables"]
+                             if (entry["party"], entry["setting"]) != (2, [-1, 1])]
+    path = tmp_path / "strategy.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "eval", "--ineq", "gyni", "--strategy", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: observable entries: party 2 table is missing [(-1, 1)]\n"
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_huge_bloch_entry_ends_in_an_error_line_without_a_warning(tmp_path, capsys):
     path = _strategy_file_with(tmp_path, bloch=[1e200, 0, 0])

@@ -114,7 +114,8 @@ def test_round_record_invariants():
         prod_y = record.y[0] * record.y[1] * record.y[2]
         assert record.guess == prod_y * prod_a
         assert record.settings == tuple(
-            instance.inequality.scenario.visible_tuple(record.x, i) for i in (1, 2, 3))
+            oracles.visible_tuple(record.x, group)
+            for group in instance.inequality.scenario.visibility)
 
 
 def test_flipping_all_y_leaves_pass_unchanged():
@@ -210,7 +211,7 @@ def _reference_record(ineq, x, y, a):
     m = tuple(y_i * a_i for y_i, a_i in zip(y, a))
     guess = math.prod(m)
     f_value = math.prod(y) * (-1 if ineq.coeffs[x] < 0 else 1)
-    settings = tuple(ineq.scenario.visible_tuple(x, i) for i in range(1, ineq.n + 1))
+    settings = tuple(oracles.visible_tuple(x, group) for group in ineq.scenario.visibility)
     return RoundRecord(x=x, y=y, settings=settings, a=a, m=m, guess=guess,
                        f_value=f_value, passed=guess == f_value)
 
@@ -233,12 +234,12 @@ def _scalar_replay(instance, strategy, rounds, rng):
             x = pick(instance.probability_vector())
             y = tuple(1 - 2 * rng.bit() for _ in tuples[0])
             if isinstance(strategy, QuantumStrategy):
-                dist = outcome_distribution(strategy, x)
-                a = pick([dist[a] for a in tuples])
+                a = pick(outcome_distribution(strategy, x))
             else:
                 sc = strategy.scenario
-                a = tuple(int(table[sc.visible_tuples(i).index(sc.visible_tuple(x, i))])
-                          for i, table in enumerate(strategy.tables, start=1))
+                a = tuple(int(table[sc.visible_tuples(i).index(oracles.visible_tuple(x, group))])
+                          for i, (table, group) in enumerate(zip(strategy.tables, sc.visibility),
+                                                             start=1))
         except RandomnessExhaustedError as exc:
             return records, exc
         records.append(_reference_record(instance.inequality, x, y, a))

@@ -14,7 +14,6 @@ from bellccp import (
     NumericError,
     QuantumStrategy,
     ValidationError,
-    bell_value,
     canonical_strategy,
     correlator_table,
     depolarize,
@@ -29,6 +28,7 @@ from bellccp import (
     svetlichny_inequality,
     with_visibility,
 )
+from bellccp import cli
 from bellccp.quantum import EXPERIMENT_VISIBILITY, random_bloch_tables
 from bellccp.scenarios import make_scenario
 from bellccp.qubits import ATOL, PureState
@@ -52,8 +52,9 @@ def test_all_sigma_z_correlators_vanish():
     vec = oracles.ghz_vector(3)
     zzz = oracles.kron_chain([oracles.SZ] * 3)
     assert oracles.pure_expectation(vec, zzz) == pytest.approx(0.0, abs=1e-12)
-    for x in input_tuples(3):
-        assert table[x] == pytest.approx(0.0, abs=1e-9)
+    assert table.shape == (8,) and table.dtype == np.float64
+    for e in table:
+        assert e == pytest.approx(0.0, abs=1e-9)
 
 
 def test_maximally_mixed_correlators_vanish():
@@ -61,17 +62,32 @@ def test_maximally_mixed_correlators_vanish():
     strategy = canonical_strategy("gyni-paper")
     noisy = QuantumStrategy(scenario=scenario, state=depolarize(ghz_state(3), 0.0),
                             bloch_tables=strategy.bloch_tables)
-    assert all(e == pytest.approx(0.0, abs=1e-12) for e in correlator_table(noisy).values())
+    assert all(e == pytest.approx(0.0, abs=1e-12) for e in correlator_table(noisy))
 
 
-def test_bell_value_extremes():
-    ineq = gyni_inequality()
-    all_plus = {x: 1.0 for x in input_tuples(3)}
-    assert bell_value(all_plus, ineq) == 6.0
-    all_zero = {x: 0.0 for x in input_tuples(3)}
-    assert bell_value(all_zero, ineq) == 0.0
-    with pytest.raises(ValidationError):
-        bell_value({(1, 1, 1): 1.0}, ineq)
+def test_bell_value_is_the_dot_product_of_q_and_the_correlators():
+    rng = np.random.default_rng(13)
+    for ineq in (gyni_inequality(), svetlichny_inequality()):
+        q = ineq.coefficient_array()
+        assert q @ np.ones(8) == sum(ineq.coeffs.values())
+        assert q @ np.zeros(8) == 0.0
+        for k in range(4):
+            strategy = random_strategy(ineq.scenario, rng, mixed=(k % 2 == 1))
+            value = evaluate_strategy(strategy, ineq)
+            correlators = correlator_table(strategy)
+            assert type(value) is float
+            assert value == float(q @ correlators)
+            # The term-by-term sum agrees to within the roundoff of its 8 terms.
+            total = 0.0
+            for q_x, e_x in zip(ineq.coeffs.values(), correlators.tolist(), strict=True):
+                total += q_x * e_x
+            assert abs(value - total) <= 8 * np.finfo(float).eps * ineq.gamma
+        # Wherever E is taken, one of the wrong length is rejected.
+        for wrong in (np.ones(7), np.ones(16)):
+            with pytest.raises(ValueError):
+                q @ wrong
+            with pytest.raises(ValueError):
+                cli._correlator_csv(ineq.n, wrong)
 
 
 def test_canonical_svetlichny_value():
@@ -94,8 +110,8 @@ def test_canonical_gyni_correlators_are_uniform():
     # cos(pi/8) with the sign of its coefficient.
     ineq = gyni_inequality()
     table = correlator_table(canonical_strategy("gyni-paper"))
-    for x in input_tuples(3):
-        assert table[x] * ineq.coeffs[x] == pytest.approx(math.cos(math.pi / 8), abs=1e-3)
+    for e, q in zip(table, ineq.coeffs.values(), strict=True):
+        assert e * q == pytest.approx(math.cos(math.pi / 8), abs=1e-3)
 
 
 def test_unknown_strategy_name():
@@ -137,18 +153,19 @@ def test_outcome_distribution_ghz_x_basis():
     dist = outcome_distribution(strategy, x)
     # Oracle: explicit projector products on the raw GHZ vector.
     vec = oracles.ghz_vector(3)
-    for a in input_tuples(3):
+    for a, p in zip(input_tuples(3), dist, strict=True):
         expected = oracles.outcome_probability(vec, [oracles.SX] * 3, a)
-        assert dist[a] == pytest.approx(expected, abs=1e-12)
+        assert p == pytest.approx(expected, abs=1e-12)
         parity = a[0] * a[1] * a[2]
-        assert dist[a] == pytest.approx(0.25 if parity == 1 else 0.0, abs=1e-12)
+        assert p == pytest.approx(0.25 if parity == 1 else 0.0, abs=1e-12)
 
 
 def test_outcome_distribution_ghz_z_basis():
     dist = outcome_distribution(_sigma_z_strategy(gyni_inequality().scenario), (1, 1, 1))
-    assert dist[(1, 1, 1)] == pytest.approx(0.5, abs=1e-12)
-    assert dist[(-1, -1, -1)] == pytest.approx(0.5, abs=1e-12)
-    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+    # (-1, -1, -1) is first in the canonical order and (1, 1, 1) last.
+    assert dist[-1] == pytest.approx(0.5, abs=1e-12)
+    assert dist[0] == pytest.approx(0.5, abs=1e-12)
+    assert sum(dist) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_outcome_distribution_maximally_mixed_is_uniform():
@@ -156,7 +173,7 @@ def test_outcome_distribution_maximally_mixed_is_uniform():
     noisy = QuantumStrategy(scenario=strategy.scenario, state=depolarize(ghz_state(3), 0.0),
                             bloch_tables=strategy.bloch_tables)
     dist = outcome_distribution(noisy, (-1, 1, -1))
-    for p in dist.values():
+    for p in dist:
         assert p == pytest.approx(1 / 8, abs=1e-12)
 
 
@@ -166,11 +183,11 @@ def test_distribution_parity_matches_correlator():
     for _ in range(10):
         strategy = random_strategy(scenario, rng)
         table = correlator_table(strategy)
-        for x in input_tuples(3):
+        for x, e in zip(input_tuples(3), table, strict=True):
             dist = outcome_distribution(strategy, x)
-            assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
-            parity = sum(p * np.prod(a) for a, p in dist.items())
-            assert parity == pytest.approx(table[x], abs=1e-9)
+            assert sum(dist) == pytest.approx(1.0, abs=1e-9)
+            parity = sum(p * np.prod(a) for a, p in zip(input_tuples(3), dist, strict=True))
+            assert parity == pytest.approx(e, abs=1e-9)
 
 
 def test_correlators_bounded_for_random_strategies():
@@ -178,7 +195,7 @@ def test_correlators_bounded_for_random_strategies():
     for ineq in (gyni_inequality(), svetlichny_inequality()):
         for k in range(10):
             strategy = random_strategy(ineq.scenario, rng, mixed=(k % 3 == 2))
-            assert all(abs(e) <= 1 + 1e-9 for e in correlator_table(strategy).values())
+            assert all(abs(e) <= 1 + 1e-9 for e in correlator_table(strategy))
 
 
 def test_depolarization_scales_bell_value_linearly():
@@ -199,8 +216,8 @@ def test_correlators_invariant_under_global_phase():
                               bloch_tables=strategy.bloch_tables)
     base = correlator_table(strategy)
     shifted = correlator_table(rotated)
-    for x in input_tuples(3):
-        assert shifted[x] == pytest.approx(base[x], abs=1e-12)
+    for e_shifted, e_base in zip(shifted, base, strict=True):
+        assert e_shifted == pytest.approx(e_base, abs=1e-12)
 
 
 def test_experiment_like_preset():
@@ -296,9 +313,8 @@ def test_rows_do_not_depend_on_the_order_they_are_read_in(mixed):
     forward = {x: outcome_distribution(strategy, x) for x in tuples}
     backward = {x: outcome_distribution(twin, x) for x in reversed(tuples)}
     for x in tuples:
-        assert list(forward[x]) == list(backward[x])
-        assert (np.array(list(forward[x].values())).tobytes()
-                == np.array(list(backward[x].values())).tobytes())
+        assert forward[x].shape == backward[x].shape == (len(tuples),)
+        assert forward[x].tobytes() == backward[x].tobytes()
 
 
 def test_rows_take_one_eigh_per_strategy_and_one_product_per_row(monkeypatch):

@@ -36,7 +36,7 @@ def test_pauli_observables():
         strategy = QuantumStrategy(scenario=scenario, state=PureState(np.kron(vec, vec)),
                                    bloch_tables=[[r, r], [r, r]])
         dist = outcome_distribution(strategy, (1, -1))
-        assert dist[(1, 1)] == pytest.approx(1.0, abs=1e-12)
+        assert dist[3] == pytest.approx(1.0, abs=1e-12)  # a = (+1, +1), last in canonical order
 
 
 def test_charlie_setting_is_renormalized():

@@ -21,12 +21,14 @@ from bellccp import (
 from bellccp.config import inequality_from_config, inequality_to_config
 from bellccp.scenarios import tuple_array
 
+from oracles import visible_tuple
+
 
 def test_make_scenario_accepts_known_structures():
     ring = make_scenario(3, [(1, 3), (2, 1), (3, 2)])
-    assert ring.visible_tuple((1, -1, 1), 1) == (1, 1)
-    assert ring.visible_tuple((1, -1, 1), 2) == (-1, 1)
-    assert ring.visible_tuple((1, -1, 1), 3) == (1, -1)
+    assert visible_tuple((1, -1, 1), ring.visibility[0]) == (1, 1)
+    assert visible_tuple((1, -1, 1), ring.visibility[1]) == (-1, 1)
+    assert visible_tuple((1, -1, 1), ring.visibility[2]) == (1, -1)
     pair = make_scenario(3, [(1, 2), (2, 1), (3,)])
     assert pair.arity(3) == 1
     bell = make_scenario(2, [(1,), (2,)])
@@ -178,7 +180,7 @@ def test_setting_index_locates_each_visible_tuple(scenario, seed):
     assert outputs.shape == (2**n, n)
     for k, x in enumerate(input_tuples(n)):
         for i in range(1, n + 1):
-            s = scenario.visible_tuples(i).index(scenario.visible_tuple(x, i))
+            s = scenario.visible_tuples(i).index(visible_tuple(x, scenario.visibility[i - 1]))
             assert index[i - 1, k] == s
             assert outputs[k, i - 1] == tables[i - 1][s]
 

@@ -1,10 +1,12 @@
-"""Every table keyed by +/-1 input tuples goes through one checked codec.
+"""Every +/-1 input tuple enters through one checked codec.
 
-``scenarios.tuple_index`` accepts a key of length n whose entries each equal
-+1 or -1 and returns its canonical position; anything else raises
-``ValidationError``. ``scenarios.canonical_values`` orders a whole table
-through it. The first tests feed each entry point keys that a truncating or
-ignoring check would let through; the rest pin the codec itself.
+``scenarios.tuple_index`` accepts a tuple of length n whose entries each
+equal +1 or -1 (not a bool) and returns its canonical position, the index
+into every (2^n,) array over the input tuples; anything else raises
+``ValidationError``. Coefficient tables, config entries and outcome rows
+all take their positions from it. The first tests feed each entry point
+keys that a truncating or ignoring check would let through; the rest pin
+the codec itself.
 """
 
 import math
@@ -16,10 +18,8 @@ from bellccp import (
     BellInequality,
     CcpInstance,
     ValidationError,
-    bell_value,
     canonical_strategy,
     chsh_inequality,
-    correlator_table,
     gyni_inequality,
     input_tuples,
     make_scenario,
@@ -74,9 +74,7 @@ def test_config_rejects_entries_that_are_not_signs(load):
 
 @pytest.mark.parametrize("call", [
     lambda: outcome_distribution(canonical_strategy("gyni-paper"), BAD_X),
-    lambda: bell_value({**correlator_table(canonical_strategy("gyni-paper")), BAD_X: 0.0},
-                       gyni_inequality()),
-], ids=["outcome-x", "bell-value-key"])
+], ids=["outcome-x"])
 def test_game_functions_reject_inputs_that_are_not_signs(call):
     with pytest.raises(ValidationError, match="entries must be"):
         call()
@@ -99,18 +97,13 @@ def test_tuple_index_is_the_canonical_position(n):
     ((-1.7, 1), "x entries must be"),
     (("1", -1), "x entries must be"),
     ((math.nan, 1), "x entries must be"),
+    ((True, -1), "x entries must be"),
+    ((np.True_, -1), "x entries must be"),
     (5, "x must be a tuple"),
 ])
 def test_tuple_index_rejects_everything_else(x, message):
     with pytest.raises(ValidationError, match=message):
         scenarios.tuple_index(x, 2, "x")
-
-
-def test_canonical_values_fills_or_requires_every_tuple():
-    table = {(1, 1): "d", (-1, -1): "a"}
-    assert scenarios.canonical_values(table, 2, "x", 0) == ["a", 0, 0, "d"]
-    with pytest.raises(ValidationError, match=r"x table is missing \[\(-1, 1\), \(1, -1\)\]"):
-        scenarios.canonical_values(table, 2, "x")
 
 
 def test_reversed_tables_build_equal_values_in_canonical_order():
