@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -105,14 +105,8 @@ class DeterministicStrategy(_ArrayValue):
     # Built on first use: the witness of a search is often never tabulated.
     @cached_property
     def _output_array(self) -> np.ndarray:
-        return read_only(np.concatenate(self.tables)[_output_index(self.scenario)])
-
-
-@lru_cache(maxsize=256)
-def _output_index(scenario: CausalScenario) -> np.ndarray:
-    """Where party i's output at x sits in the concatenated tables, at [x, i - 1]."""
-    starts = np.cumsum([0] + [2 ** scenario.arity(i) for i in range(1, scenario.n)])
-    return read_only((scenario.setting_index() + starts[:, None]).T.copy())
+        return read_only(np.stack([table[row] for table, row in
+                                   zip(self.tables, self.scenario.setting_index())], axis=1))
 
 
 def _response_matrix(arity: int) -> np.ndarray:

@@ -46,16 +46,13 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="bellccp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, strategy=False, noise=False):
+    def common(p, strategy=False, noise=False, out_help="write output here instead of stdout"):
         p.add_argument("--ineq", required=True, help="inequality name or config path")
         if strategy:
             p.add_argument("--strategy", required=True, help="strategy preset or config path")
         if noise:
             p.add_argument("--noise-v", type=float, default=None,
                            help="depolarize the (pure) state at this visibility")
-        # simulate prints its summary either way; its --out names the session log.
-        out_help = ("write the session log (JSON lines) here; the summary stays on stdout"
-                    if p.prog.endswith(" simulate") else "write output here instead of stdout")
         p.add_argument("--out", default=None, help=out_help)
         p.add_argument("--dump-config", action="store_true",
                        help="print the resolved configuration (to --out if given) and exit")
@@ -77,7 +74,8 @@ def _build_parser() -> _Parser:
                    help="csv prints the correlator table instead")
 
     p = sub.add_parser("simulate", help="run protocol rounds and report statistics")
-    common(p, strategy=True, noise=True)
+    common(p, strategy=True, noise=True,
+           out_help="write the session log (JSON lines) here; the summary stays on stdout")
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--randomness", default="prng",

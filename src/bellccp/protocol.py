@@ -17,8 +17,9 @@ inverse CDF over the canonical outcome order.
 time through ``RandomnessSource.draw_rounds``, which returns what the same
 sequence of ``uniform()``/``bit()`` calls would. The pass rule is
 computed once per outcome table, as a mask over (input, outcome) index
-pairs; session counts, exact success and round records all read it. Its
-sign of Q, with sign(0) = +1, is ``BellInequality.sign_array()``.
+pairs; session counts and exact success read it. Its sign of Q, with
+sign(0) = +1, is ``BellInequality.sign_array()``. A ``RoundRecord`` keeps
+x, y, settings, a and f = prod(y) sign Q(x) and derives m, guess and pass.
 """
 
 from __future__ import annotations
@@ -40,30 +41,36 @@ from .config import strategy_fingerprint
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """One protocol round; invariants checked on construction."""
+    """One protocol round: x, y, each party's visible setting, the outcomes a
+    and the target f_value = prod(y) sign Q(x). The sequences are stored as
+    tuples, so a record is immutable and hashable. The messages m, the guess
+    prod(m) = prod(y) prod(a) and the pass flag follow by the game's rule."""
 
     x: tuple
     y: tuple
     settings: tuple
     a: tuple
-    m: tuple
-    guess: int
     f_value: int
-    passed: bool
 
     def __post_init__(self):
+        for name in ("x", "y", "a"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "settings", tuple(map(tuple, self.settings)))
         n = len(self.x)
-        if any(len(v) != n for v in (self.y, self.settings, self.a, self.m)):
+        if any(len(v) != n for v in (self.y, self.settings, self.a)):
             raise ValidationError("round record fields have inconsistent lengths")
-        if any(self.m[i] != self.y[i] * self.a[i] for i in range(n)):
-            raise ValidationError("messages must equal y_i * a_i")
-        product = 1
-        for value in self.m:
-            product *= value
-        if self.guess != product:
-            raise ValidationError("guess must be the product of all messages")
-        if self.passed != (self.guess == self.f_value):
-            raise ValidationError("pass flag contradicts guess and target")
+
+    @property
+    def m(self) -> tuple:
+        return tuple(y_i * a_i for y_i, a_i in zip(self.y, self.a))
+
+    @property
+    def guess(self):
+        return math.prod(self.y) * math.prod(self.a)
+
+    @property
+    def passed(self) -> bool:
+        return self.guess == self.f_value
 
     def to_json_dict(self) -> dict:
         return {"x": list(self.x), "y": list(self.y),
@@ -144,7 +151,8 @@ class _Tables:
         else:
             self.outcomes = (strategy.output_array()[:, None] == self.tuples).all(axis=2) * 1.0
         self.cum_outcomes = _cumulative(self.outcomes)
-        self.passing = self.tuples.prod(axis=1)[None, :] == ineq.sign_array()[:, None]
+        self.signs = ineq.sign_array()
+        self.passing = self.tuples.prod(axis=1)[None, :] == self.signs[:, None]
 
 
 def _play(tables: _Tables, rounds: int, rng: RandomnessSource):
@@ -166,12 +174,11 @@ def _play(tables: _Tables, rounds: int, rng: RandomnessSource):
 
 
 def _records(tables: _Tables, x_idx, y, a_idx) -> list:
-    """One block's rounds as records, every field taken from the block arrays.
+    """One block's rounds as records, with targets f = prod(y) sign Q(x).
 
     A round is fixed by its x, y and outcome indices, so a block holds at
-    most 8^n distinct rounds. Each is built once, through the checked
-    constructor, and equal rounds share that one immutable record: a kept
-    round costs one reference.
+    most 8^n distinct rounds. Each is built once, and equal rounds share
+    that one immutable record: a kept round costs one reference.
     """
     scenario = tables.scenario
     n = tables.n
@@ -183,17 +190,9 @@ def _records(tables: _Tables, x_idx, y, a_idx) -> list:
     settings = [tuple(scenario.visible_tuples(i)[k] for i, k in enumerate(column, start=1))
                 for column in scenario.setting_index().T.tolist()]
     tuples = input_tuples(n)
-    m = y * tables.tuples[a_idx]
-    guess = m.prod(axis=1)
-    passed = tables.passing[x_idx, a_idx]
-    # The guess is prod(y) prod(a) and the target prod(y) sign Q(x): they
-    # agree exactly on passing rounds and are opposite on the rest.
-    f_value = np.where(passed, guess, -guess)
-    built = [RoundRecord(x=tuples[i], y=tuple(y_k), settings=settings[i], a=tuples[k],
-                         m=tuple(m_k), guess=g, f_value=f, passed=p)
-             for i, k, y_k, m_k, g, f, p in zip(x_idx.tolist(), a_idx.tolist(), y.tolist(),
-                                                 m.tolist(), guess.tolist(), f_value.tolist(),
-                                                 passed.tolist())]
+    targets = (y.prod(axis=1) * tables.signs[x_idx]).tolist()
+    built = [RoundRecord(x=tuples[i], y=y_k, settings=settings[i], a=tuples[k], f_value=f)
+             for i, k, y_k, f in zip(x_idx.tolist(), a_idx.tolist(), y.tolist(), targets)]
     return [built[k] for k in inverse.tolist()]
 
 
@@ -206,7 +205,7 @@ def run_session(instance: CcpInstance, strategy, rounds: int, rng: RandomnessSou
     longer session on the same source. Finite sources that run dry raise
     with the number of completed rounds attached.
     """
-    if not isinstance(rounds, Integral) or rounds < 1:
+    if isinstance(rounds, bool) or not isinstance(rounds, Integral) or rounds < 1:
         raise ValidationError(f"session needs a whole number of rounds >= 1, got {rounds!r}")
     rounds = int(rounds)
     tables = _Tables(instance, strategy)

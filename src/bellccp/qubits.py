@@ -220,7 +220,7 @@ def depolarize(state: PureState, v: float) -> MixedState:
     """Mix a pure state with white noise: v |psi><psi| + (1 - v) I / 2^n."""
     if not isinstance(state, PureState):
         raise ValidationError("depolarize expects a PureState")
-    if not 0.0 <= v <= 1.0:
+    if isinstance(v, (bool, np.bool_)) or not 0.0 <= v <= 1.0:
         raise ValidationError(f"visibility must lie in [0, 1], got {v}")
     dim = state.dim
     rho = v * state.density_matrix() + (1.0 - v) * np.eye(dim) / dim

@@ -63,7 +63,7 @@ class SeededPrng(RandomnessSource):
     kind = "seeded-prng"
 
     def __init__(self, seed: int):
-        if not isinstance(seed, Integral) or seed < 0:
+        if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
         self.seed = int(seed)
         self._rng = np.random.Generator(np.random.PCG64(self.seed))

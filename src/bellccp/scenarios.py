@@ -207,9 +207,13 @@ class BellInequality(_ArrayValue):
         if not isinstance(self.coeffs, Mapping):
             raise ValidationError(f"coefficient table must be a mapping, "
                                   f"got {type(self.coeffs).__name__}")
-        values = [0] * 2**n
+        given = {}
         for x, q in self.coeffs.items():
-            values[tuple_index(x, n, "coefficient tuple")] = q
+            k = tuple_index(x, n, "coefficient tuple")
+            if k in given:
+                raise ValidationError(f"two coefficient entries for x = {input_tuples(n)[k]}")
+            given[k] = q
+        values = [given.get(k, 0) for k in range(2**n)]
         for k, (x, q) in enumerate(zip(input_tuples(n), values)):
             if isinstance(q, bool) or not isinstance(q, Real) or not abs(q) < COEFFICIENT_LIMIT:
                 raise ValidationError(f"coefficient Q{x} must be a finite real below 2^53 "

@@ -52,25 +52,30 @@ class OptimizerOptions:
     optimize_state: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.seed, Integral) or self.seed < 0:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
         for name in ("restarts", "max_sweeps"):
             value = getattr(self, name)
-            if not isinstance(value, Integral) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
                 raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
         # NaN fails both comparisons, and a NaN tol would never stop a restart.
-        if not (isinstance(self.tol, Real) and 0 < self.tol < math.inf):
+        if isinstance(self.tol, bool) or not (isinstance(self.tol, Real)
+                                              and 0 < self.tol < math.inf):
             raise ValidationError(f"tol must be positive and finite, got {self.tol!r}")
 
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    best_value: float
     strategy: QuantumStrategy
     sweeps_used: int
     value_trace: tuple[float, ...]
     degenerate_updates: int = 0
+
+    @property
+    def best_value(self) -> float:
+        """The winning restart's final value, the last entry of its trace."""
+        return self.value_trace[-1]
 
 
 class _Restarts:
@@ -179,8 +184,7 @@ class _Restarts:
         # Every row is a unit vector: drawn normalized or set to g / |g|.
         strategy = QuantumStrategy(scenario=self.scenario, state=self.states[r],
                                    bloch_tables=[table[r] for table in self.bloch])
-        return OptimizationResult(best_value=finals[r], strategy=strategy,
-                                  sweeps_used=int(self.sweeps[r]),
+        return OptimizationResult(strategy=strategy, sweeps_used=int(self.sweeps[r]),
                                   value_trace=tuple(self.traces[r]),
                                   degenerate_updates=int(self.degenerate[r]))
 

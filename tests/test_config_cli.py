@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import bellccp
-from bellccp import (CcpInstance, SeededPrng, ValidationError, canonical_strategy, cli,
-                     gyni_inequality, input_tuples, make_scenario, random_strategy, run_session,
+from bellccp import (CcpInstance, OptimizerOptions, SeededPrng, ValidationError,
+                     canonical_strategy, cli, depolarize, ghz_state, gyni_inequality,
+                     input_tuples, make_scenario, random_strategy, run_session,
                      write_session_log)
 from bellccp.cli import main
 from bellccp.config import (
@@ -672,6 +673,29 @@ def test_json_booleans_are_not_numbers(tmp_path, capsys, field, expected):
                              "--strategy", str(strategy_path))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and expected in err
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: SeededPrng(True), "seed must be a non-negative integer, got True"),
+    (lambda: SeededPrng(False), "seed must be a non-negative integer, got False"),
+    (lambda: OptimizerOptions(seed=True), "seed must be a non-negative integer, got True"),
+    (lambda: OptimizerOptions(seed=0, restarts=True), "restarts must be an integer >= 1"),
+    (lambda: OptimizerOptions(seed=0, max_sweeps=True), "max_sweeps must be an integer >= 1"),
+    (lambda: OptimizerOptions(seed=0, tol=True), "tol must be positive and finite, got True"),
+    (lambda: run_session(CcpInstance(inequality=gyni_inequality()),
+                         canonical_strategy("gyni-paper"), True, SeededPrng(1)),
+     "whole number of rounds >= 1, got True"),
+    (lambda: depolarize(ghz_state(3), True), "visibility must lie in [0, 1], got True"),
+    (lambda: depolarize(ghz_state(3), np.True_), "visibility must lie in [0, 1], got True"),
+    (lambda: with_visibility(canonical_strategy("gyni-paper"), True),
+     "visibility must lie in [0, 1], got True"),
+], ids=["prng-true", "prng-false", "options-seed", "options-restarts", "options-max-sweeps",
+        "options-tol", "session-rounds", "depolarize", "depolarize-numpy", "with-visibility"])
+def test_library_booleans_are_not_numbers(call, expected):
+    # Each call runs when True counts as 1 and False as 0.
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert expected in str(err.value)
 
 
 def test_strategy_file_missing_a_setting_names_it(tmp_path, capsys):

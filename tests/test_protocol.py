@@ -1,5 +1,6 @@
 """Tests for protocol rounds, sessions, and randomness sources."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -118,6 +119,20 @@ def test_round_record_invariants():
             for group in instance.inequality.scenario.visibility)
 
 
+def test_record_built_from_lists_stores_tuples_and_derives_the_rest():
+    record = RoundRecord(x=[1, -1, 1], y=[1, 1, -1], settings=[[1, 1], [-1, 1], [1, -1]],
+                         a=[-1, 1, 1], f_value=1)
+    assert (record.x, record.y, record.a) == ((1, -1, 1), (1, 1, -1), (-1, 1, 1))
+    assert record.settings == ((1, 1), (-1, 1), (1, -1))
+    assert hash(record) == hash(RoundRecord(x=(1, -1, 1), y=(1, 1, -1), a=(-1, 1, 1),
+                                            settings=((1, 1), (-1, 1), (1, -1)), f_value=1))
+    with pytest.raises(AttributeError):
+        record.x.append(5)
+    assert (record.m, record.guess, record.passed) == ((-1, 1, -1), 1, True)
+    flipped = dataclasses.replace(record, f_value=-record.f_value)
+    assert (flipped.guess, flipped.passed) == (1, False)
+
+
 def test_flipping_all_y_leaves_pass_unchanged():
     instance = _gyni_instance()
     tables = protocol._Tables(instance, canonical_strategy("gyni-paper"))
@@ -206,14 +221,15 @@ def test_single_round_session():
 
 
 def _reference_record(ineq, x, y, a):
-    """One round scored from the game's definition: m = y a, guess = prod(m),
-    f = prod(y) sign Q(x) with sign(0) = +1, settings the visible tuples."""
-    m = tuple(y_i * a_i for y_i, a_i in zip(y, a))
+    """One round scored from the game's definition, as its log line's dict:
+    m = y a, guess = prod(m), f = prod(y) sign Q(x) with sign(0) = +1,
+    settings the visible tuples, and pass when the guess equals f."""
+    m = [y_i * a_i for y_i, a_i in zip(y, a)]
     guess = math.prod(m)
     f_value = math.prod(y) * (-1 if ineq.coeffs[x] < 0 else 1)
-    settings = tuple(oracles.visible_tuple(x, group) for group in ineq.scenario.visibility)
-    return RoundRecord(x=x, y=y, settings=settings, a=a, m=m, guess=guess,
-                       f_value=f_value, passed=guess == f_value)
+    settings = [list(oracles.visible_tuple(x, group)) for group in ineq.scenario.visibility]
+    return {"x": list(x), "y": list(y), "settings": settings, "a": list(a), "m": m,
+            "guess": guess, "f_value": f_value, "pass": guess == f_value}
 
 
 def _scalar_replay(instance, strategy, rounds, rng):
@@ -270,8 +286,8 @@ def test_vectorized_and_scalar_sessions_agree():
     strategy = canonical_strategy("gyni-paper")
     fast = run_session(instance, strategy, 400, SeededPrng(29))
     records, _ = _scalar_replay(instance, strategy, 400, SeededPrng(29))
-    assert sum(r.passed for r in records) == fast.successes
-    assert list(fast.rounds) == records
+    assert sum(r["pass"] for r in records) == fast.successes
+    assert [r.to_json_dict() for r in fast.rounds] == records
 
 
 @pytest.mark.parametrize("block", [protocol._BLOCK_ROUNDS, 7])
@@ -289,8 +305,8 @@ def test_every_source_matches_scalar_replay(monkeypatch, tmp_path, source_kind,
         fast = run_session(instance, strategy, 400, fast_rng)
         records, exhausted = _scalar_replay(instance, strategy, 400, scalar_rng)
         assert exhausted is None
-        assert sum(r.passed for r in records) == fast.successes
-        assert list(fast.rounds) == records
+        assert sum(r["pass"] for r in records) == fast.successes
+        assert [r.to_json_dict() for r in fast.rounds] == records
         assert getattr(fast_rng, "cursor", None) == getattr(scalar_rng, "cursor", None)
 
 
@@ -337,10 +353,8 @@ def test_written_log_is_header_plus_one_dumped_record_per_round(
 
 def test_writer_keeps_equal_but_differently_typed_records_apart(tmp_path):
     # Equal values that print differently must each keep their own line.
-    fields = dict(x=(1, 1, 1), y=(1, 1, 1), settings=((1, 1),) * 3, a=(1, 1, 1),
-                  m=(1, 1, 1), f_value=1)
-    records = (RoundRecord(guess=1, passed=True, **fields),
-               RoundRecord(guess=1.0, passed=1, **fields))
+    fields = dict(x=(1, 1, 1), y=(1, 1, 1), settings=((1, 1),) * 3, a=(1, 1, 1))
+    records = (RoundRecord(f_value=1, **fields), RoundRecord(f_value=1.0, **fields))
     assert records[0] == records[1]
     path = tmp_path / "session.jsonl"
     write_session_log(SessionLog(rounds=records * 2, num_rounds=4, successes=4), path)
@@ -403,13 +417,12 @@ def test_session_validation(tmp_path):
     for rounds in (0, 2.5, math.nan):
         with pytest.raises(ValidationError, match="rounds"):
             run_session(instance, canonical_strategy("gyni-paper"), rounds, SeededPrng(1))
-    # Any integral count is stored as a Python int, so the log stays JSON.
-    for rounds, want in ((np.int64(5), 5), (True, 1)):
-        log = run_session(instance, canonical_strategy("gyni-paper"), rounds, SeededPrng(1))
-        assert type(log.num_rounds) is int and log.num_rounds == want
-        write_session_log(log, tmp_path / "session.jsonl")
-        header = json.loads((tmp_path / "session.jsonl").read_text().splitlines()[0])
-        assert header["header"]["rounds"] == want and type(header["header"]["rounds"]) is int
+    # An integral NumPy count is stored as a Python int, so the log stays JSON.
+    log = run_session(instance, canonical_strategy("gyni-paper"), np.int64(5), SeededPrng(1))
+    assert type(log.num_rounds) is int and log.num_rounds == 5
+    write_session_log(log, tmp_path / "session.jsonl")
+    header = json.loads((tmp_path / "session.jsonl").read_text().splitlines()[0])
+    assert header["header"]["rounds"] == 5 and type(header["header"]["rounds"]) is int
 
 
 def test_bit_file_source(tmp_path):

@@ -114,6 +114,13 @@ def test_reversed_tables_build_equal_values_in_canonical_order():
     assert reversed_ineq == ineq and list(reversed_ineq.coeffs) == list(tuples)
 
 
+def test_two_keys_for_one_input_tuple_are_rejected():
+    # range(1, -2, -2) iterates as (1, -1): the same tuple as the first key.
+    coeffs = {(1, -1): 1, range(1, -2, -2): 5, (1, 1): 1}
+    with pytest.raises(ValidationError, match=r"two coefficient entries for x = \(1, -1\)"):
+        BellInequality(scenario=CHSH_SCENARIO, coeffs=coeffs)
+
+
 @pytest.mark.parametrize("given,stored", [
     ({(-1, -1): 3, (1, 1): -2}, [(3, int), (0, int), (0, int), (-2, int)]),
     ({(-1, -1): 3.0, (1, 1): -2.0}, [(3, int), (0, int), (0, int), (-2, int)]),
