@@ -77,7 +77,8 @@ def scenario_from_config(config: dict) -> CausalScenario:
 
 
 def inequality_to_config(ineq: BellInequality) -> dict:
-    if ineq.name in NAMED_INEQUALITIES:
+    """A preset's name for that preset's own table; the full table otherwise."""
+    if ineq.name in NAMED_INEQUALITIES and ineq == named_inequality(ineq.name):
         return {"name": ineq.name}
     coeffs = [{"x": list(x), "q": q} for x, q in ineq.coeffs.items() if q != 0]
     return {"scenario": scenario_to_config(ineq.scenario), "coeffs": coeffs}

@@ -35,6 +35,9 @@ RECORD_HEX_CHARS = RECORD_BITS // 4
 UNIFORM_BITS = 53
 # Place values of a uniform's bits, most significant first.
 _UNIFORM_WEIGHTS = np.uint64(1) << np.arange(UNIFORM_BITS - 1, -1, -1, dtype=np.uint64)
+# Raw stream data: anything else (an int, a bool, a list of ints) is refused,
+# since bytes() would turn a number into that many zero bytes.
+_BYTES_LIKE = (bytes, bytearray, memoryview)
 
 
 class RandomnessSource:
@@ -87,11 +90,14 @@ class SeededPrng(RandomnessSource):
 
 
 class BitStreamSource(RandomnessSource):
-    """Finite stream of raw bits, consumed MSB-first byte by byte."""
+    """Finite stream of raw bits, consumed MSB-first byte by byte; the data
+    must be bytes, a bytearray or a memoryview."""
 
     kind = "bit-stream"
 
     def __init__(self, data: bytes, origin: str = "<memory>"):
+        if not isinstance(data, _BYTES_LIKE):
+            raise ValidationError(f"bit stream data must be bytes-like, got {type(data).__name__}")
         self._bits = np.unpackbits(np.frombuffer(bytes(data), dtype=np.uint8))
         self.origin = str(origin)
         self.cursor = 0
@@ -155,6 +161,8 @@ class BeaconRecordsSource(BitStreamSource):
 
     def __init__(self, records: list[bytes], origin: str = "<memory>"):
         for k, record in enumerate(records):
+            if not isinstance(record, _BYTES_LIKE):
+                raise ValidationError(f"record {k} must be bytes-like, got {type(record).__name__}")
             if len(record) != RECORD_BITS // 8:
                 raise ValidationError(f"record {k} has {len(record)} bytes, expected 64")
         super().__init__(b"".join(records), origin=origin)

@@ -186,18 +186,20 @@ def make_scenario(n: int, visibility) -> CausalScenario:
 class BellInequality(_ArrayValue):
     """Coefficient table Q over all input tuples, bound to a scenario.
 
-    ``coeffs`` is stored as a read-only mapping, with every input tuple in
-    canonical order (absent tuples as 0). Integer coefficients are kept as
-    Python ints so sums over them (the classical bound, Gamma) stay exact;
-    each |Q(x)| must be below ``COEFFICIENT_LIMIT``, so those sums also fit
-    int64. ``gamma`` is derived, always sum |Q|, and is not a constructor
-    argument. Inequalities compare and hash by scenario and coefficients;
-    ``gamma`` and ``name`` do not enter.
+    Each given entry is checked once, in the mapping's order; the first bad
+    one raises. ``coeffs`` is stored as a read-only mapping with every input
+    tuple in canonical order (absent tuples as 0); integral coefficients are
+    Python ints, so sums over them stay exact, and each |Q(x)| must be below
+    ``COEFFICIENT_LIMIT``, so they also fit int64. ``coefficient_array()`` is
+    int64 unless some entry is a non-integral float, then float64. ``gamma``
+    is derived, not a constructor argument: sum |Q| over Python numbers in
+    canonical order, an int for integral tables. Inequalities compare and
+    hash by scenario and coefficients; ``gamma`` and ``name`` do not enter.
     """
 
     scenario: CausalScenario
     coeffs: Mapping
-    gamma: float = field(init=False)
+    gamma: int | float = field(init=False)
     name: str | None = None
 
     def __post_init__(self):
@@ -207,24 +209,24 @@ class BellInequality(_ArrayValue):
         if not isinstance(self.coeffs, Mapping):
             raise ValidationError(f"coefficient table must be a mapping, "
                                   f"got {type(self.coeffs).__name__}")
-        given = {}
+        values, placed, dtype = [0] * 2**n, set(), np.int64
         for x, q in self.coeffs.items():
             k = tuple_index(x, n, "coefficient tuple")
-            if k in given:
+            if k in placed:
                 raise ValidationError(f"two coefficient entries for x = {input_tuples(n)[k]}")
-            given[k] = q
-        values = [given.get(k, 0) for k in range(2**n)]
-        for k, (x, q) in enumerate(zip(input_tuples(n), values)):
+            placed.add(k)
             if isinstance(q, bool) or not isinstance(q, Real) or not abs(q) < COEFFICIENT_LIMIT:
-                raise ValidationError(f"coefficient Q{x} must be a finite real below 2^53 "
-                                      f"in magnitude, got {q!r}")
-            values[k] = int(q) if isinstance(q, Integral) or float(q).is_integer() else float(q)
-        gamma = sum(abs(q) for q in values)
+                raise ValidationError(f"coefficient Q{input_tuples(n)[k]} must be a finite real "
+                                      f"below 2^53 in magnitude, got {q!r}")
+            if isinstance(q, Integral) or float(q).is_integer():
+                values[k] = int(q)
+            else:
+                values[k], dtype = float(q), float
+        gamma = sum(map(abs, values))
         if gamma <= 0:
             raise ValidationError("all coefficients are zero; the inequality is empty")
         object.__setattr__(self, "coeffs", MappingProxyType(dict(zip(input_tuples(n), values))))
         object.__setattr__(self, "gamma", gamma)
-        dtype = np.int64 if all(isinstance(q, Integral) for q in values) else float
         array = read_only(np.array(values, dtype=dtype))
         object.__setattr__(self, "_coefficient_array", array)
         # Zero coefficients carry no probability mass in the game, so their
@@ -298,12 +300,7 @@ def svetlichny_inequality() -> BellInequality:
     Equals 1 - (1-x1)(1-x2)(1-x3)/4 - (1+x1)(1+x2)(1+x3)/4 tuple by tuple;
     the classical bound over the communication structure is 4.
     """
-    coeffs = {}
-    for x in input_tuples(3):
-        q = 1
-        if x == (1, 1, 1) or x == (-1, -1, -1):
-            q = -1
-        coeffs[x] = q
+    coeffs = {x: -1 if x in ((1, 1, 1), (-1, -1, -1)) else 1 for x in input_tuples(3)}
     return BellInequality(scenario=svetlichny_scenario(), coeffs=coeffs, name="svetlichny")
 
 

@@ -1,7 +1,9 @@
-"""The oracles and the package stay two separate code paths.
+"""Static checks on what the files import.
 
+The oracles and the package stay two separate code paths:
 ``tests/oracles.py`` checks the package, so it must not import it, and no
-package module may import the oracles.
+package module may import the oracles. And every name a package module
+imports is used in it (``__init__.py`` imports only to re-export).
 """
 
 import ast
@@ -35,3 +37,24 @@ def test_the_package_imports_no_oracle():
     assert sources
     for path in sources:
         assert "oracles" not in _imported_modules(path), path.name
+
+
+def _unused_imports(path):
+    """Names a file imports but never reads; ``__future__`` imports are directives."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_the_package_uses_every_name_it_imports():
+    sources = sorted(path for path in (ROOT / "src" / "bellccp").glob("*.py")
+                     if path.name != "__init__.py")
+    assert sources
+    unused = {path.name: names for path in sources if (names := _unused_imports(path))}
+    assert unused == {}

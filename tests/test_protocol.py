@@ -40,6 +40,7 @@ from bellccp import (
     write_session_log,
 )
 from bellccp import protocol
+from bellccp.randomness import BitStreamSource
 
 import oracles
 
@@ -431,6 +432,33 @@ def test_bit_file_source(tmp_path):
     source = BitFileSource(path)
     assert [source.bit() for _ in range(4)] == [1, 0, 1, 1]
     assert source.describe()["bits"] == 16
+
+
+NOT_BYTES = [8, np.int64(2), True, [1, 2], "ab"]
+NOT_BYTES_IDS = ["int", "numpy-int", "bool", "list-of-ints", "str"]
+
+
+@pytest.mark.parametrize("data", NOT_BYTES, ids=NOT_BYTES_IDS)
+def test_bit_stream_data_must_be_bytes_like(data):
+    # bytes(8) is eight zero bytes: a number must not become a stream of zero bits.
+    with pytest.raises(ValidationError, match=f"must be bytes-like, got {type(data).__name__}"):
+        BitStreamSource(data)
+
+
+@pytest.mark.parametrize("record", [*NOT_BYTES, [0] * 64, "ff" * 32],
+                         ids=[*NOT_BYTES_IDS, "64-ints", "64-chars"])
+def test_beacon_records_must_be_bytes_like(record):
+    with pytest.raises(ValidationError,
+                       match=f"record 1 must be bytes-like, got {type(record).__name__}"):
+        BeaconRecordsSource([b"\x00" * 64, record])
+
+
+@pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+def test_bytes_like_data_gives_the_same_stream(wrap):
+    data = bytes([0b10110000, 0xFF]) * 32
+    source = BitStreamSource(wrap(data))
+    assert [source.bit() for _ in range(16)] == [1, 0, 1, 1] + [0] * 4 + [1] * 8
+    assert BeaconRecordsSource([wrap(data)]).describe()["bits"] == 512
 
 
 def test_all_ones_record_yields_all_one_bits():

@@ -224,6 +224,18 @@ def test_inequality_config_round_trip():
     assert loaded.coeffs[(-1, -1)] == 0.3
 
 
+def test_a_preset_name_is_dumped_only_for_the_presets_own_table():
+    gyni = gyni_inequality()
+    for ineq in (gyni, svetlichny_inequality(), chsh_inequality()):
+        assert inequality_to_config(ineq) == {"name": ineq.name}
+    doubled = BellInequality(scenario=gyni.scenario, coeffs={x: 2 for x in gyni.coeffs},
+                             name="gyni")
+    renamed = BellInequality(scenario=gyni.scenario, coeffs=gyni.coeffs, name="chsh")
+    for ineq in (doubled, renamed):
+        config = inequality_to_config(ineq)
+        assert "name" not in config and inequality_from_config(config) == ineq
+
+
 def test_gamma_is_derived_not_passed():
     with pytest.raises(TypeError):
         BellInequality(scenario=gyni_inequality().scenario,

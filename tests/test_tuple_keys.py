@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellccp import (
     BellInequality,
@@ -135,6 +136,69 @@ def test_coefficient_value_types_are_pinned(given, stored):
     exact = all(kind is int for _, kind in stored)
     assert ineq.coefficient_array().dtype == (np.int64 if exact else float)
     assert type(ineq.gamma) is (int if exact else float)
+
+
+def test_the_first_bad_entry_in_mapping_order_is_reported():
+    # Each entry is checked in turn: a bad value before a bad key is the one reported.
+    with pytest.raises(ValidationError, match=r"coefficient Q\(1, -1\) must be a finite real"):
+        BellInequality(scenario=CHSH_SCENARIO, coeffs={(1, -1): True, ("1", 1): 2})
+    with pytest.raises(ValidationError, match="coefficient tuple entries must be"):
+        BellInequality(scenario=CHSH_SCENARIO, coeffs={("1", 1): 2, (1, -1): True})
+    with pytest.raises(ValidationError, match=r"coefficient Q\(1, 1\) must be a finite real"):
+        BellInequality(scenario=CHSH_SCENARIO, coeffs={(1, 1): None, (-1, -1): math.inf})
+
+
+_EXACT = 2**53 - 1
+_KEY_KINDS = [int, float, np.int64]
+_VALUES = st.one_of(
+    st.integers(-_EXACT, _EXACT),
+    st.integers(-_EXACT, _EXACT).map(float),
+    st.floats(-_EXACT, _EXACT),
+    st.integers(-_EXACT, _EXACT).map(np.int64),
+    st.floats(-_EXACT, _EXACT).map(np.float64),
+)
+
+
+@st.composite
+def _given_tables(draw):
+    """n, then (position, key, value) for a random subset of positions in random order."""
+    n = draw(st.integers(2, 6))
+    positions = draw(st.permutations(range(2**n)))[:draw(st.integers(1, 2**n))]
+    entries = [(k, tuple(map(draw(st.sampled_from(_KEY_KINDS)), input_tuples(n)[k])), draw(_VALUES))
+               for k in positions]
+    return n, entries
+
+
+@settings(max_examples=40, deadline=None)
+@given(_given_tables())
+def test_one_pass_intake_matches_its_definition(table):
+    n, entries = table
+    # The definition: canonical order with zeros elsewhere; an entry is an
+    # int exactly when it is integral; float64 exactly when some entry is a
+    # float; Gamma sums |Q| over that list; sign(0) = +1.
+    want = [0] * 2**n
+    for k, _, q in entries:
+        want[k] = int(q) if q == int(q) else float(q)
+    scenario = make_scenario(n, [(i,) for i in range(1, n + 1)])
+    coeffs = {x: q for _, x, q in entries}
+    if not any(want):
+        with pytest.raises(ValidationError, match="all coefficients are zero"):
+            BellInequality(scenario=scenario, coeffs=coeffs)
+        return
+    exact = all(type(q) is int for q in want)
+    ineq = BellInequality(scenario=scenario, coeffs=coeffs)
+    assert [(x, q, type(q)) for x, q in ineq.coeffs.items()] == [
+        (x, q, type(q)) for x, q in zip(input_tuples(n), want)]
+    array = ineq.coefficient_array()
+    assert array.dtype == (np.int64 if exact else np.float64)
+    assert array.tobytes() == np.array(want, dtype=array.dtype).tobytes()
+    gamma = sum(abs(q) for q in want)
+    assert type(ineq.gamma) is type(gamma) and ineq.gamma == gamma
+    assert ineq.sign_array().tolist() == [-1 if q < 0 else 1 for q in want]
+    assert ineq.sign_array().dtype == np.int8
+    canonical = BellInequality(scenario=scenario, coeffs={
+        input_tuples(n)[k]: q for k, _, q in sorted(entries, key=lambda entry: entry[0])})
+    assert ineq == canonical and hash(ineq) == hash(canonical)
 
 
 def _random_integer_inequalities():
