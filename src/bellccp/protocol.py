@@ -20,12 +20,19 @@ computed once per outcome table, as a mask over (input, outcome) index
 pairs; session counts and exact success read it. Its sign of Q, with
 sign(0) = +1, is ``BellInequality.sign_array()``. A ``RoundRecord`` keeps
 x, y, settings, a and f = prod(y) sign Q(x) and derives m, guess and pass.
+
+A kept session stores one uint32 key per round, (x_idx << n | y_idx) << n |
+a_idx over canonical tuple indices, 18 bits at six parties. ``SessionLog.rounds``
+reads the keys as records built on access, and ``write_session_log`` writes
+each distinct key's line once, assembled from per-tuple JSON fragments.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -35,7 +42,7 @@ from .classical import DeterministicStrategy
 from .errors import RandomnessExhaustedError, ValidationError
 from .quantum import QuantumStrategy, outcome_distribution
 from .randomness import RandomnessSource
-from .scenarios import CcpInstance, input_tuples, tuple_array
+from .scenarios import CcpInstance, input_tuples, read_only, tuple_array
 from .config import strategy_fingerprint
 
 
@@ -79,16 +86,72 @@ class RoundRecord:
                 "guess": self.guess, "f_value": self.f_value, "pass": self.passed}
 
 
-@dataclass(frozen=True)
-class SessionLog:
-    """Aggregate of a session; ``rounds`` may be empty when not retained.
+class SessionRounds(Sequence):
+    """A session's kept rounds in play order, as one read-only uint32 key per
+    round, read as ``RoundRecord``s built on access.
 
-    Kept rounds are a tuple of ``RoundRecord``s in play order. Equal rounds
-    of a block share one immutable record, so a kept round costs one
-    reference.
+    A round's key is ``(x_idx << n | y_idx) << n | a_idx`` over canonical
+    tuple indices, with y_idx bit 1 meaning +1. ``settings[x_idx]`` holds
+    every party's visible setting at that input and ``signs`` is the
+    inequality's ``sign_array()``; with the key they fix the record.
+    ``len`` builds nothing. An index, a slice or an iteration builds one
+    record per distinct key it reads and shares it among equal rounds.
     """
 
-    rounds: tuple
+    def __init__(self, keys: np.ndarray, settings, signs: np.ndarray):
+        self.keys = keys
+        self.settings = settings
+        self.signs = signs
+
+    @property
+    def n(self) -> int:
+        return self.signs.shape[0].bit_length() - 1
+
+    def _decode(self, keys: np.ndarray):
+        """Input, y and outcome indices of each key, and its target
+        f = prod(y) sign Q(x)."""
+        n = self.n
+        mask = (1 << n) - 1
+        x_idx, y_idx, a_idx = keys >> 2 * n, keys >> n & mask, keys & mask
+        return x_idx, y_idx, a_idx, tuple_array(n).prod(axis=1)[y_idx] * self.signs[x_idx]
+
+    def _records(self, keys: np.ndarray) -> tuple:
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        tuples = input_tuples(self.n)
+        built = [RoundRecord(x=tuples[x], y=tuples[y], settings=self.settings[x], a=tuples[a],
+                             f_value=f)
+                 for x, y, a, f in zip(*(v.tolist() for v in self._decode(distinct)))]
+        return tuple(map(built.__getitem__, inverse.tolist()))
+
+    def __len__(self) -> int:
+        return self.keys.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._records(self.keys[index])
+        return self._records(self.keys[[operator.index(index)]])[0]
+
+    def __iter__(self):
+        return iter(self._records(self.keys))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"SessionRounds(<{len(self)} rounds, n={self.n}>)"
+
+
+@dataclass(frozen=True)
+class SessionLog:
+    """Aggregate of a session; ``rounds`` is empty when not retained.
+
+    Kept rounds are a ``SessionRounds`` view: one 4-byte key per round,
+    read as ``RoundRecord``s in play order.
+    """
+
+    rounds: SessionRounds
     num_rounds: int
     successes: int
     config: dict = field(default_factory=dict)
@@ -173,27 +236,17 @@ def _play(tables: _Tables, rounds: int, rng: RandomnessSource):
         yield x_idx, 1 - 2 * y_bits, (tables.cum_outcomes[x_idx] <= u).sum(axis=1)
 
 
-def _records(tables: _Tables, x_idx, y, a_idx) -> list:
-    """One block's rounds as records, with targets f = prod(y) sign Q(x).
-
-    A round is fixed by its x, y and outcome indices, so a block holds at
-    most 8^n distinct rounds. Each is built once, and equal rounds share
-    that one immutable record: a kept round costs one reference.
-    """
-    scenario = tables.scenario
-    n = tables.n
-    # Canonical index of each y tuple: +1 is bit 1, party 1 most significant.
+def _round_keys(n: int, x_idx, y, a_idx) -> np.ndarray:
+    """Each round's key ``(x_idx << n | y_idx) << n | a_idx`` as uint32, with
+    y_idx the canonical index of y: +1 is bit 1, party 1 most significant."""
     y_idx = (y > 0) @ (1 << np.arange(n - 1, -1, -1))
-    keys = (x_idx << n | y_idx) << n | a_idx
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    x_idx, y, a_idx = x_idx[first], y[first], a_idx[first]
-    settings = [tuple(scenario.visible_tuples(i)[k] for i, k in enumerate(column, start=1))
-                for column in scenario.setting_index().T.tolist()]
-    tuples = input_tuples(n)
-    targets = (y.prod(axis=1) * tables.signs[x_idx]).tolist()
-    built = [RoundRecord(x=tuples[i], y=y_k, settings=settings[i], a=tuples[k], f_value=f)
-             for i, k, y_k, f in zip(x_idx.tolist(), a_idx.tolist(), y.tolist(), targets)]
-    return [built[k] for k in inverse.tolist()]
+    return ((x_idx << n | y_idx) << n | a_idx).astype(np.uint32)
+
+
+def _visible_settings(scenario) -> list:
+    """Per input index, each party's visible setting tuple."""
+    return [tuple(scenario.visible_tuples(i)[k] for i, k in enumerate(column, start=1))
+            for column in scenario.setting_index().T.tolist()]
 
 
 def run_session(instance: CcpInstance, strategy, rounds: int, rng: RandomnessSource,
@@ -215,14 +268,18 @@ def run_session(instance: CcpInstance, strategy, rounds: int, rng: RandomnessSou
     echo.setdefault("strategy_sha256", strategy_fingerprint(strategy)
                     if isinstance(strategy, QuantumStrategy) else "deterministic")
 
-    records = []
+    blocks = []
     successes = 0
     for x_idx, y, a_idx in _play(tables, rounds, rng):
         successes += int(tables.passing[x_idx, a_idx].sum())
         if keep_rounds:
-            records += _records(tables, x_idx, y, a_idx)
-    return SessionLog(rounds=tuple(records), num_rounds=rounds,
-                      successes=successes, config=echo)
+            blocks.append(_round_keys(tables.n, x_idx, y, a_idx))
+    if keep_rounds:
+        kept = SessionRounds(read_only(np.concatenate(blocks)),
+                             _visible_settings(tables.scenario), tables.signs)
+    else:
+        kept = SessionRounds(read_only(np.empty(0, dtype=np.uint32)), (), tables.signs)
+    return SessionLog(rounds=kept, num_rounds=rounds, successes=successes, config=echo)
 
 
 def exact_success(instance: CcpInstance, strategy) -> float:
@@ -237,21 +294,31 @@ def exact_success(instance: CcpInstance, strategy) -> float:
 
 
 def write_session_log(log: SessionLog, path) -> None:
-    """JSON-lines file: one header object, then one round record per line.
+    """JSON-lines file: one header object, then one round per line.
 
-    Each distinct record object is serialised once; rounds that share a
-    record share its line.
+    A round's line is ``json.dumps(record.to_json_dict())`` of its record.
+    It is assembled once per distinct round key from the JSON of each
+    tuple and of each input's settings, and equal rounds share it.
     """
-    lines = {}
+    rounds = log.rounds
+    if not isinstance(rounds, SessionRounds):
+        raise ValidationError("a session log is written from the rounds run_session kept")
+    n = rounds.n
+    distinct, inverse = np.unique(rounds.keys, return_inverse=True)
+    x_idx, y_idx, a_idx, f = rounds._decode(distinct)
+    # m_i = y_i a_i is +1, bit 1, exactly where the y and a bits agree.
+    m_idx = ((1 << n) - 1) ^ (y_idx ^ a_idx)
+    parity = tuple_array(n).prod(axis=1)
+    guess = parity[y_idx] * parity[a_idx]
+    tuples = [json.dumps(list(t)) for t in input_tuples(n)]
+    settings = [json.dumps([list(s) for s in row]) for row in rounds.settings]
+    lines = np.array([
+        f'{{"x": {tuples[x]}, "y": {tuples[y]}, "settings": {settings[x]}, "a": {tuples[a]}, '
+        f'"m": {tuples[m]}, "guess": {g}, "f_value": {t}, '
+        f'"pass": {"true" if g == t else "false"}}}\n'
+        for x, y, a, m, g, t in zip(*(v.tolist() for v in (x_idx, y_idx, a_idx, m_idx, guess, f)))
+    ], dtype=object)
     with open(path, "w") as handle:
         handle.write(json.dumps({"header": log.config}) + "\n")
-        for start in range(0, len(log.rounds), _WRITE_ROUNDS):
-            chunk = []
-            for record in log.rounds[start:start + _WRITE_ROUNDS]:
-                # Keyed by identity: the log keeps every record alive for the
-                # whole call, and equal values may still print differently.
-                line = lines.get(id(record))
-                if line is None:
-                    line = lines[id(record)] = json.dumps(record.to_json_dict()) + "\n"
-                chunk.append(line)
-            handle.write("".join(chunk))
+        for start in range(0, inverse.shape[0], _WRITE_ROUNDS):
+            handle.write("".join(lines[inverse[start:start + _WRITE_ROUNDS]].tolist()))

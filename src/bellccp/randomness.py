@@ -23,6 +23,7 @@ have funded in ``rounds_completed``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from numbers import Integral
 from pathlib import Path
 
@@ -160,6 +161,9 @@ class BeaconRecordsSource(BitStreamSource):
     kind = "beacon-records"
 
     def __init__(self, records: list[bytes], origin: str = "<memory>"):
+        if isinstance(records, (str, *_BYTES_LIKE)) or not isinstance(records, Sequence):
+            raise ValidationError("beacon records must be a sequence of bytes-like records, "
+                                  f"got {type(records).__name__}")
         for k, record in enumerate(records):
             if not isinstance(record, _BYTES_LIKE):
                 raise ValidationError(f"record {k} must be bytes-like, got {type(record).__name__}")

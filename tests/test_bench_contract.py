@@ -13,6 +13,7 @@ metrics from the spans.
 import ast
 import importlib
 import importlib.util
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +55,7 @@ def test_session_calls_expose_what_the_tracer_reads(tmp_path):
     rounds = 300
     log = run_session(CcpInstance(inequality=gyni_inequality()),
                       canonical_strategy("gyni-paper"), rounds, SeededPrng(1))
-    assert isinstance(log.rounds, tuple) and len(log.rounds) == rounds
+    assert isinstance(log.rounds, Sequence) and len(log.rounds) == rounds
     path = tmp_path / "session.jsonl"
     write_session_log(log, path)
     assert path.stat().st_size > 0

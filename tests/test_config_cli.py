@@ -108,7 +108,8 @@ def test_simulate_replays_identically(capsys):
 
 # Round lines of `simulate --out` logs, everything after the header line, by
 # sha256. A change to how rounds are sampled or written must leave them as
-# they are; BITS stands for a fixed bit file.
+# they are; BITS stands for a fixed bit file, and a run's own --ineq replaces
+# the gyni default.
 _PINNED_ROUND_LINES = {
     "gyni-prng": (["--strategy", "gyni-paper", "--rounds", "3000", "--seed", "11"],
                   "8bd835e8bdca078b87d01e763ebdf5f2a286687ee12e701924ab9f5093e32568"),
@@ -116,6 +117,9 @@ _PINNED_ROUND_LINES = {
                         "22615a3df64c83b505168c275521772e6c56b731c1d2901b1e4e473de28b873a"),
     "gyni-bit-file": (["--strategy", "gyni-paper", "--rounds", "600", "--randomness", "file:BITS"],
                       "3bf649e4c7334c8d3baf8d9ab9203f0295cc8dfe472381db9be0f473a29f6d56"),
+    "svetlichny-prng": (["--ineq", "svetlichny", "--strategy", "svetlichny-paper",
+                         "--rounds", "3000", "--seed", "13"],
+                        "43bf57209521459f9c59664065335201b5d173e80800e8f95ad43f7de6f5f466"),
 }
 
 

@@ -1,10 +1,12 @@
 """Tests for protocol rounds, sessions, and randomness sources."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
 import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -139,8 +141,13 @@ def test_flipping_all_y_leaves_pass_unchanged():
     tables = protocol._Tables(instance, canonical_strategy("gyni-paper"))
     x_idx, y_idx, a_idx = np.array(list(itertools.product(range(8), repeat=3))).T
     y = tables.tuples[y_idx]
-    first = protocol._records(tables, x_idx, y, a_idx)
-    second = protocol._records(tables, x_idx, -y, a_idx)
+    settings = protocol._visible_settings(tables.scenario)
+
+    def rounds(y):
+        keys = protocol._round_keys(3, x_idx, y, a_idx)
+        return protocol.SessionRounds(keys, settings, tables.signs)
+
+    first, second = rounds(y), rounds(-y)
     assert len({(r.x, r.y, r.a) for r in first}) == 8**3
     for record, flipped in zip(first, second):
         assert flipped.y == tuple(-v for v in record.y)
@@ -352,23 +359,11 @@ def test_written_log_is_header_plus_one_dumped_record_per_round(
     assert path.read_text() == "".join(line + "\n" for line in expected)
 
 
-def test_writer_keeps_equal_but_differently_typed_records_apart(tmp_path):
-    # Equal values that print differently must each keep their own line.
-    fields = dict(x=(1, 1, 1), y=(1, 1, 1), settings=((1, 1),) * 3, a=(1, 1, 1))
-    records = (RoundRecord(f_value=1, **fields), RoundRecord(f_value=1.0, **fields))
-    assert records[0] == records[1]
-    path = tmp_path / "session.jsonl"
-    write_session_log(SessionLog(rounds=records * 2, num_rounds=4, successes=4), path)
-    lines = path.read_text().splitlines()
-    assert lines[1:] == [json.dumps(r.to_json_dict()) for r in records * 2]
-    assert lines[1] != lines[2]
-
-
 def test_equal_rounds_share_one_record_per_block(monkeypatch):
     instance = _gyni_instance()
     strategy = canonical_strategy("gyni-paper")
     rounds = run_session(instance, strategy, 20000, SeededPrng(31)).rounds
-    assert isinstance(rounds, tuple) and len(rounds) == 20000
+    assert isinstance(rounds, Sequence) and len(rounds) == 20000
     # One block: equal records are one object, at most 8^3 of them.
     assert len({id(r) for r in rounds}) == len(set(rounds)) <= 8**3
     monkeypatch.setattr(protocol, "_BLOCK_ROUNDS", 4096)
@@ -392,6 +387,105 @@ def test_kept_rounds_cost_about_one_reference_each():
         tracemalloc.stop()
     assert len(log.rounds) == 20000
     assert retained / 20000 < 32
+
+
+def test_kept_rounds_cost_one_key_each():
+    instance = _gyni_instance()
+    strategy = canonical_strategy("gyni-paper")
+    run_session(instance, strategy, 1, SeededPrng(31))     # fill the per-object caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log = run_session(instance, strategy, 20000, SeededPrng(31))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(log.rounds) == 20000
+    assert retained / 20000 <= 8
+
+
+def test_kept_round_keys_are_read_only_uint32():
+    rounds = run_session(_gyni_instance(), canonical_strategy("gyni-paper"), 300,
+                         SeededPrng(2)).rounds
+    assert rounds.keys.dtype == np.uint32 and rounds.keys.shape == (300,)
+    with pytest.raises(ValueError, match="read-only"):
+        rounds.keys[0] = 0
+
+
+def test_rounds_length_builds_no_record(monkeypatch):
+    rounds = run_session(_gyni_instance(), canonical_strategy("gyni-paper"), 1000,
+                         SeededPrng(3)).rounds
+    built = []
+    post_init = RoundRecord.__post_init__
+
+    def counting(record):
+        built.append(record)
+        post_init(record)
+
+    monkeypatch.setattr(RoundRecord, "__post_init__", counting)
+    assert len(rounds) == 1000 and built == []
+    rounds[-1]
+    assert len(built) == 1
+
+
+def test_rounds_index_slice_and_iteration_give_the_replayed_records():
+    instance = _gyni_instance()
+    strategy = canonical_strategy("gyni-paper")
+    rounds = run_session(instance, strategy, 400, SeededPrng(29)).rounds
+    records, _ = _scalar_replay(instance, strategy, 400, SeededPrng(29))
+    listed = list(rounds)
+    assert [r.to_json_dict() for r in listed] == records
+    assert all(type(r.f_value) is int for r in listed)
+    assert [rounds[k] for k in range(400)] == listed
+    assert [rounds[k - 400] for k in range(400)] == listed
+    assert rounds[np.int64(7)] == listed[7]
+    assert rounds[5:300:7] == tuple(listed[5:300:7])
+    assert rounds[::-1] == tuple(reversed(listed))
+    # One call shares one record among its equal rounds.
+    sliced = rounds[:]
+    assert len({id(r) for r in sliced}) == len(set(sliced)) < 400
+    for index in (400, -401):
+        with pytest.raises(IndexError):
+            rounds[index]
+    with pytest.raises(TypeError):
+        rounds[1.0]
+    assert rounds == listed and rounds == tuple(listed) and listed == list(rounds)
+    assert rounds != listed[:-1] and rounds != listed[::-1]
+    assert len(repr(rounds)) < 60
+
+
+def test_only_kept_rounds_are_written(tmp_path):
+    with pytest.raises(ValidationError, match="written from the rounds run_session kept"):
+        write_session_log(SessionLog(rounds=(), num_rounds=1, successes=0),
+                          tmp_path / "session.jsonl")
+
+
+def _round_lines_digest(log, tmp_path):
+    """sha256 of a written log's round lines, everything after the header."""
+    path = tmp_path / "session.jsonl"
+    write_session_log(log, path)
+    return hashlib.sha256(path.read_bytes().split(b"\n", 1)[1]).hexdigest()
+
+
+def test_six_party_round_lines_are_pinned(tmp_path):
+    # Six parties give 18-bit round keys; nearly every round is distinct.
+    rng = np.random.default_rng(6)
+    scenario = make_scenario(6, [(i, (i - 2) % 6 + 1) for i in range(1, 7)])
+    ineq = BellInequality(scenario=scenario, coeffs=dict(
+        zip(input_tuples(6), rng.integers(-3, 4, size=64).tolist())))
+    log = run_session(CcpInstance(inequality=ineq), random_strategy(scenario, rng), 5000,
+                      SeededPrng(6))
+    assert len(set(log.rounds)) == 4864
+    assert _round_lines_digest(log, tmp_path) == (
+        "b024213b749f1916349d762a4e2dd43fa4f8c2a04a7af71f52afed4d09e37a3f")
+
+
+def test_deterministic_round_lines_are_pinned(tmp_path):
+    ineq = svetlichny_inequality()
+    log = run_session(CcpInstance(inequality=ineq), classical_bound(ineq)[1], 3000,
+                      SeededPrng(7))
+    assert _round_lines_digest(log, tmp_path) == (
+        "98f2724d5e8d99a03a5a38c3b10aa4d2e65cb4685b5b33c40d5b894db9e375ea")
 
 
 def test_session_estimate_converges_over_many_seeds():
@@ -451,6 +545,15 @@ def test_beacon_records_must_be_bytes_like(record):
     with pytest.raises(ValidationError,
                        match=f"record 1 must be bytes-like, got {type(record).__name__}"):
         BeaconRecordsSource([b"\x00" * 64, record])
+
+
+@pytest.mark.parametrize("records", [5, None, b"\x00" * 64, "00" * 64,
+                                     (b"\x00" * 64 for _ in range(2))],
+                         ids=["int", "none", "bytes", "str", "generator"])
+def test_beacon_records_must_be_a_sequence_of_records(records):
+    message = f"must be a sequence of bytes-like records, got {type(records).__name__}"
+    with pytest.raises(ValidationError, match=message):
+        BeaconRecordsSource(records)
 
 
 @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
