@@ -207,7 +207,7 @@ def _cmd_simulate(args, ineq, strategy) -> int:
     instance = CcpInstance(inequality=ineq)
     source = _make_source(args)
     log = run_session(instance, strategy, args.rounds, source, keep_rounds=bool(args.out),
-                      config=_config_echo(args, ineq, strategy))
+                      config=_config_echo(args, ineq, strategy) if args.out else None)
     if args.out:
         write_session_log(log, args.out)
     print(json.dumps(log.summary()))

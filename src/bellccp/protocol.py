@@ -24,7 +24,8 @@ x, y, settings, a and f = prod(y) sign Q(x) and derives m, guess and pass.
 A kept session stores one uint32 key per round, (x_idx << n | y_idx) << n |
 a_idx over canonical tuple indices, 18 bits at six parties. ``SessionLog.rounds``
 reads the keys as records built on access, and ``write_session_log`` writes
-each distinct key's line once, assembled from per-tuple JSON fragments.
+each distinct key's line once, assembled from per-tuple JSON fragments. A
+session that keeps no rounds has ``rounds == ()`` and no header to write.
 """
 
 from __future__ import annotations
@@ -107,20 +108,21 @@ class SessionRounds(Sequence):
     def n(self) -> int:
         return self.signs.shape[0].bit_length() - 1
 
-    def _decode(self, keys: np.ndarray):
-        """Input, y and outcome indices of each key, and its target
-        f = prod(y) sign Q(x)."""
+    def _distinct(self, keys: np.ndarray):
+        """Each key's position among the distinct keys, and per distinct key
+        its input, y and outcome indices and its target f = prod(y) sign Q(x)."""
         n = self.n
         mask = (1 << n) - 1
-        x_idx, y_idx, a_idx = keys >> 2 * n, keys >> n & mask, keys & mask
-        return x_idx, y_idx, a_idx, tuple_array(n).prod(axis=1)[y_idx] * self.signs[x_idx]
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        x_idx, y_idx, a_idx = distinct >> 2 * n, distinct >> n & mask, distinct & mask
+        return inverse, x_idx, y_idx, a_idx, tuple_array(n).prod(axis=1)[y_idx] * self.signs[x_idx]
 
     def _records(self, keys: np.ndarray) -> tuple:
-        distinct, inverse = np.unique(keys, return_inverse=True)
+        inverse, *decoded = self._distinct(keys)
         tuples = input_tuples(self.n)
         built = [RoundRecord(x=tuples[x], y=tuples[y], settings=self.settings[x], a=tuples[a],
                              f_value=f)
-                 for x, y, a, f in zip(*(v.tolist() for v in self._decode(distinct)))]
+                 for x, y, a, f in zip(*(v.tolist() for v in decoded))]
         return tuple(map(built.__getitem__, inverse.tolist()))
 
     def __len__(self) -> int:
@@ -145,13 +147,14 @@ class SessionRounds(Sequence):
 
 @dataclass(frozen=True)
 class SessionLog:
-    """Aggregate of a session; ``rounds`` is empty when not retained.
+    """Aggregate of a session.
 
     Kept rounds are a ``SessionRounds`` view: one 4-byte key per round,
-    read as ``RoundRecord``s in play order.
+    read as ``RoundRecord``s in play order. A session that keeps no rounds
+    has ``rounds == ()`` and no header defaults in ``config``.
     """
 
-    rounds: SessionRounds
+    rounds: SessionRounds | tuple
     num_rounds: int
     successes: int
     config: dict = field(default_factory=dict)
@@ -219,7 +222,7 @@ class _Tables:
 
 
 def _play(tables: _Tables, rounds: int, rng: RandomnessSource):
-    """Yield (x indices, y, outcome indices) for ``rounds`` rounds, one
+    """Yield (x indices, y bits, outcome indices) for ``rounds`` rounds, one
     ``draw_rounds`` call per block."""
     for start in range(0, rounds, _BLOCK_ROUNDS):
         try:
@@ -233,14 +236,7 @@ def _play(tables: _Tables, rounds: int, rng: RandomnessSource):
         x_idx = np.searchsorted(tables.cum_inputs, x_u, side="right")
         # One-hot deterministic rows give their outcome at u = 0.
         u = 0.0 if a_u is None else a_u[:, None]
-        yield x_idx, 1 - 2 * y_bits, (tables.cum_outcomes[x_idx] <= u).sum(axis=1)
-
-
-def _round_keys(n: int, x_idx, y, a_idx) -> np.ndarray:
-    """Each round's key ``(x_idx << n | y_idx) << n | a_idx`` as uint32, with
-    y_idx the canonical index of y: +1 is bit 1, party 1 most significant."""
-    y_idx = (y > 0) @ (1 << np.arange(n - 1, -1, -1))
-    return ((x_idx << n | y_idx) << n | a_idx).astype(np.uint32)
+        yield x_idx, y_bits, (tables.cum_outcomes[x_idx] <= u).sum(axis=1)
 
 
 def _visible_settings(scenario) -> list:
@@ -256,30 +252,32 @@ def run_session(instance: CcpInstance, strategy, rounds: int, rng: RandomnessSou
     One round is ``run_session(instance, strategy, 1, rng).rounds[0]``: it
     makes the same draws and gives the same record as the first round of a
     longer session on the same source. Finite sources that run dry raise
-    with the number of completed rounds attached.
+    with the number of completed rounds attached. Only a kept session's
+    config gains the header's ``rounds``, ``randomness`` and ``strategy_sha256``.
     """
     if isinstance(rounds, bool) or not isinstance(rounds, Integral) or rounds < 1:
         raise ValidationError(f"session needs a whole number of rounds >= 1, got {rounds!r}")
     rounds = int(rounds)
     tables = _Tables(instance, strategy)
-    echo = dict(config or {})
-    echo.setdefault("rounds", rounds)
-    echo.setdefault("randomness", rng.describe())
-    echo.setdefault("strategy_sha256", strategy_fingerprint(strategy)
-                    if isinstance(strategy, QuantumStrategy) else "deterministic")
+    n = tables.n
+    if keep_rounds:
+        config = dict(config or {})
+        config.setdefault("rounds", rounds)
+        config.setdefault("randomness", rng.describe())
+        config.setdefault("strategy_sha256", strategy_fingerprint(strategy)
+                          if isinstance(strategy, QuantumStrategy) else "deterministic")
 
     blocks = []
     successes = 0
-    for x_idx, y, a_idx in _play(tables, rounds, rng):
+    for x_idx, y_bits, a_idx in _play(tables, rounds, rng):
         successes += int(tables.passing[x_idx, a_idx].sum())
         if keep_rounds:
-            blocks.append(_round_keys(tables.n, x_idx, y, a_idx))
-    if keep_rounds:
-        kept = SessionRounds(read_only(np.concatenate(blocks)),
-                             _visible_settings(tables.scenario), tables.signs)
-    else:
-        kept = SessionRounds(read_only(np.empty(0, dtype=np.uint32)), (), tables.signs)
-    return SessionLog(rounds=kept, num_rounds=rounds, successes=successes, config=echo)
+            # Drawn bit 0 is y = +1, index bit 1; party 1 is the most significant bit.
+            y_idx = (y_bits == 0) @ (1 << np.arange(n - 1, -1, -1))
+            blocks.append(((x_idx << n | y_idx) << n | a_idx).astype(np.uint32))
+    kept = (SessionRounds(read_only(np.concatenate(blocks)),
+                          _visible_settings(tables.scenario), tables.signs) if keep_rounds else ())
+    return SessionLog(rounds=kept, num_rounds=rounds, successes=successes, config=config or {})
 
 
 def exact_success(instance: CcpInstance, strategy) -> float:
@@ -304,8 +302,7 @@ def write_session_log(log: SessionLog, path) -> None:
     if not isinstance(rounds, SessionRounds):
         raise ValidationError("a session log is written from the rounds run_session kept")
     n = rounds.n
-    distinct, inverse = np.unique(rounds.keys, return_inverse=True)
-    x_idx, y_idx, a_idx, f = rounds._decode(distinct)
+    inverse, x_idx, y_idx, a_idx, f = rounds._distinct(rounds.keys)
     # m_i = y_i a_i is +1, bit 1, exactly where the y and a bits agree.
     m_idx = ((1 << n) - 1) ^ (y_idx ^ a_idx)
     parity = tuple_array(n).prod(axis=1)

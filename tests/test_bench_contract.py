@@ -50,11 +50,14 @@ def test_every_traced_name_is_a_bellccp_callable():
 
 
 def test_session_calls_expose_what_the_tracer_reads(tmp_path):
-    # The tracer counts len(result.rounds) of run_session, and
-    # len(log.rounds) plus the written file's size of write_session_log.
+    # The tracer counts len(result.rounds) of every run_session, kept or
+    # not, and len(log.rounds) plus the written file's size of write_session_log.
     rounds = 300
-    log = run_session(CcpInstance(inequality=gyni_inequality()),
-                      canonical_strategy("gyni-paper"), rounds, SeededPrng(1))
+    instance = CcpInstance(inequality=gyni_inequality())
+    unkept = run_session(instance, canonical_strategy("gyni-paper"), rounds, SeededPrng(1),
+                         keep_rounds=False)
+    assert len(unkept.rounds) == 0
+    log = run_session(instance, canonical_strategy("gyni-paper"), rounds, SeededPrng(1))
     assert isinstance(log.rounds, Sequence) and len(log.rounds) == rounds
     path = tmp_path / "session.jsonl"
     write_session_log(log, path)

@@ -140,14 +140,14 @@ def test_flipping_all_y_leaves_pass_unchanged():
     instance = _gyni_instance()
     tables = protocol._Tables(instance, canonical_strategy("gyni-paper"))
     x_idx, y_idx, a_idx = np.array(list(itertools.product(range(8), repeat=3))).T
-    y = tables.tuples[y_idx]
     settings = protocol._visible_settings(tables.scenario)
 
-    def rounds(y):
-        keys = protocol._round_keys(3, x_idx, y, a_idx)
+    def rounds(y_idx):
+        keys = ((x_idx << 3 | y_idx) << 3 | a_idx).astype(np.uint32)
         return protocol.SessionRounds(keys, settings, tables.signs)
 
-    first, second = rounds(y), rounds(-y)
+    # Inverting every bit of a canonical index negates every entry of its tuple.
+    first, second = rounds(y_idx), rounds(0b111 ^ y_idx)
     assert len({(r.x, r.y, r.a) for r in first}) == 8**3
     for record, flipped in zip(first, second):
         assert flipped.y == tuple(-v for v in record.y)
@@ -410,6 +410,30 @@ def test_kept_round_keys_are_read_only_uint32():
     assert rounds.keys.dtype == np.uint32 and rounds.keys.shape == (300,)
     with pytest.raises(ValueError, match="read-only"):
         rounds.keys[0] = 0
+
+
+def test_unkept_session_builds_no_view_and_no_header(monkeypatch):
+    calls = []
+    monkeypatch.setattr(protocol, "strategy_fingerprint", lambda s: calls.append("fingerprint"))
+    monkeypatch.setattr(SeededPrng, "describe", lambda self: calls.append("describe"))
+    given = {"command": "simulate"}
+    log = run_session(_gyni_instance(), canonical_strategy("gyni-paper"), 300, SeededPrng(2),
+                      keep_rounds=False, config=given)
+    assert log.rounds == () and log.config is given and calls == []
+    assert run_session(_gyni_instance(), canonical_strategy("gyni-paper"), 300, SeededPrng(2),
+                       keep_rounds=False).config == {}
+    assert run_session(_gyni_instance(), canonical_strategy("gyni-paper"), 300,
+                       SeededPrng(2)).successes == log.successes
+    assert calls == ["describe", "fingerprint"]
+
+
+def test_unkept_session_cannot_be_written(tmp_path):
+    log = run_session(_gyni_instance(), canonical_strategy("gyni-paper"), 300, SeededPrng(2),
+                      keep_rounds=False)
+    path = tmp_path / "session.jsonl"
+    with pytest.raises(ValidationError, match="written from the rounds run_session kept"):
+        write_session_log(log, path)
+    assert not path.exists()
 
 
 def test_rounds_length_builds_no_record(monkeypatch):
