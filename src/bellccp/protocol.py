@@ -15,11 +15,15 @@ inverse CDF over the canonical outcome order.
 
 ``run_session`` is the one way to play: it draws its rounds a block at a
 time through ``RandomnessSource.draw_rounds``, which returns what the same
-sequence of ``uniform()``/``bit()`` calls would. The pass rule is
-computed once per outcome table, as a mask over (input, outcome) index
-pairs; session counts and exact success read it. Its sign of Q, with
-sign(0) = +1, is ``BellInequality.sign_array()``. A ``RoundRecord`` keeps
-x, y, settings, a and f = prod(y) sign Q(x) and derives m, guess and pass.
+sequence of ``uniform()``/``bit()`` calls would. Each round lands on one
+flat (input, outcome) index f = x_idx·2^n + a_idx by an inverse-CDF search
+of n halving steps over the input CDF and then n over the ravelled
+outcome CDFs, for quantum and deterministic strategies alike. The pass
+rule is computed once per outcome table, as a mask over (input, outcome)
+index pairs; session counts read it at f and exact success sums it. Its
+sign of Q, with sign(0) = +1, is ``BellInequality.sign_array()``. A
+``RoundRecord`` keeps x, y, settings, a and f = prod(y) sign Q(x) and
+derives m, guess and pass.
 
 A kept session stores one uint32 key per round, (x_idx << n | y_idx) << n |
 a_idx over canonical tuple indices, 18 bits at six parties. ``SessionLog.rounds``
@@ -186,15 +190,16 @@ def _cumulative(probabilities: np.ndarray) -> np.ndarray:
 
 
 class _Tables:
-    """A strategy's outcome table on an instance, with the CDFs that sample it
-    and the pass rule that scores it.
+    """A strategy's outcome table on an instance and the pass rule that
+    scores it; sessions sample it and exact success sums it.
 
     Rows and columns follow the canonical tuple order. ``weights[x]`` is
     q*(x) and ``outcomes[x, a]`` the probability of outcome tuple a at
     input x: the Born-rule distribution for quantum strategies,
     left at zero on inputs of zero weight, and one-hot at the row of
     ``output_array()`` for deterministic ones. ``passing[x, a]`` is the pass
-    rule, prod(a) = sign Q(x), with the signs of ``sign_array()``.
+    rule, prod(a) = sign Q(x), with the signs of ``sign_array()``; its
+    ravelled entry f = x·2^n + a scores the round of flat index f.
     """
 
     def __init__(self, instance: CcpInstance, strategy):
@@ -207,7 +212,6 @@ class _Tables:
         self.scenario = ineq.scenario
         self.tuples = tuple_array(self.n)
         self.weights = instance.probability_vector()
-        self.cum_inputs = _cumulative(self.weights)
         self.quantum = isinstance(strategy, QuantumStrategy)
         if self.quantum:
             tuples = input_tuples(self.n)
@@ -216,27 +220,41 @@ class _Tables:
                 self.outcomes[k] = outcome_distribution(strategy, tuples[k])
         else:
             self.outcomes = (strategy.output_array()[:, None] == self.tuples).all(axis=2) * 1.0
-        self.cum_outcomes = _cumulative(self.outcomes)
         self.signs = ineq.sign_array()
         self.passing = self.tuples.prod(axis=1)[None, :] == self.signs[:, None]
 
 
 def _play(tables: _Tables, rounds: int, rng: RandomnessSource):
-    """Yield (x indices, y bits, outcome indices) for ``rounds`` rounds, one
-    ``draw_rounds`` call per block."""
+    """Yield (flat indices f = x_idx·2^n + a_idx, y bits) for ``rounds``
+    rounds, one ``draw_rounds`` call per block.
+
+    Every row of the input CDF and of the outcome CDFs is non-decreasing
+    and ends at 1.0 > u, so "entry <= u" holds on a prefix of the row and
+    its length is the inverse-CDF index, as ``searchsorted(side="right")``
+    gives it. A binary search of n halving steps finds that length: x in
+    the input CDF, then a in the ravelled outcome CDFs from offset x·2^n.
+    One-hot deterministic rows give their outcome at u = 0.
+    """
+    n = tables.n
+    cdfs = (_cumulative(tables.weights), _cumulative(tables.outcomes).ravel())
+    steps = [1 << k for k in range(n - 1, -1, -1)]
     for start in range(0, rounds, _BLOCK_ROUNDS):
         try:
             x_u, y_bits, a_u = rng.draw_rounds(min(_BLOCK_ROUNDS, rounds - start),
-                                               tables.n, tables.quantum)
+                                               n, tables.quantum)
         except RandomnessExhaustedError as exc:
             completed = start + exc.rounds_completed
             raise RandomnessExhaustedError(
                 f"randomness exhausted after {completed} complete rounds",
                 bits_consumed=exc.bits_consumed, rounds_completed=completed) from exc
-        x_idx = np.searchsorted(tables.cum_inputs, x_u, side="right")
-        # One-hot deterministic rows give their outcome at u = 0.
-        u = 0.0 if a_u is None else a_u[:, None]
-        yield x_idx, y_bits, (tables.cum_outcomes[x_idx] <= u).sum(axis=1)
+        flat = np.zeros(x_u.shape[0], dtype=np.intp)
+        for cdf, u in zip(cdfs, (x_u, 0.0 if a_u is None else a_u)):
+            # A contiguous u makes each step's compare about twice as fast.
+            u = np.ascontiguousarray(u)
+            flat <<= n
+            for step in steps:
+                flat += (cdf[step - 1:][flat] <= u) * step
+        yield flat, y_bits
 
 
 def _visible_settings(scenario) -> list:
@@ -251,9 +269,13 @@ def run_session(instance: CcpInstance, strategy, rounds: int, rng: RandomnessSou
 
     One round is ``run_session(instance, strategy, 1, rng).rounds[0]``: it
     makes the same draws and gives the same record as the first round of a
-    longer session on the same source. Finite sources that run dry raise
-    with the number of completed rounds attached. Only a kept session's
-    config gains the header's ``rounds``, ``randomness`` and ``strategy_sha256``.
+    longer session on the same source. Each block of rounds is sampled as
+    flat indices f = x_idx·2^n + a_idx: successes count the ravelled pass
+    mask at f, and a kept round's key splits f around its y index. Working
+    memory is one block's draws and indices, whatever ``rounds`` is. Finite
+    sources that run dry raise with the number of completed rounds
+    attached. Only a kept session's config gains the header's ``rounds``,
+    ``randomness`` and ``strategy_sha256``.
     """
     if isinstance(rounds, bool) or not isinstance(rounds, Integral) or rounds < 1:
         raise ValidationError(f"session needs a whole number of rounds >= 1, got {rounds!r}")
@@ -269,11 +291,13 @@ def run_session(instance: CcpInstance, strategy, rounds: int, rng: RandomnessSou
 
     blocks = []
     successes = 0
-    for x_idx, y_bits, a_idx in _play(tables, rounds, rng):
-        successes += int(tables.passing[x_idx, a_idx].sum())
+    passing = tables.passing.ravel()
+    for flat, y_bits in _play(tables, rounds, rng):
+        successes += int(np.count_nonzero(passing[flat]))
         if keep_rounds:
             # Drawn bit 0 is y = +1, index bit 1; party 1 is the most significant bit.
             y_idx = (y_bits == 0) @ (1 << np.arange(n - 1, -1, -1))
+            x_idx, a_idx = flat >> n, flat & (1 << n) - 1
             blocks.append(((x_idx << n | y_idx) << n | a_idx).astype(np.uint32))
     kept = (SessionRounds(read_only(np.concatenate(blocks)),
                           _visible_settings(tables.scenario), tables.signs) if keep_rounds else ())

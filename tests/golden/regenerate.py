@@ -10,8 +10,8 @@ It also records the numpy version and ``platform.machine()`` once, as
 ``tests/test_golden.py`` compares hashes exactly only where both match.
 
 The input files are fixed data: random n = 4, 5, 6 ring inequalities, a
-float-coefficient table, a non-GHZ strategy with ``visibility_v``, a
-malformed config, a bit file, a beacon-record file and a bit file too
+random pure strategy on the n = 5 ring, a float-coefficient table, a
+non-GHZ strategy with ``visibility_v``, a malformed config, a bit file, a beacon-record file and a bit file too
 short for its session.
 
 Changing an entry changes a check: a change that regenerates the manifest
@@ -80,6 +80,9 @@ ENTRIES = {
                         "--out", "session.jsonl"],
     "simulate-strategy-file": ["simulate", "--ineq", "gyni", "--strategy", "noisy-strategy.json",
                                "--rounds", "300", "--seed", "5", "--out", "session.jsonl"],
+    "simulate-ring5-out": ["simulate", "--ineq", "ring5.json", "--strategy",
+                           "ring5-strategy.json", "--rounds", "2000", "--seed", "13",
+                           "--out", "session.jsonl"],
     "simulate-no-out": ["simulate", "--ineq", "gyni", "--strategy", "experiment-like",
                         "--rounds", "3000", "--seed", "11"],
     "simulate-exhausted": [*_SIM, "--rounds", "50", "--randomness", "file:short-bits.bin"],

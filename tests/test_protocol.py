@@ -5,11 +5,15 @@ import hashlib
 import itertools
 import json
 import math
+import tempfile
 import tracemalloc
 from collections.abc import Sequence
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from bellccp import (
@@ -30,8 +34,10 @@ from bellccp import (
     gyni_inequality,
     input_tuples,
     make_scenario,
+    MixedState,
     outcome_distribution,
     parse_beacon_records,
+    PureState,
     QuantumStrategy,
     RoundRecord,
     SessionLog,
@@ -340,6 +346,126 @@ def test_exhaustion_with_partial_round_matches_scalar_replay(
     assert err.value.bits_consumed == exhausted.bits_consumed == fast_rng.bits_total
     assert fast_rng.cursor == scalar_rng.cursor == fast_rng.bits_total
     assert str(err.value.__cause__) == str(exhausted)
+
+
+@st.composite
+def session_cases(draw):
+    """A scenario with n = 2-6 parties, integer coefficients with some zero,
+    a pure, mixed or deterministic strategy, a block size, and a PRNG seed
+    or the bytes of a bit file that may run dry."""
+    n = draw(st.integers(2, 6))
+    visibility = []
+    for i in range(1, n + 1):
+        others = draw(st.permutations([j for j in range(1, n + 1) if j != i]))
+        visibility.append((i, *others[:draw(st.integers(0, min(n - 1, 2)))]))
+    scenario = make_scenario(n, visibility)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = 2**n
+    q = rng.integers(-3, 4, size=dim)
+    q[draw(st.integers(0, dim - 1))] = 0
+    q[draw(st.integers(0, dim - 1))] = draw(st.sampled_from([-2, 1, 3]))
+    ineq = BellInequality(scenario=scenario, coeffs=dict(zip(input_tuples(n), q.tolist())))
+    kind = draw(st.sampled_from(["pure", "mixed", "deterministic"]))
+    if kind == "deterministic":
+        strategy = DeterministicStrategy(scenario=scenario, tables=[
+            rng.choice([-1, 1], size=2 ** len(group)).tolist() for group in visibility])
+    else:
+        amplitudes = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        state = PureState(amplitudes / np.linalg.norm(amplitudes))
+        if kind == "mixed":
+            rank = draw(st.integers(1, 4))
+            g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+            rho = g @ g.conj().T
+            state = MixedState(rho / np.trace(rho).real)
+        tables = [rng.standard_normal((2 ** len(group), 3)) for group in visibility]
+        strategy = QuantumStrategy(scenario=scenario, state=state, bloch_tables=[
+            t / np.linalg.norm(t, axis=1, keepdims=True) for t in tables])
+    rounds = draw(st.integers(1, 30))
+    source = draw(st.one_of(st.integers(0, 2**32 - 1), st.binary(min_size=1, max_size=480)))
+    return CcpInstance(inequality=ineq), strategy, rounds, draw(st.integers(1, 8)), source
+
+
+@settings(max_examples=30, deadline=None)
+@given(session_cases())
+def test_sessions_on_random_scenarios_match_scalar_replay(case):
+    instance, strategy, rounds, block, source = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if isinstance(source, int):
+            fast_rng, scalar_rng = SeededPrng(source), SeededPrng(source)
+        else:
+            path = Path(tmp) / "bits.bin"
+            path.write_bytes(source)
+            fast_rng, scalar_rng = BitFileSource(path), BitFileSource(path)
+        records, exhausted = _scalar_replay(instance, strategy, rounds, scalar_rng)
+        with mock.patch.object(protocol, "_BLOCK_ROUNDS", block):
+            if exhausted is None:
+                fast = run_session(instance, strategy, rounds, fast_rng)
+                assert [r.to_json_dict() for r in fast.rounds] == records
+                assert fast.successes == sum(r["pass"] for r in records)
+            else:
+                with pytest.raises(RandomnessExhaustedError) as err:
+                    run_session(instance, strategy, rounds, fast_rng)
+                assert err.value.rounds_completed == len(records)
+    if isinstance(source, int):
+        assert fast_rng.uniform() == scalar_rng.uniform()
+    else:
+        assert fast_rng.cursor == scalar_rng.cursor
+
+
+def _uniform_bits(u: float) -> list:
+    """The 53 bits, most significant first, that a bit source reads as the
+    uniform u = k / 2^53."""
+    return [int(b) for b in format(int(u * 2**53), "053b")]
+
+
+def _bit_file(tmp_path, bits) -> BitFileSource:
+    path = tmp_path / "bits.bin"
+    path.write_bytes(np.packbits(np.array(bits, dtype=np.uint8)).tobytes())
+    return BitFileSource(path)
+
+
+def test_uniforms_on_a_cdf_boundary_draw_the_next_input(tmp_path):
+    # Always-+1 parties draw one x uniform and n y bits a round and no
+    # outcome uniform. A uniform equal to a cumulative weight selects the
+    # input after it, as searchsorted(side="right") does, so one on the
+    # boundary of a zero-weight input skips that input.
+    gyni = _gyni_instance()
+    assert np.array_equal(gyni.probability_vector(), np.full(8, 0.125))
+    boundaries = [k / 8 for k in range(8)]
+    bits = [b for u in boundaries for b in _uniform_bits(u) + [0, 0, 0]]
+    draws = _input_draws(gyni, _bit_file(tmp_path, bits), len(boundaries))
+    assert [x for x, _ in draws] == list(input_tuples(3))
+
+    scenario = make_scenario(2, [(1,), (2,)])
+    ineq = BellInequality(scenario=scenario, coeffs={
+        (-1, -1): 2, (-1, 1): 0, (1, -1): 1, (1, 1): 1})
+    instance = CcpInstance(inequality=ineq)
+    # Cumulative weights 0.5, 0.5, 0.75, 1.0.
+    uniforms = [0.0, 0.5 - 2**-53, 0.5, 0.75 - 2**-53, 0.75, 1 - 2**-53]
+    bits = [b for u in uniforms for b in _uniform_bits(u) + [0, 0]]
+    draws = _input_draws(instance, _bit_file(tmp_path, bits), len(uniforms))
+    assert [x for x, _ in draws] == [(-1, -1), (-1, -1), (1, -1), (1, -1), (1, 1), (1, 1)]
+
+
+def test_long_session_memory_stays_bounded():
+    # Sampling holds one block's draws and one flat index per round, not a
+    # (rounds, 2^n) slice of the outcome CDFs, so a 200000-round six-party
+    # session peaks well below what one such slice of a block would take.
+    rng = np.random.default_rng(61)
+    scenario = make_scenario(6, [(i, i % 6 + 1) for i in range(1, 7)])
+    q = rng.integers(-3, 4, size=64)
+    q[0] = q[0] or 1
+    ineq = BellInequality(scenario=scenario, coeffs=dict(zip(input_tuples(6), q.tolist())))
+    instance = CcpInstance(inequality=ineq)
+    strategy = random_strategy(scenario, rng)
+    tracemalloc.start()
+    try:
+        log = run_session(instance, strategy, 200_000, SeededPrng(3), keep_rounds=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert log.num_rounds == 200_000 and log.rounds == ()
 
 
 @pytest.mark.parametrize("strategy_kind", ["quantum", "deterministic"])
