@@ -56,7 +56,10 @@ _SWEEP_RATE = 4e9
 
 # Combinations per block of the classical_bound sweep, and the cap on its
 # tail, so that no product array of the sweep holds more than this many
-# times 2^n entries; also the cap on every block array of the message search.
+# times 2^n entries. In the message search it caps the entries of every
+# block array: the binned masses, their product with a block of tail
+# functions, and that product's fold with a block of folded functions;
+# only the (x, y) points of one keyed head combination may exceed it.
 _CHUNK = 1 << 14
 
 # Upper bound on the message-function combinations ccp_exhaustive_bound scores.
@@ -172,6 +175,9 @@ def classical_bound(ineq: BellInequality):
     coefficients are summed in float64 while Gamma < 2^53, where every
     partial sum is an exact integer, and in int64 above.
     """
+    if not isinstance(ineq, BellInequality):
+        raise ValidationError(
+            f"classical_bound needs a BellInequality, got a {type(ineq).__name__}")
     scenario = ineq.scenario
     n = scenario.n
     num_x = 2**n
@@ -272,40 +278,60 @@ def ccp_exhaustive_bound(instance: CcpInstance, message_family: str = "all") -> 
     spaces, and the returned value is the best success any single party
     can reach.
 
-    For party p the other party with the largest family is the tail and
-    the rest are the head. With signed weights w(x, y) = p(x) / 2^n times
-    the target f(x, y) = sign Q(x) prod y, one ``bincount`` per block of head
-    combinations gives the signed masses C[h, b, s], where the key b is p's
-    slot (visible setting, y bit) together with the head's messages and s is
-    the tail's slot. The tail's message splits key b into (b, +1) and
-    (b, -1) with signed masses m+ and m-, and the pointwise-best guess
-    scores max(mass of f = +1, mass of f = -1) = (unsigned + |signed|) / 2
-    on each. The tail's y bit flips f but does not enter b, so
-    m+ + m- = 0 and |m+| + |m-| = |m+ - m-| = |M[h, b, f]| with
-    M = C @ F^T over the tail's +/-1 table F. The success is therefore
+    With signed weights w(x, y) = p(x) / 2^n times the target
+    f(x, y) = sign Q(x) prod y, party p guesses at each key: its slot
+    (visible setting, y bit) together with the other parties' messages.
+    The pointwise-best guess scores max(mass of f = +1, mass of f = -1) =
+    (unsigned + |signed|) / 2 at a key, so the success is 1/2 sum |w| plus
+    half the sum over keys of |signed mass|. Two identities, not bounds,
+    shrink that sum, so the search stays exact:
 
-        1/2 sum |w| + 1/2 sum_b |M[h, b, f]|
+    * Only p's y = +1 keys are scored, and their sum is doubled. Flipping
+      y_p negates f, and so every signed mass at the key, while no other
+      party's slot or message changes.
 
-    for every head combination h and tail function f at once. Head
-    combinations and tail functions are taken in blocks so that no array of
-    the search holds more than ``_CHUNK`` entries.
+    * Of the other parties, the one with the largest family is the tail,
+      the next largest is folded, and the rest, the keyed head, enter the
+      key b' (p's setting and the keyed messages). Let C[b', s, t] be the
+      signed mass at key b', folded slot s and tail slot t. A party's y bit
+      flips f but enters neither b' nor another party's slot, so the two
+      masses that its message splits a key into sum to zero, m+ + m- = 0,
+      and |m+| + |m-| = |m+ - m-|. For the tail this gives
+      G = C @ F^T over its +/-1 table F; for the folded party, applied to
+      the tail-signed masses G, it gives |sum_s T[c, s] G[b', s, f]| over
+      its +/-1 table T. The success is therefore
+
+          1/2 sum |w| + sum_b' |(T G)[c, b', f]|
+
+      for every keyed head combination, folded function c and tail
+      function f at once, and C is binned by one ``bincount`` per block of
+      keyed head combinations (once per party when n <= 3). With n = 2
+      there is no head: the one-slot table T = [[1]] leaves sum_b' |G|.
+
+    Keyed head combinations, tail functions and folded functions are taken
+    in blocks, so that no block array holds more than ``_CHUNK`` entries,
+    bar the (x, y) points of one keyed combination.
 
     The search is exhaustive and not pruned by value, but it scores one
-    member of each +/- class. Negating the tail's messages flips the sign
-    of M[h, b, f], which |M| absorbs; negating a head party's messages
-    flips its bit in every key b, which only relabels the keys summed over.
-    In both families the negated row of function id sits at
-    id ^ (functions - 1), so each other party runs over the first half of
-    its family table only, the functions whose last slot is +1, and the
-    success is unchanged. The guard counts these halved tables.
+    member of each +/- class. Negating the tail's or the folded party's
+    messages negates (T G)[c, b', f], which |.| absorbs; negating a keyed
+    party's messages flips its bit in every key, which only relabels the
+    keys summed over. In both families the negated row of function id sits
+    at id ^ (functions - 1), so each other party runs over the first half
+    of its family table only, the functions whose last slot is +1, and the
+    success is unchanged. The guard counts the (keyed combination, folded
+    function, tail function) triples scored: the product of the other
+    parties' halved tables, summed over p.
     """
+    if not isinstance(instance, CcpInstance):
+        raise ValidationError(
+            f"ccp_exhaustive_bound needs a CcpInstance, got a {type(instance).__name__}")
     if message_family not in ("all", "y-odd"):
         raise ValidationError(
             f"unknown message family {message_family!r}; use 'all' or 'y-odd'")
     ineq = instance.inequality
     scenario = ineq.scenario
     n = scenario.n
-    num_x = 2**n
 
     # The first half of each family table, one function per +/- pair.
     slot_bits = 1 if message_family == "all" else 0
@@ -313,12 +339,13 @@ def ccp_exhaustive_bound(instance: CcpInstance, message_family: str = "all") -> 
     # Each party is maximized over the product of the others' families.
     work = sum(math.prod(family_sizes) // size for size in family_sizes)
     if work > MESSAGE_WORK_GUARD:
+        advice = ("restrict the message family to 'y-odd'" if message_family == "all"
+                  else "reduce the scenario's party count or visibility")
         raise EnumerationGuardError(
             f"message search needs {work} combinations, above the guard "
-            f"{MESSAGE_WORK_GUARD}; restrict the message family")
+            f"{MESSAGE_WORK_GUARD}; {advice}")
 
     # The (x, y) grid, flattened with x major.
-    grid = num_x * num_x
     ys = tuple_array(n)
     f_plus = ineq.sign_array()[:, None] == ys.prod(axis=1)[None, :]
     weights = instance.probability_vector()[:, None] / 2**n
@@ -326,40 +353,56 @@ def ccp_exhaustive_bound(instance: CcpInstance, message_family: str = "all") -> 
     total = float(np.abs(signed).sum())
 
     # Every party's slot at each (x, y), and its family's message table.
-    slots = (scenario.setting_index()[:, :, None] * 2 + (ys.T > 0)[:, None, :]).reshape(n, grid)
+    slots = (scenario.setting_index()[:, :, None] * 2 + (ys.T > 0)[:, None, :]).reshape(n, -1)
     tables = [_message_table(scenario.arity(i), message_family)[:size]
               for i, size in enumerate(family_sizes, start=1)]
 
     best = 0.0
     for party in range(1, n + 1):
-        others = [j for j in range(1, n + 1) if j != party]
-        tail = max(others, key=lambda j: tables[j - 1].shape[0])
-        head = [j for j in others if j != tail]
-        heads = math.prod(tables[j - 1].shape[0] for j in head)
-        keys = 2 ** (scenario.arity(party) + 1 + len(head))
-        tail_table = tables[tail - 1]
+        # The (x, y) points with y_p = +1, where p's slot is 2 * setting + 1.
+        own = (slots[party - 1] % 2).nonzero()[0]
+        points = own.size
+        setting = slots[party - 1, own] // 2
+        # The other parties by family size: the tail takes the largest, the
+        # folded party the next, and the keyed head the rest.
+        keyed = sorted((j for j in range(1, n + 1) if j != party),
+                       key=lambda j: tables[j - 1].shape[0])
+        tail = keyed.pop()
+        if keyed:
+            folded = keyed.pop()
+            fold_table, fold_slot = tables[folded - 1], slots[folded - 1, own]
+        else:
+            fold_table, fold_slot = np.ones((1, 1), dtype=np.int8), 0
+        tail_table, tail_slot = tables[tail - 1], slots[tail - 1, own]
+        folds, fold_width = fold_table.shape
         tails, width = tail_table.shape
-
-        block = min(heads, max(1, _CHUNK // max(grid, keys * width)))
-        tail_block = max(1, _CHUNK // max(block * keys, width))
+        heads = math.prod(tables[j - 1].shape[0] for j in keyed)
+        keys = 2 ** (scenario.arity(party) + len(keyed))
+        block = min(heads, max(1, _CHUNK // max(points, fold_width * keys * width)))
+        tail_block = min(tails, max(1, _CHUNK // max(fold_width * keys * block, width)))
+        fold_block = max(1, _CHUNK // max(keys * block * tail_block, fold_width))
         for start in range(0, heads, block):
             count = min(block, heads - start)
             combos = np.arange(start, start + count, dtype=np.int64)
-            key = np.broadcast_to(slots[party - 1], (count, grid))
+            key = setting
             stride = heads
-            for j in head:
+            for j in keyed:
                 size = tables[j - 1].shape[0]
                 stride //= size
                 fids = (combos // stride) % size
-                key = key * 2 + (tables[j - 1][fids[:, None], slots[j - 1][None, :]] == -1)
-            # Masses run key-major, (b, h), so that the sum over keys adds
-            # contiguous runs of head combinations.
-            index = (key * count + np.arange(count)[:, None]) * width + slots[tail - 1]
-            masses = np.bincount(index.ravel(), weights=np.tile(signed, count),
-                                 minlength=keys * count * width)
-            masses = masses.reshape(keys * count, width)
+                key = key * 2 + (tables[j - 1][fids[:, None], slots[j - 1, own]] == -1)
+            # Masses run (folded slot, key, head combination, tail slot), so
+            # that T @ G contracts the leading axis and the sum over keys
+            # adds contiguous runs of (head combination, tail function) scores.
+            index = ((fold_slot * keys + key) * count + np.arange(count)[:, None]) * width + tail_slot
+            masses = np.bincount(index.ravel(), weights=np.tile(signed[own], count),
+                                 minlength=fold_width * keys * count * width)
+            masses = masses.reshape(-1, width)
             for first in range(0, tails, tail_block):
-                split = tail_table[first:first + tail_block].astype(np.float64) @ masses.T
-                score = np.abs(split, out=split).reshape(-1, keys, count).sum(axis=1)
-                best = max(best, float(score.max()))
-    return 0.5 * total + 0.5 * best
+                split = masses @ tail_table[first:first + tail_block].T.astype(np.float64)
+                split = split.reshape(fold_width, -1)
+                for low in range(0, folds, fold_block):
+                    score = fold_table[low:low + fold_block].astype(np.float64) @ split
+                    score = np.abs(score, out=score).reshape(len(score), keys, -1)
+                    best = max(best, float(score.sum(axis=1).max()))
+    return 0.5 * total + best

@@ -257,6 +257,26 @@ def test_unknown_message_family_is_rejected_before_the_guard(monkeypatch):
         ccp_exhaustive_bound(instance, message_family="bogus")
 
 
+def test_message_guard_advice_fits_the_family(monkeypatch):
+    # Only the full family can be restricted further.
+    instance = CcpInstance(inequality=gyni_inequality())
+    monkeypatch.setattr(classical, "MESSAGE_WORK_GUARD", 10)
+    with pytest.raises(EnumerationGuardError, match="restrict the message family to 'y-odd'"):
+        ccp_exhaustive_bound(instance, message_family="all")
+    with pytest.raises(EnumerationGuardError) as excinfo:
+        ccp_exhaustive_bound(instance, message_family="y-odd")
+    assert "restrict" not in str(excinfo.value)
+    assert "visibility" in str(excinfo.value)
+
+
+def test_searches_reject_the_other_input_type():
+    ineq = gyni_inequality()
+    with pytest.raises(ValidationError, match="needs a CcpInstance, got a BellInequality"):
+        ccp_exhaustive_bound(ineq)
+    with pytest.raises(ValidationError, match="needs a BellInequality, got a CcpInstance"):
+        classical_bound(CcpInstance(inequality=ineq))
+
+
 @pytest.mark.parametrize("family, combos", [("all", 3 * 128**2), ("y-odd", 3 * 8**2)])
 def test_message_guard_counts_scored_combinations(monkeypatch, family, combos):
     # Each gyni party scores every pair of the other two parties' functions.
@@ -309,6 +329,25 @@ def test_message_search_memory_stays_bounded():
     rng = np.random.default_rng(59)
     scenario = make_scenario(3, [(1, 2, 3), (2,), (3,)])
     coeffs = {x: int(rng.integers(-3, 4)) or 1 for x in input_tuples(3)}
+    ineq = BellInequality(scenario=scenario, coeffs=coeffs)
+    instance = CcpInstance(inequality=ineq)
+    tracemalloc.start()
+    try:
+        value = ccp_exhaustive_bound(instance)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert value == pytest.approx(classical_success_bound(ineq), abs=1e-12)
+
+
+def test_four_party_message_search_memory_stays_bounded():
+    # For parties 3 and 4 the tail and the folded party are parties 1 and 2,
+    # the two 2^7-function families, and the keyed head has 8 functions:
+    # 2^17 scored triples each, which must be blocked as well.
+    rng = np.random.default_rng(67)
+    scenario = make_scenario(4, [(1, 2), (2, 3), (3,), (4,)])
+    coeffs = {x: int(rng.integers(-3, 4)) or 1 for x in input_tuples(4)}
     ineq = BellInequality(scenario=scenario, coeffs=coeffs)
     instance = CcpInstance(inequality=ineq)
     tracemalloc.start()

@@ -8,6 +8,7 @@ probability exactly 1/2 + bound / (2 Gamma).
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -155,3 +156,21 @@ def test_neighbour_search_meets_success_bound(ineq):
     # default guard.
     searched = ccp_exhaustive_bound(CcpInstance(inequality=ineq))
     assert searched == pytest.approx(classical_success_bound(ineq), abs=1e-12)
+
+
+@pytest.mark.parametrize("seed, visibility", [
+    (77, [(1,), (2,), (3,), (4,)]),
+    (81, [(1,), (2,), (3,), (4,)]),
+    (73, [(1, 2), (2,), (3,), (4,)]),
+])
+def test_four_party_y_odd_search_is_best_listed_y_odd_protocol(seed, visibility):
+    # At n = 4 each party's search keys one other party's messages and folds
+    # another's, which the n <= 3 cases above never do. In the first two
+    # cases the best protocol needs a keyed party's second function.
+    rng = np.random.default_rng(seed)
+    coeffs = {}
+    while not any(coeffs.values()):
+        coeffs = {x: int(rng.integers(-3, 4)) for x in input_tuples(4)}
+    ineq = BellInequality(scenario=make_scenario(4, visibility), coeffs=coeffs)
+    searched = ccp_exhaustive_bound(CcpInstance(inequality=ineq), message_family="y-odd")
+    assert searched == pytest.approx(best_listed_y_odd_protocol(ineq), abs=1e-12)
