@@ -112,13 +112,13 @@ class DeterministicStrategy(_ArrayValue):
                                    zip(self.tables, self.scenario.setting_index())], axis=1))
 
 
-def _response_matrix(arity: int) -> np.ndarray:
-    """Outputs of all 2^(2^arity) response functions, one row per function.
+def _response_matrix(arity: int, size: int) -> np.ndarray:
+    """Outputs of the first ``size`` of the 2^(2^arity) response functions,
+    one row per function id below ``size``.
 
     Bit k of the function id encodes the output at visible-setting index k:
     bit 0 means +1. Ascending id is the enumeration (and tie-break) order.
     """
-    size = 2 ** (2**arity)
     # The low 2^arity bits of each id, unpacked from its little-endian bytes
     # into one uint8 per slot, so that no wider array of the table's shape
     # is ever held.
@@ -204,7 +204,7 @@ def classical_bound(ineq: BellInequality):
     order = np.argsort(vis_idx[eliminated - 1], kind="stable")
 
     # Every candidate function of each swept party, by setting and in x-space.
-    matrices = [_response_matrix(scenario.arity(i))[:size] for i, size in zip(rest, sizes)]
+    matrices = [_response_matrix(scenario.arity(i), size) for i, size in zip(rest, sizes)]
     rows = [matrix[:, vis_idx[i - 1]] for i, matrix in zip(rest, matrices)]
     # The tail takes the last parties while it stays within _CHUNK
     # combinations and no larger than the head.
@@ -254,17 +254,19 @@ def classical_success_bound(ineq: BellInequality) -> float:
     return success_probability(classical_bound(ineq)[0], ineq.gamma)
 
 
-def _message_table(arity: int, family: str) -> np.ndarray:
-    """+/-1 messages of every function of a message family, one row per
-    function over the party's slots setting * 2 + y bit (bit 1 for y = +1).
+def _message_table(arity: int, family: str, size: int) -> np.ndarray:
+    """+/-1 messages of the first ``size`` functions of a message family, one
+    row per function over the party's slots setting * 2 + y bit (bit 1 for
+    y = +1).
 
     Family "all" holds arbitrary functions of (setting, y); family "y-odd"
-    holds m = y * h(setting), one row per response function h.
+    holds m = y * h(setting), one row per response function h. Only the
+    rows asked for are built.
     """
     if family == "all":
-        return _response_matrix(arity + 1)
+        return _response_matrix(arity + 1, size)
     y_sign = np.tile(np.array([-1, 1], dtype=np.int8), 2**arity)
-    return np.repeat(_response_matrix(arity), 2, axis=1) * y_sign
+    return np.repeat(_response_matrix(arity, size), 2, axis=1) * y_sign
 
 
 def ccp_exhaustive_bound(instance: CcpInstance, message_family: str = "all") -> float:
@@ -354,7 +356,7 @@ def ccp_exhaustive_bound(instance: CcpInstance, message_family: str = "all") -> 
 
     # Every party's slot at each (x, y), and its family's message table.
     slots = (scenario.setting_index()[:, :, None] * 2 + (ys.T > 0)[:, None, :]).reshape(n, -1)
-    tables = [_message_table(scenario.arity(i), message_family)[:size]
+    tables = [_message_table(scenario.arity(i), message_family, size)
               for i, size in enumerate(family_sizes, start=1)]
 
     best = 0.0

@@ -62,6 +62,17 @@ from .scenarios import (
 EXPERIMENT_VISIBILITY = 0.9502
 
 
+def _unit_rows(rows: np.ndarray) -> bool:
+    """Whether every row of a (k, 3) array is a finite unit vector within ``ATOL``.
+
+    No entry of a unit row exceeds 1 + ATOL. Checking that first keeps NaN,
+    infinite and huge entries out of the norms, where they would overflow.
+    """
+    largest = float(np.abs(rows).max())
+    return largest <= 1.0 + ATOL and bool(
+        np.all(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= ATOL))
+
+
 @dataclass(frozen=True, eq=False)
 class QuantumStrategy(_ArrayValue):
     """Shared state plus per-party, per-setting observables, as Bloch tables.
@@ -69,9 +80,12 @@ class QuantumStrategy(_ArrayValue):
     ``bloch_tables[i - 1]`` holds party i's unit Bloch vectors by setting
     index, shape (2^arity, 3): row s is the observable r . sigma at the
     party's s-th visible tuple in canonical order. The tables are copied
-    and stored read-only; every row must be a unit vector within ``ATOL``
-    (:func:`qubits.unit_bloch` renormalizes rounded input). Strategies
-    compare and hash by value.
+    once, into one block of all parties' rows, and stored as read-only
+    views of it. Every row must be a finite unit vector within ``ATOL``
+    (:func:`qubits.unit_bloch` renormalizes rounded input). The block is
+    checked in one pass; only when it fails are the parties walked in order,
+    so the error names the first bad party. Strategies compare and hash by
+    value.
     """
 
     scenario: CausalScenario
@@ -89,23 +103,25 @@ class QuantumStrategy(_ArrayValue):
             raise ValidationError(
                 f"state dimension {self.state.dim} does not match {scenario.n} parties")
         try:
-            tables = tuple(np.array(table, dtype=float) for table in self.bloch_tables)
+            tables = [np.asarray(table, dtype=float) for table in self.bloch_tables]
         except (TypeError, ValueError):
             raise ValidationError("Bloch tables must be one numeric array per party") from None
         shapes = [(2 ** scenario.arity(i), 3) for i in range(1, scenario.n + 1)]
         if [table.shape for table in tables] != shapes:
             raise ValidationError(f"Bloch tables must have shapes {shapes}, "
                                   f"got {[table.shape for table in tables]}")
-        for i, table in enumerate(tables, start=1):
-            # No entry of a unit row exceeds 1 + ATOL. Checking that first
-            # keeps huge entries out of the norms, where they would overflow.
-            largest = float(np.abs(table).max())
-            if not math.isfinite(largest):
-                raise ValidationError(f"party {i}'s Bloch vectors must be finite")
-            if largest > 1.0 + ATOL or np.any(np.abs(np.linalg.norm(table, axis=1) - 1.0) > ATOL):
-                raise ValidationError(f"party {i}'s Bloch vectors must be unit within {ATOL}; "
-                                      "use unit_bloch to renormalize")
-        object.__setattr__(self, "bloch_tables", tuple(read_only(table) for table in tables))
+        rows = np.concatenate(tables)
+        if not _unit_rows(rows):
+            for i, table in enumerate(tables, start=1):
+                if not math.isfinite(float(np.abs(table).max())):
+                    raise ValidationError(f"party {i}'s Bloch vectors must be finite")
+                if not _unit_rows(table):
+                    raise ValidationError(f"party {i}'s Bloch vectors must be unit within "
+                                          f"{ATOL}; use unit_bloch to renormalize")
+        read_only(rows)
+        ends = accumulate(len(table) for table in tables)
+        object.__setattr__(self, "bloch_tables",
+                           tuple(rows[end - len(table):end] for table, end in zip(tables, ends)))
 
     def _value(self) -> tuple:
         return (self.scenario, self.state,
@@ -318,18 +334,19 @@ def random_strategy(scenario: CausalScenario, rng: np.random.Generator,
 def random_bloch_tables(scenario: CausalScenario, rng: np.random.Generator) -> list[np.ndarray]:
     """Uniform random unit Bloch vectors, one (2^arity, 3) table per party.
 
-    Draws one block of normal 3-vectors per party, party by party, rows in
-    setting order, and normalizes each row. A row shorter than 1e-12 is
-    redrawn, row by row, after its party's block.
+    Draws one block of normal 3-vectors for all parties at once, party by
+    party and rows in setting order (the same stream as one block per
+    party), normalizes each row, and splits the block into the parties'
+    tables. A row shorter than 1e-12 (probability below 1e-30) is redrawn,
+    row by row in block order, after the whole block.
     """
-    tables = []
-    for i in range(1, scenario.n + 1):
-        table = rng.standard_normal((2 ** scenario.arity(i), 3))
-        # Bit for bit np.linalg.norm of each row, unlike norm(axis=1).
-        norms = np.sqrt((table[:, None, :] @ table[:, :, None])[:, 0, 0])
-        for k in np.flatnonzero(norms < 1e-12):
-            while norms[k] < 1e-12:
-                table[k] = rng.standard_normal(3)
-                norms[k] = np.linalg.norm(table[k])
-        tables.append(table / norms[:, None])
-    return tables
+    sizes = [2 ** scenario.arity(i) for i in range(1, scenario.n + 1)]
+    block = rng.standard_normal((sum(sizes), 3))
+    # Bit for bit np.linalg.norm of each row, unlike norm(axis=1).
+    norms = np.sqrt((block[:, None, :] @ block[:, :, None])[:, 0, 0])
+    for k in np.flatnonzero(norms < 1e-12):
+        while norms[k] < 1e-12:
+            block[k] = rng.standard_normal(3)
+            norms[k] = np.linalg.norm(block[k])
+    block /= norms[:, None]
+    return [block[end - size:end] for size, end in zip(sizes, accumulate(sizes))]

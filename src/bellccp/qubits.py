@@ -44,18 +44,25 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 # sigma_x, sigma_y, sigma_z as the rows of a (3, 4) matrix: the rows of
 # r @ PAULI_ROWS are the flattened r . sigma.
 PAULI_ROWS = np.stack(PAULIS).reshape(3, 4)
-# sigma_p for p = 0 (identity), 1 (x), 2 (y), 3 (z).
-_PAULI_BASIS = np.stack([IDENTITY_2, *PAULIS])
+# Entry [2 * i + j, p] is sigma_p[j, i], for p = 0 (identity), 1 (x),
+# 2 (y), 3 (z): the (4, 4) matrix that np.tensordot builds from the stacked
+# sigma_p to sum rho[i, j] sigma_p[j, i] over one qubit's row i and column j.
+_PAULI_COLUMNS = np.stack([IDENTITY_2, *PAULIS]).transpose(2, 1, 0).reshape(4, 4)
+
+
+def _frozen_finite(arr: np.ndarray) -> np.ndarray:
+    """The array itself, read-only, once every entry is finite."""
+    if not np.isfinite(arr).all():
+        raise ValidationError("array entries must be finite")
+    arr.setflags(write=False)
+    return arr
 
 
 def _frozen_complex_array(values, shape) -> np.ndarray:
     arr = np.array(values, dtype=complex)
     if arr.shape != shape:
         raise ValidationError(f"expected array of shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise ValidationError("array entries must be finite")
-    arr.setflags(write=False)
-    return arr
+    return _frozen_finite(arr)
 
 
 def _norm(arr: np.ndarray) -> float:
@@ -116,7 +123,7 @@ class MixedState(_ArrayValue):
         mat = np.array(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValidationError(f"density matrix must be square, got shape {mat.shape}")
-        mat = _frozen_complex_array(mat, mat.shape)
+        mat = _frozen_finite(mat)
         n = _qubit_count(mat.shape[0], "density matrix")
         largest = float(np.abs(mat).max())
         if largest > _MAGNITUDE_LIMIT:
@@ -231,15 +238,24 @@ def pauli_tensor(state: PureState | MixedState) -> np.ndarray:
     """Read-only real tensor T[p1, ..., pn] = Tr[rho sigma_p1 x ... x sigma_pn].
 
     Index 0 is the identity and 1, 2, 3 are sigma_x, sigma_y, sigma_z. Each
-    step traces out one qubit's row and column axes against the four Paulis.
-    Imaginary residue above 1e-6 raises, as in :func:`expectation`.
+    step traces out one qubit's row and column axes against the four Paulis:
+    it moves them last, flattens the rest, and takes one ``np.dot`` with a
+    (4, 4) Pauli matrix built at import. Those are the transpose, reshape
+    and product that ``np.tensordot`` runs, so the tensor equals the
+    ``np.tensordot`` chain bit for bit, without its per-call axis
+    bookkeeping. Imaginary residue above 1e-6 raises, as in
+    :func:`expectation`.
     """
     n = state.n
     tensor = state.density_matrix().reshape((2,) * (2 * n))
     for k in range(n):
         # Axes left: rows k+1..n, columns k+1..n, then p_1..p_k. The sum
-        # rho[i, j] sigma_p[j, i] takes qubit k+1's leading row and column.
-        tensor = np.tensordot(tensor, _PAULI_BASIS, axes=([0, n - k], [2, 1]))
+        # rho[i, j] sigma_p[j, i] takes qubit k+1's leading row and column
+        # and appends p_k+1.
+        rows = n - k
+        rest = [*range(1, rows), *range(rows + 1, tensor.ndim)]
+        flat = tensor.transpose(*rest, 0, rows).reshape(-1, 4)
+        tensor = np.dot(flat, _PAULI_COLUMNS).reshape(*tensor.shape[2:], 4)
     residue = float(np.max(np.abs(tensor.imag)))
     if residue > 1e-6:
         raise NumericError(f"Pauli tensor has imaginary residue {residue}")

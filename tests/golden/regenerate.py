@@ -66,6 +66,7 @@ ENTRIES = {
                        "--optimize-state"],
     "verify-gyni": ["verify", "--ineq", "gyni", "--seed", "1", "--strategies", "8"],
     "verify-ring5": ["verify", "--ineq", "ring5.json", "--seed", "4", "--strategies", "4"],
+    "verify-ring6": ["verify", "--ineq", "ring6.json", "--seed", "6", "--strategies", "4"],
     "report": ["report"],
     "dump-config-simulate": [*_SIM, "--rounds", "10", "--seed", "1", "--noise-v", "0.9",
                              "--dump-config"],

@@ -165,7 +165,7 @@ def test_enumeration_guard_bounds_swept_work(monkeypatch):
     scenario = make_scenario(5, [(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 1), (5, 1, 2)])
     ineq = BellInequality(scenario=scenario, coeffs={x: 1 for x in input_tuples(5)})
 
-    def no_sweep(arity):
+    def no_sweep(*_):
         raise AssertionError("the sweep started before the guard was checked")
 
     monkeypatch.setattr(classical, "_response_matrix", no_sweep)
@@ -358,6 +358,31 @@ def test_four_party_message_search_memory_stays_bounded():
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert value == pytest.approx(classical_success_bound(ineq), abs=1e-12)
+
+
+@pytest.mark.parametrize("family", ["all", "y-odd"])
+@pytest.mark.parametrize("arity", range(4))
+def test_message_tables_build_only_the_searched_rows(arity, family):
+    # The search keeps the first half of each family, one function per +/-
+    # pair; the table holds exactly those rows, in its own memory, and
+    # building it takes a few times that memory, not the whole family's.
+    slots = 2 ** (arity + 1)
+    ids = np.arange(2 ** (2 ** (arity + (family == "all"))) // 2)[:, None]
+    if family == "all":
+        want = 1 - 2 * ((ids >> np.arange(slots)) & 1)
+    else:
+        y = np.tile([-1, 1], 2**arity)
+        want = y * (1 - 2 * ((ids >> (np.arange(slots) // 2)) & 1))
+    tracemalloc.start()
+    try:
+        table = classical._message_table(arity, family, len(ids))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.dtype == np.int8
+    assert np.array_equal(table, want)
+    assert table.base is None and table.flags.owndata
+    assert peak <= 4 * table.nbytes + 2**14
 
 
 def test_protocol_messages_reach_the_bound():

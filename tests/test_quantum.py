@@ -270,6 +270,40 @@ def test_huge_bloch_entries_are_rejected_without_a_warning():
         QuantumStrategy(scenario=scenario, state=ghz_state(3), bloch_tables=tables)
 
 
+def _one_bad_row_tables(scenario, party, row):
+    tables = _uniform_tables(scenario, (0.0, 0.0, 1.0))
+    tables[party - 1][0] = row
+    return tables
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_one_pass_validation_names_the_first_bad_party():
+    scenario = gyni_inequality().scenario
+    tables = _one_bad_row_tables(scenario, 2, (0.5, 0.0, 0.0))
+    tables[2][1] = (np.nan, 0.0, 0.0)
+    with pytest.raises(ValidationError, match="party 2's Bloch vectors must be unit within"):
+        QuantumStrategy(scenario=scenario, state=ghz_state(3), bloch_tables=tables)
+    for party in (1, 2, 3):
+        with pytest.raises(ValidationError, match=f"party {party}'s Bloch vectors must be unit"):
+            QuantumStrategy(scenario=scenario, state=ghz_state(3),
+                            bloch_tables=_one_bad_row_tables(scenario, party, (1e200, 0, 0)))
+        tables = _uniform_tables(scenario, (0.0, 0.0, 1.0))
+        tables[party - 1] = np.full_like(tables[party - 1], np.nan)
+        with pytest.raises(ValidationError, match=f"party {party}'s Bloch vectors must be finite"):
+            QuantumStrategy(scenario=scenario, state=ghz_state(3), bloch_tables=tables)
+
+
+def test_bloch_tables_are_read_only_views_of_one_copy():
+    scenario = gyni_inequality().scenario
+    tables = _uniform_tables(scenario, (0.0, 0.0, 1.0))
+    strategy = QuantumStrategy(scenario=scenario, state=ghz_state(3), bloch_tables=tables)
+    stored = strategy.bloch_tables
+    assert all(table.base is stored[0].base is not None for table in stored[1:])
+    assert not any(np.shares_memory(table, given) for table in stored for given in tables)
+    assert [table.shape for table in stored] == [table.shape for table in tables]
+    assert all(not table.flags.writeable and table.flags.c_contiguous for table in stored)
+
+
 def _ring_strategy(seed, mixed=False):
     ring = make_scenario(4, [(1, 4), (2, 1), (3, 2), (4, 3)])
     return random_strategy(ring, np.random.default_rng(seed), mixed=mixed)
@@ -390,6 +424,73 @@ def _per_row_bloch_tables(scenario, rng):
             rows.append(vec / np.linalg.norm(vec))
         tables.append(np.array(rows))
     return tables
+
+
+def _per_party_bloch_tables(scenario, rng):
+    """The draw one party at a time: a block of normal 3-vectors per party,
+    each row divided by its np.linalg.norm."""
+    tables = []
+    for i in range(1, scenario.n + 1):
+        block = rng.standard_normal((2 ** scenario.arity(i), 3))
+        tables.append(block / np.array([np.linalg.norm(row) for row in block])[:, None])
+    return tables
+
+
+_DRAW_SCENARIOS = {
+    "gyni": lambda: gyni_inequality().scenario,
+    "svetlichny": lambda: svetlichny_inequality().scenario,
+    "ring-4": lambda: make_scenario(4, [(1, 4), (2, 1), (3, 2), (4, 3)]),
+    "exchange-5": lambda: make_scenario(5, [(1, 2), (2, 1), (3, 4), (4, 3), (5,)]),
+}
+
+
+@pytest.mark.parametrize("name", list(_DRAW_SCENARIOS))
+def test_one_block_bloch_draw_matches_the_per_party_draw(name):
+    scenario = _DRAW_SCENARIOS[name]()
+    for seed in range(50):
+        rng_block, rng_party = np.random.default_rng(seed), np.random.default_rng(seed)
+        block = random_bloch_tables(scenario, rng_block)
+        party = _per_party_bloch_tables(scenario, rng_party)
+        assert len(block) == len(party) == scenario.n
+        for a, b in zip(block, party):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        assert rng_block.standard_normal() == rng_party.standard_normal()
+
+
+class _ScriptedNormals:
+    """A generator stub that returns scripted normal draws and logs each
+    requested shape."""
+
+    def __init__(self, block, redraws):
+        self.draws = [np.array(block, dtype=float), *map(np.array, redraws)]
+        self.shapes = []
+
+    def standard_normal(self, shape):
+        self.shapes.append(shape)
+        draw = self.draws.pop(0)
+        assert draw.shape == np.empty(shape).shape
+        return draw.copy()
+
+
+def test_short_rows_are_redrawn_after_the_whole_block():
+    # gyni has 4 + 4 + 4 rows. Rows 1 (party 1) and 9 (party 3) come out of
+    # the block as zero and tiny, and row 1's first redraw is zero again.
+    scenario = gyni_inequality().scenario
+    block = np.arange(1.0, 37.0).reshape(12, 3)
+    block[1] = 0.0
+    block[9] = (1e-13, 0.0, 0.0)
+    rng = _ScriptedNormals(block, [(0.0, 0.0, 0.0), (0.0, 3.0, 4.0), (2.0, 0.0, 0.0)])
+    tables = random_bloch_tables(scenario, rng)
+    assert rng.shapes == [(12, 3), 3, 3, 3] and not rng.draws
+    rows = np.concatenate(tables)
+    assert [len(table) for table in tables] == [4, 4, 4]
+    assert rows[1].tolist() == [0.0, 0.6, 0.8]
+    assert rows[9].tolist() == [1.0, 0.0, 0.0]
+    kept = np.delete(block, [1, 9], axis=0)
+    assert np.array_equal(np.delete(rows, [1, 9], axis=0),
+                          kept / np.array([np.linalg.norm(row) for row in kept])[:, None])
+    assert np.all(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= 1e-15)
 
 
 def test_block_bloch_draw_matches_the_per_row_draw():

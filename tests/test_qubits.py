@@ -20,7 +20,7 @@ from bellccp import (
     tensor_product,
     unit_bloch,
 )
-from bellccp.qubits import IDENTITY_2, SIGMA_X, SIGMA_Z, Observable2
+from bellccp.qubits import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, Observable2, pauli_tensor
 from bellccp.scenarios import MAX_PARTIES
 
 import oracles
@@ -88,6 +88,29 @@ def test_tensor_product_equals_the_kron_chain_bit_for_bit(n):
         got = tensor_product(list(factors))
         assert got.shape == (2**n, 2**n)
         assert np.array_equal(got, oracles.kron_chain(factors))
+
+
+def _tensordot_pauli_tensor(rho, n):
+    """The Pauli tensor as the chain of np.tensordot steps over the stacked
+    sigma_p (p = 0 is the identity)."""
+    basis = np.stack([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z])
+    tensor = rho.reshape((2,) * (2 * n))
+    for k in range(n):
+        tensor = np.tensordot(tensor, basis, axes=([0, n - k], [2, 1]))
+    return tensor.real
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pauli_tensor_equals_the_tensordot_chain_bit_for_bit(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(3):
+        amplitudes = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        pure = PureState(amplitudes / np.linalg.norm(amplitudes))
+        for state in (pure, MixedState(_random_density_matrix(rng, 2**n)),
+                      depolarize(pure, float(rng.uniform(0.0, 1.0)))):
+            got = pauli_tensor(state)
+            assert got.shape == (4,) * n and got.dtype == np.float64
+            assert np.array_equal(got, _tensordot_pauli_tensor(state.density_matrix(), n))
 
 
 def _random_density_matrix(rng, dim):
@@ -248,6 +271,26 @@ def test_huge_density_matrix_entries_are_rejected_without_a_warning():
     for matrix in ([[1e308, 1e308], [-1e308, 1]], [[1e308, 0], [0, -1e308]]):
         with pytest.raises(ValidationError, match="not a unit-trace positive matrix"):
             MixedState(matrix)
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.nan),
+                                 complex(np.inf, 0.0), complex(0.0, -np.inf)])
+def test_states_reject_non_finite_real_or_imaginary_parts(bad):
+    with pytest.raises(ValidationError, match="array entries must be finite"):
+        PureState([bad, 1.0])
+    matrix = np.eye(2, dtype=complex) / 2
+    matrix[0, 1] = bad
+    with pytest.raises(ValidationError, match="array entries must be finite"):
+        MixedState(matrix)
+
+
+def test_mixed_state_keeps_its_own_read_only_copy():
+    matrix = np.eye(4, dtype=complex) / 4
+    state = MixedState(matrix)
+    assert not np.shares_memory(state.matrix, matrix)
+    assert not state.matrix.flags.writeable
+    matrix[0, 0] = 1.0
+    assert state.matrix[0, 0] == 0.25
 
 
 def test_derived_fields_are_not_constructor_arguments():
