@@ -280,13 +280,14 @@ def ccp_exhaustive_bound(instance: CcpInstance, message_family: str = "all") -> 
     spaces, and the returned value is the best success any single party
     can reach.
 
-    With signed weights w(x, y) = p(x) / 2^n times the target
-    f(x, y) = sign Q(x) prod y, party p guesses at each key: its slot
-    (visible setting, y bit) together with the other parties' messages.
-    The pointwise-best guess scores max(mass of f = +1, mass of f = -1) =
-    (unsigned + |signed|) / 2 at a key, so the success is 1/2 sum |w| plus
-    half the sum over keys of |signed mass|. Two identities, not bounds,
-    shrink that sum, so the search stays exact:
+    With signed weights w(x, y) = |Q(x)| times the target
+    f(x, y) = sign Q(x) prod y, unnormalised so that sum |w| = Gamma 2^n,
+    party p guesses at each key: its slot (visible setting, y bit)
+    together with the other parties' messages. The pointwise-best guess
+    scores max(mass of f = +1, mass of f = -1) = (unsigned + |signed|) / 2
+    at a key, so the success is 1/2 sum |w| plus half the sum over keys of
+    |signed mass|, divided by sum |w|. Two identities, not bounds, shrink
+    that sum, so the search stays exact:
 
     * Only p's y = +1 keys are scored, and their sum is doubled. Flipping
       y_p negates f, and so every signed mass at the key, while no other
@@ -303,7 +304,7 @@ def ccp_exhaustive_bound(instance: CcpInstance, message_family: str = "all") -> 
       the tail-signed masses G, it gives |sum_s T[c, s] G[b', s, f]| over
       its +/-1 table T. The success is therefore
 
-          1/2 sum |w| + sum_b' |(T G)[c, b', f]|
+          (1/2 sum |w| + sum_b' |(T G)[c, b', f]|) / sum |w|
 
       for every keyed head combination, folded function c and tail
       function f at once, and C is binned by one ``bincount`` per block of
@@ -324,6 +325,12 @@ def ccp_exhaustive_bound(instance: CcpInstance, message_family: str = "all") -> 
     success is unchanged. The guard counts the (keyed combination, folded
     function, tail function) triples scored: the product of the other
     parties' halved tables, summed over p.
+
+    For integral Q with Gamma 2^n < 2^53, every mass, ``bincount`` and
+    +/-1-table product is an exact integer in float64, so the one division
+    at the end is the correctly rounded value of an exact fraction: it
+    equals ``classical_success_bound`` bit for bit. Other tables round as
+    any float sum does.
     """
     if not isinstance(instance, CcpInstance):
         raise ValidationError(
@@ -350,7 +357,7 @@ def ccp_exhaustive_bound(instance: CcpInstance, message_family: str = "all") -> 
     # The (x, y) grid, flattened with x major.
     ys = tuple_array(n)
     f_plus = ineq.sign_array()[:, None] == ys.prod(axis=1)[None, :]
-    weights = instance.probability_vector()[:, None] / 2**n
+    weights = np.abs(ineq.coefficient_array())[:, None]
     signed = np.where(f_plus, weights, -weights).ravel()
     total = float(np.abs(signed).sum())
 
@@ -407,4 +414,4 @@ def ccp_exhaustive_bound(instance: CcpInstance, message_family: str = "all") -> 
                     score = fold_table[low:low + fold_block].astype(np.float64) @ split
                     score = np.abs(score, out=score).reshape(len(score), keys, -1)
                     best = max(best, float(score.sum(axis=1).max()))
-    return 0.5 * total + best
+    return (0.5 * total + best) / total

@@ -25,11 +25,11 @@ sign of Q, with sign(0) = +1, is ``BellInequality.sign_array()``. A
 ``RoundRecord`` keeps x, y, settings, a and f = prod(y) sign Q(x) and
 derives m, guess and pass.
 
-A kept session stores one uint32 key per round, (x_idx << n | y_idx) << n |
-a_idx over canonical tuple indices, 18 bits at six parties. ``SessionLog.rounds``
-reads the keys as records built on access, and ``write_session_log`` writes
-each distinct key's line once, assembled from per-tuple JSON fragments. A
-session that keeps no rounds has ``rounds == ()`` and no header to write.
+A kept session is its inequality and one uint32 key per round, (x_idx << n |
+y_idx) << n | a_idx over canonical tuple indices. ``SessionLog.rounds`` reads
+the keys as records built on access; ``write_session_log`` writes each
+distinct key's line once, found by rank in a table over all 2^(3n) keys, so
+only the keys grow with the rounds. An unkept session has ``rounds == ()``.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .classical import DeterministicStrategy
 from .errors import RandomnessExhaustedError, ValidationError
 from .quantum import QuantumStrategy, outcome_distribution
 from .randomness import RandomnessSource
-from .scenarios import CcpInstance, input_tuples, read_only, tuple_array
+from .scenarios import BellInequality, CcpInstance, input_tuples, read_only, tuple_array
 from .config import strategy_fingerprint
 
 
@@ -96,38 +96,44 @@ class SessionRounds(Sequence):
     round, read as ``RoundRecord``s built on access.
 
     A round's key is ``(x_idx << n | y_idx) << n | a_idx`` over canonical
-    tuple indices, with y_idx bit 1 meaning +1. ``settings[x_idx]`` holds
-    every party's visible setting at that input and ``signs`` is the
-    inequality's ``sign_array()``; with the key they fix the record.
-    ``len`` builds nothing. An index, a slice or an iteration builds one
-    record per distinct key it reads and shares it among equal rounds.
+    tuple indices, with y_idx bit 1 meaning +1. With the inequality the
+    session was played on, which gives each input's visible settings and
+    sign, the key fixes the record. ``len`` builds nothing. An index, a
+    slice or an iteration builds one record per distinct key it reads and
+    shares it among equal rounds.
     """
 
-    def __init__(self, keys: np.ndarray, settings, signs: np.ndarray):
+    def __init__(self, keys: np.ndarray, inequality: BellInequality):
         self.keys = keys
-        self.settings = settings
-        self.signs = signs
+        self.inequality = inequality
 
-    @property
-    def n(self) -> int:
-        return self.signs.shape[0].bit_length() - 1
+    def _settings(self, x: tuple) -> tuple:
+        """Each party's visible setting at input x."""
+        return tuple(tuple(x[j - 1] for j in g) for g in self.inequality.scenario.visibility)
 
     def _distinct(self, keys: np.ndarray):
-        """Each key's position among the distinct keys, and per distinct key
-        its input, y and outcome indices and its target f = prod(y) sign Q(x)."""
-        n = self.n
+        """A table over all 2^(3n) keys of each key's rank among the distinct
+        ``keys``, marked a write chunk at a time, and per distinct key its input,
+        y and outcome indices and its target f = prod(y) sign Q(x)."""
+        n = self.inequality.n
+        present = np.zeros(1 << 3 * n, dtype=bool)
+        for start in range(0, keys.shape[0], _WRITE_ROUNDS):
+            present[keys[start:start + _WRITE_ROUNDS]] = True
+        distinct = np.flatnonzero(present)
+        rank = np.empty(present.shape, dtype=np.intp)
+        rank[distinct] = np.arange(distinct.shape[0])
         mask = (1 << n) - 1
-        distinct, inverse = np.unique(keys, return_inverse=True)
         x_idx, y_idx, a_idx = distinct >> 2 * n, distinct >> n & mask, distinct & mask
-        return inverse, x_idx, y_idx, a_idx, tuple_array(n).prod(axis=1)[y_idx] * self.signs[x_idx]
+        signs = self.inequality.sign_array()
+        return rank, x_idx, y_idx, a_idx, tuple_array(n).prod(axis=1)[y_idx] * signs[x_idx]
 
     def _records(self, keys: np.ndarray) -> tuple:
-        inverse, *decoded = self._distinct(keys)
-        tuples = input_tuples(self.n)
-        built = [RoundRecord(x=tuples[x], y=tuples[y], settings=self.settings[x], a=tuples[a],
-                             f_value=f)
+        rank, *decoded = self._distinct(keys)
+        tuples = input_tuples(self.inequality.n)
+        built = [RoundRecord(x=tuples[x], y=tuples[y], settings=self._settings(tuples[x]),
+                             a=tuples[a], f_value=f)
                  for x, y, a, f in zip(*(v.tolist() for v in decoded))]
-        return tuple(map(built.__getitem__, inverse.tolist()))
+        return tuple(map(built.__getitem__, rank[keys].tolist()))
 
     def __len__(self) -> int:
         return self.keys.shape[0]
@@ -146,7 +152,7 @@ class SessionRounds(Sequence):
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
     def __repr__(self) -> str:
-        return f"SessionRounds(<{len(self)} rounds, n={self.n}>)"
+        return f"SessionRounds(<{len(self)} rounds, n={self.inequality.n}>)"
 
 
 @dataclass(frozen=True)
@@ -199,7 +205,8 @@ class _Tables:
     left at zero on inputs of zero weight, and one-hot at the row of
     ``output_array()`` for deterministic ones. ``passing[x, a]`` is the pass
     rule, prod(a) = sign Q(x), with the signs of ``sign_array()``; its
-    ravelled entry f = x·2^n + a scores the round of flat index f.
+    ravelled entry f = x·2^n + a scores the round of flat index f. Nothing
+    else is held: a kept session reads the rest from its inequality.
     """
 
     def __init__(self, instance: CcpInstance, strategy):
@@ -209,24 +216,21 @@ class _Tables:
         if strategy.scenario != ineq.scenario:
             raise ValidationError("strategy scenario does not match the instance")
         self.n = ineq.n
-        self.scenario = ineq.scenario
-        self.tuples = tuple_array(self.n)
         self.weights = instance.probability_vector()
         self.quantum = isinstance(strategy, QuantumStrategy)
+        tuples = tuple_array(self.n)
         if self.quantum:
-            tuples = input_tuples(self.n)
             self.outcomes = np.zeros((len(tuples), len(tuples)))
             for k in np.flatnonzero(self.weights):
-                self.outcomes[k] = outcome_distribution(strategy, tuples[k])
+                self.outcomes[k] = outcome_distribution(strategy, input_tuples(self.n)[k])
         else:
-            self.outcomes = (strategy.output_array()[:, None] == self.tuples).all(axis=2) * 1.0
-        self.signs = ineq.sign_array()
-        self.passing = self.tuples.prod(axis=1)[None, :] == self.signs[:, None]
+            self.outcomes = (strategy.output_array()[:, None] == tuples).all(axis=2) * 1.0
+        self.passing = tuples.prod(axis=1)[None, :] == ineq.sign_array()[:, None]
 
 
 def _play(tables: _Tables, rounds: int, rng: RandomnessSource):
-    """Yield (flat indices f = x_idx·2^n + a_idx, y bits) for ``rounds``
-    rounds, one ``draw_rounds`` call per block.
+    """Yield (first round, flat indices f = x_idx·2^n + a_idx, y bits) per
+    block of ``rounds`` rounds, one ``draw_rounds`` call per block.
 
     Every row of the input CDF and of the outcome CDFs is non-decreasing
     and ends at 1.0 > u, so "entry <= u" holds on a prefix of the row and
@@ -254,13 +258,7 @@ def _play(tables: _Tables, rounds: int, rng: RandomnessSource):
             flat <<= n
             for step in steps:
                 flat += (cdf[step - 1:][flat] <= u) * step
-        yield flat, y_bits
-
-
-def _visible_settings(scenario) -> list:
-    """Per input index, each party's visible setting tuple."""
-    return [tuple(scenario.visible_tuples(i)[k] for i, k in enumerate(column, start=1))
-            for column in scenario.setting_index().T.tolist()]
+        yield start, flat, y_bits
 
 
 def run_session(instance: CcpInstance, strategy, rounds: int, rng: RandomnessSource,
@@ -272,7 +270,8 @@ def run_session(instance: CcpInstance, strategy, rounds: int, rng: RandomnessSou
     longer session on the same source. Each block of rounds is sampled as
     flat indices f = x_idx·2^n + a_idx: successes count the ravelled pass
     mask at f, and a kept round's key splits f around its y index. Working
-    memory is one block's draws and indices, whatever ``rounds`` is. Finite
+    memory is one block's draws and indices, whatever ``rounds`` is, and a
+    kept session fills one preallocated key array of 4 bytes a round. Finite
     sources that run dry raise with the number of completed rounds
     attached. Only a kept session's config gains the header's ``rounds``,
     ``randomness`` and ``strategy_sha256``.
@@ -289,18 +288,17 @@ def run_session(instance: CcpInstance, strategy, rounds: int, rng: RandomnessSou
         config.setdefault("strategy_sha256", strategy_fingerprint(strategy)
                           if isinstance(strategy, QuantumStrategy) else "deterministic")
 
-    blocks = []
+    keys = np.empty(rounds if keep_rounds else 0, dtype=np.uint32)
     successes = 0
     passing = tables.passing.ravel()
-    for flat, y_bits in _play(tables, rounds, rng):
+    for start, flat, y_bits in _play(tables, rounds, rng):
         successes += int(np.count_nonzero(passing[flat]))
         if keep_rounds:
             # Drawn bit 0 is y = +1, index bit 1; party 1 is the most significant bit.
             y_idx = (y_bits == 0) @ (1 << np.arange(n - 1, -1, -1))
             x_idx, a_idx = flat >> n, flat & (1 << n) - 1
-            blocks.append(((x_idx << n | y_idx) << n | a_idx).astype(np.uint32))
-    kept = (SessionRounds(read_only(np.concatenate(blocks)),
-                          _visible_settings(tables.scenario), tables.signs) if keep_rounds else ())
+            keys[start:start + flat.shape[0]] = (x_idx << n | y_idx) << n | a_idx
+    kept = SessionRounds(read_only(keys), instance.inequality) if keep_rounds else ()
     return SessionLog(rounds=kept, num_rounds=rounds, successes=successes, config=config or {})
 
 
@@ -325,14 +323,14 @@ def write_session_log(log: SessionLog, path) -> None:
     rounds = log.rounds
     if not isinstance(rounds, SessionRounds):
         raise ValidationError("a session log is written from the rounds run_session kept")
-    n = rounds.n
-    inverse, x_idx, y_idx, a_idx, f = rounds._distinct(rounds.keys)
+    n, keys = rounds.inequality.n, rounds.keys
+    rank, x_idx, y_idx, a_idx, f = rounds._distinct(keys)
     # m_i = y_i a_i is +1, bit 1, exactly where the y and a bits agree.
     m_idx = ((1 << n) - 1) ^ (y_idx ^ a_idx)
     parity = tuple_array(n).prod(axis=1)
     guess = parity[y_idx] * parity[a_idx]
     tuples = [json.dumps(list(t)) for t in input_tuples(n)]
-    settings = [json.dumps([list(s) for s in row]) for row in rounds.settings]
+    settings = [json.dumps(rounds._settings(x)) for x in input_tuples(n)]
     lines = np.array([
         f'{{"x": {tuples[x]}, "y": {tuples[y]}, "settings": {settings[x]}, "a": {tuples[a]}, '
         f'"m": {tuples[m]}, "guess": {g}, "f_value": {t}, '
@@ -341,5 +339,5 @@ def write_session_log(log: SessionLog, path) -> None:
     ], dtype=object)
     with open(path, "w") as handle:
         handle.write(json.dumps({"header": log.config}) + "\n")
-        for start in range(0, inverse.shape[0], _WRITE_ROUNDS):
-            handle.write("".join(lines[inverse[start:start + _WRITE_ROUNDS]].tolist()))
+        for start in range(0, keys.shape[0], _WRITE_ROUNDS):
+            handle.write("".join(lines[rank[keys[start:start + _WRITE_ROUNDS]]].tolist()))

@@ -80,8 +80,8 @@ class QuantumStrategy(_ArrayValue):
     ``bloch_tables[i - 1]`` holds party i's unit Bloch vectors by setting
     index, shape (2^arity, 3): row s is the observable r . sigma at the
     party's s-th visible tuple in canonical order. The tables are copied
-    once, into one block of all parties' rows, and stored as read-only
-    views of it. Every row must be a finite unit vector within ``ATOL``
+    once, into one block of all parties' rows, kept as the private
+    ``_rows`` (not a field), and stored as read-only views of it. Every row must be a finite unit vector within ``ATOL``
     (:func:`qubits.unit_bloch` renormalizes rounded input). The block is
     checked in one pass; only when it fails are the parties walked in order,
     so the error names the first bad party. Strategies compare and hash by
@@ -118,7 +118,7 @@ class QuantumStrategy(_ArrayValue):
                 if not _unit_rows(table):
                     raise ValidationError(f"party {i}'s Bloch vectors must be unit within "
                                           f"{ATOL}; use unit_bloch to renormalize")
-        read_only(rows)
+        object.__setattr__(self, "_rows", read_only(rows))
         ends = accumulate(len(table) for table in tables)
         object.__setattr__(self, "bloch_tables",
                            tuple(rows[end - len(table):end] for table, end in zip(tables, ends)))
@@ -127,15 +127,14 @@ class QuantumStrategy(_ArrayValue):
         return (self.scenario, self.state,
                 tuple(tuple(table.ravel().tolist()) for table in self.bloch_tables))
 
-    # Built on first use, by one eigh over all parties' tables, and never
+    # Built on first use, by one eigh over the validated row block, and never
     # copied: pickles and copies rebuild the strategy through its fields.
     @cached_property
     def _eigenbases(self) -> tuple:
         """Party i's outcome bases by setting index at [i - 1], read-only,
         shape (2^arity, 2, 2): column 0 of each is the eigenvector of r . sigma
         for outcome -1, column 1 for +1."""
-        _, bases = np.linalg.eigh(
-            (np.concatenate(self.bloch_tables) @ PAULI_ROWS).reshape(-1, 2, 2))
+        _, bases = np.linalg.eigh((self._rows @ PAULI_ROWS).reshape(-1, 2, 2))
         read_only(bases)
         ends = accumulate(len(table) for table in self.bloch_tables)
         return tuple(bases[end - len(table):end] for table, end in zip(self.bloch_tables, ends))

@@ -84,6 +84,9 @@ ENTRIES = {
     "simulate-ring5-out": ["simulate", "--ineq", "ring5.json", "--strategy",
                            "ring5-strategy.json", "--rounds", "2000", "--seed", "13",
                            "--out", "session.jsonl"],
+    "simulate-ring5-chunks": ["simulate", "--ineq", "ring5.json", "--strategy",
+                              "ring5-strategy.json", "--rounds", "10000", "--seed", "17",
+                              "--out", "session.jsonl"],
     "simulate-no-out": ["simulate", "--ineq", "gyni", "--strategy", "experiment-like",
                         "--rounds", "3000", "--seed", "11"],
     "simulate-exhausted": [*_SIM, "--rounds", "50", "--randomness", "file:short-bits.bin"],

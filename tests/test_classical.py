@@ -1,6 +1,7 @@
 """Tests for deterministic-strategy enumeration and the protocol search."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,8 +24,11 @@ from bellccp import (
 )
 from bellccp import classical
 from bellccp.classical import MESSAGE_WORK_GUARD
+from bellccp.config import load_inequality
 
 import oracles
+
+INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def _random_scenario(rng, max_arity=2):
@@ -221,8 +225,7 @@ def test_exhaustive_equals_success_bound_on_small_instances():
     for _ in range(5):
         ineq = _random_inequality(rng, scenario)
         instance = CcpInstance(inequality=ineq)
-        assert ccp_exhaustive_bound(instance) == pytest.approx(
-            classical_success_bound(ineq), abs=1e-12)
+        assert ccp_exhaustive_bound(instance) == classical_success_bound(ineq)
 
 
 def test_four_party_search_matches_formula():
@@ -238,8 +241,22 @@ def test_four_party_search_matches_formula():
         expected = oracles.odometer_classical_bound(4, list(scenario.visibility), ineq.coeffs)
         assert classical_bound(ineq)[0] == expected
         instance = CcpInstance(inequality=ineq)
-        assert ccp_exhaustive_bound(instance) == pytest.approx(
-            classical_success_bound(ineq), abs=1e-12)
+        assert ccp_exhaustive_bound(instance) == classical_success_bound(ineq)
+
+
+def test_ring5_y_odd_search_is_the_formula_to_the_bit():
+    # Integer masses make every sum in the search exact, so the one final
+    # division rounds 5/6 as the formula does.
+    ineq = load_inequality(INPUTS / "ring5.json")
+    searched = ccp_exhaustive_bound(CcpInstance(inequality=ineq), message_family="y-odd")
+    assert searched == classical_success_bound(ineq) == 0.8333333333333334
+
+
+def test_non_integral_search_meets_the_formula():
+    ineq = load_inequality(INPUTS / "float-table.json")
+    assert ineq.coefficient_array().dtype == np.float64
+    assert ccp_exhaustive_bound(CcpInstance(inequality=ineq)) == pytest.approx(
+        classical_success_bound(ineq), abs=1e-12)
 
 
 def test_message_guard(monkeypatch):
@@ -338,7 +355,7 @@ def test_message_search_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
-    assert value == pytest.approx(classical_success_bound(ineq), abs=1e-12)
+    assert value == classical_success_bound(ineq)
 
 
 def test_four_party_message_search_memory_stays_bounded():
@@ -357,7 +374,7 @@ def test_four_party_message_search_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
-    assert value == pytest.approx(classical_success_bound(ineq), abs=1e-12)
+    assert value == classical_success_bound(ineq)
 
 
 @pytest.mark.parametrize("family", ["all", "y-odd"])

@@ -3,7 +3,7 @@
 Scenarios and integer coefficients are random with n <= 4, small enough
 to list every strategy. On every case the two searches also meet the
 paper's identity: the best one-bit broadcast protocol succeeds with
-probability exactly 1/2 + bound / (2 Gamma).
+probability exactly 1/2 + bound / (2 Gamma), equal as floats to the bit.
 """
 
 import itertools
@@ -115,8 +115,7 @@ def test_bound_is_best_listed_strategy(ineq):
                         for tables in oracles.response_tables(visibility))
     assert oracles.deterministic_bell_value(
         n, visibility, [table.tolist() for table in witness.tables], q) == bound
-    assert ccp_exhaustive_bound(CcpInstance(inequality=ineq)) == pytest.approx(
-        classical_success_bound(ineq), abs=1e-12)
+    assert ccp_exhaustive_bound(CcpInstance(inequality=ineq)) == classical_success_bound(ineq)
 
 
 @PROPERTY_SETTINGS
@@ -137,7 +136,7 @@ def test_protocol_search_is_best_listed_protocol(ineq):
     instance = CcpInstance(inequality=ineq)
     searched = ccp_exhaustive_bound(instance)
     assert searched == pytest.approx(best_listed_protocol(ineq), abs=1e-12)
-    assert searched == pytest.approx(classical_success_bound(ineq), abs=1e-12)
+    assert searched == classical_success_bound(ineq)
 
 
 @PROPERTY_SETTINGS
@@ -146,7 +145,7 @@ def test_y_odd_search_is_best_listed_y_odd_protocol(ineq):
     instance = CcpInstance(inequality=ineq)
     searched = ccp_exhaustive_bound(instance, message_family="y-odd")
     assert searched == pytest.approx(best_listed_y_odd_protocol(ineq), abs=1e-12)
-    assert searched == pytest.approx(classical_success_bound(ineq), abs=1e-12)
+    assert searched == classical_success_bound(ineq)
 
 
 @PROPERTY_SETTINGS
@@ -155,7 +154,7 @@ def test_neighbour_search_meets_success_bound(ineq):
     # Two neighbour-seeing parties need 2^18 + 2^14 combinations, inside the
     # default guard.
     searched = ccp_exhaustive_bound(CcpInstance(inequality=ineq))
-    assert searched == pytest.approx(classical_success_bound(ineq), abs=1e-12)
+    assert searched == classical_success_bound(ineq)
 
 
 @pytest.mark.parametrize("seed, visibility", [

@@ -143,14 +143,12 @@ def test_record_built_from_lists_stores_tuples_and_derives_the_rest():
 
 
 def test_flipping_all_y_leaves_pass_unchanged():
-    instance = _gyni_instance()
-    tables = protocol._Tables(instance, canonical_strategy("gyni-paper"))
+    inequality = _gyni_instance().inequality
     x_idx, y_idx, a_idx = np.array(list(itertools.product(range(8), repeat=3))).T
-    settings = protocol._visible_settings(tables.scenario)
 
     def rounds(y_idx):
         keys = ((x_idx << 3 | y_idx) << 3 | a_idx).astype(np.uint32)
-        return protocol.SessionRounds(keys, settings, tables.signs)
+        return protocol.SessionRounds(keys, inequality)
 
     # Inverting every bit of a canonical index negates every entry of its tuple.
     first, second = rounds(y_idx), rounds(0b111 ^ y_idx)
@@ -513,6 +511,39 @@ def test_kept_rounds_cost_about_one_reference_each():
         tracemalloc.stop()
     assert len(log.rounds) == 20000
     assert retained / 20000 < 32
+
+
+def _traced_peak(call):
+    """What ``call()`` returns and the tracemalloc peak while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kept_session_peaks_at_its_keys_plus_one_block(monkeypatch):
+    # The keys are written into one array as the blocks are drawn, so the
+    # peak is that array's 4 B a round plus one block's working set.
+    monkeypatch.setattr(protocol, "_BLOCK_ROUNDS", 4096)
+    instance, strategy, rounds = _gyni_instance(), canonical_strategy("gyni-paper"), 500_000
+    run_session(instance, strategy, 1, SeededPrng(31))     # fill the per-object caches
+    _, block = _traced_peak(lambda: run_session(instance, strategy, rounds, SeededPrng(31),
+                                                keep_rounds=False))
+    log, peak = _traced_peak(lambda: run_session(instance, strategy, rounds, SeededPrng(31)))
+    assert len(log.rounds) == rounds
+    assert peak <= 4 * rounds + block + 2**18
+
+
+def test_log_writer_memory_does_not_grow_with_rounds(tmp_path):
+    # The writer finds each round's line by rank in a table over all keys,
+    # a chunk of rounds at a time, so ten times the rounds peaks alike.
+    instance, strategy = _gyni_instance(), canonical_strategy("gyni-paper")
+    peaks = []
+    for rounds in (20_000, 200_000):
+        log = run_session(instance, strategy, rounds, SeededPrng(37))
+        peaks.append(_traced_peak(lambda: write_session_log(log, tmp_path / "log.jsonl"))[1])
+    assert peaks[1] <= peaks[0] + 2**18
 
 
 def test_kept_rounds_cost_one_key_each():

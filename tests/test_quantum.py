@@ -31,7 +31,7 @@ from bellccp import (
 from bellccp import cli
 from bellccp.quantum import EXPERIMENT_VISIBILITY, random_bloch_tables
 from bellccp.scenarios import make_scenario
-from bellccp.qubits import ATOL, PureState
+from bellccp.qubits import ATOL, PAULI_ROWS, PureState
 
 import oracles
 
@@ -259,6 +259,22 @@ def test_bloch_tables_are_checked_and_copied():
     assert isinstance(strategy.bloch_tables, tuple)
     for table in strategy.bloch_tables:
         assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["gyni-paper", "svetlichny-paper", "experiment-like",
+                                  "pure", "mixed"])
+def test_eigenbases_match_each_partys_own_eigh(kind):
+    # One eigh runs over the validated block the tables are views of; each
+    # party's bases equal its own eigh bit for bit.
+    if kind in ("pure", "mixed"):
+        scenario = make_scenario(4, [(1, 2), (2,), (3, 1, 4), (4,)])
+        strategy = random_strategy(scenario, np.random.default_rng(71), mixed=kind == "mixed")
+    else:
+        strategy = canonical_strategy(kind)
+    assert all(np.shares_memory(table, strategy._rows) for table in strategy.bloch_tables)
+    for table, bases in zip(strategy.bloch_tables, strategy._eigenbases, strict=True):
+        assert np.array_equal(bases, np.linalg.eigh((table @ PAULI_ROWS).reshape(-1, 2, 2))[1])
+        assert not bases.flags.writeable
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
