@@ -63,9 +63,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("optimize", help="variational maximization of the value")
     common(p, noise=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-sweeps", type=int, default=500)
+    p.add_argument("--restarts", type=int, default=OptimizerOptions.restarts)
+    p.add_argument("--max-sweeps", type=int, default=OptimizerOptions.max_sweeps)
     p.add_argument("--optimize-state", action="store_true")
 
     p = sub.add_parser("eval", help="value and success probability of a strategy")
@@ -150,11 +149,9 @@ def _cmd_bound(args, ineq, strategy) -> int:
 
 def _cmd_optimize(args, ineq, strategy) -> int:
     seed = _require_seed(args)
-    opts = OptimizerOptions(seed=seed, restarts=args.restarts, tol=args.tol,
-                            max_sweeps=args.max_sweeps, optimize_state=args.optimize_state)
-    state = ghz_state(ineq.scenario.n)
-    if args.noise_v is not None:
-        state = depolarize(state, args.noise_v)
+    opts = OptimizerOptions(seed=seed, restarts=args.restarts, max_sweeps=args.max_sweeps,
+                            optimize_state=args.optimize_state)
+    state = None if args.noise_v is None else depolarize(ghz_state(ineq.n), args.noise_v)
     result = optimize(ineq, opts, initial_state=state)
     payload = {
         "best_value": result.best_value,

@@ -98,9 +98,9 @@ class SessionRounds(Sequence):
     A round's key is ``(x_idx << n | y_idx) << n | a_idx`` over canonical
     tuple indices, with y_idx bit 1 meaning +1. With the inequality the
     session was played on, which gives each input's visible settings and
-    sign, the key fixes the record. ``len`` builds nothing. An index, a
-    slice or an iteration builds one record per distinct key it reads and
-    shares it among equal rounds.
+    sign, the key fixes the record. ``len`` builds nothing. An index
+    decodes its one key from the key's bits. A slice or an iteration builds
+    one record per distinct key it reads and shares it among equal rounds.
     """
 
     def __init__(self, keys: np.ndarray, inequality: BellInequality):
@@ -111,28 +111,36 @@ class SessionRounds(Sequence):
         """Each party's visible setting at input x."""
         return tuple(tuple(x[j - 1] for j in g) for g in self.inequality.scenario.visibility)
 
+    def _decode(self, keys: np.ndarray):
+        """Per key its input, y and outcome indices and its target
+        f = prod(y) sign Q(x)."""
+        n = self.inequality.n
+        mask = (1 << n) - 1
+        x_idx, y_idx, a_idx = keys >> 2 * n, keys >> n & mask, keys & mask
+        signs = self.inequality.sign_array()
+        return x_idx, y_idx, a_idx, tuple_array(n).prod(axis=1)[y_idx] * signs[x_idx]
+
     def _distinct(self, keys: np.ndarray):
         """A table over all 2^(3n) keys of each key's rank among the distinct
-        ``keys``, marked a write chunk at a time, and per distinct key its input,
-        y and outcome indices and its target f = prod(y) sign Q(x)."""
-        n = self.inequality.n
-        present = np.zeros(1 << 3 * n, dtype=bool)
+        ``keys``, marked a write chunk at a time, and the distinct keys decoded."""
+        present = np.zeros(1 << 3 * self.inequality.n, dtype=bool)
         for start in range(0, keys.shape[0], _WRITE_ROUNDS):
             present[keys[start:start + _WRITE_ROUNDS]] = True
         distinct = np.flatnonzero(present)
         rank = np.empty(present.shape, dtype=np.intp)
         rank[distinct] = np.arange(distinct.shape[0])
-        mask = (1 << n) - 1
-        x_idx, y_idx, a_idx = distinct >> 2 * n, distinct >> n & mask, distinct & mask
-        signs = self.inequality.sign_array()
-        return rank, x_idx, y_idx, a_idx, tuple_array(n).prod(axis=1)[y_idx] * signs[x_idx]
+        return rank, *self._decode(distinct)
+
+    def _built(self, decoded) -> list:
+        """One record per decoded key."""
+        tuples = input_tuples(self.inequality.n)
+        return [RoundRecord(x=tuples[x], y=tuples[y], settings=self._settings(tuples[x]),
+                            a=tuples[a], f_value=f)
+                for x, y, a, f in zip(*(v.tolist() for v in decoded))]
 
     def _records(self, keys: np.ndarray) -> tuple:
         rank, *decoded = self._distinct(keys)
-        tuples = input_tuples(self.inequality.n)
-        built = [RoundRecord(x=tuples[x], y=tuples[y], settings=self._settings(tuples[x]),
-                             a=tuples[a], f_value=f)
-                 for x, y, a, f in zip(*(v.tolist() for v in decoded))]
+        built = self._built(decoded)
         return tuple(map(built.__getitem__, rank[keys].tolist()))
 
     def __len__(self) -> int:
@@ -141,7 +149,7 @@ class SessionRounds(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return self._records(self.keys[index])
-        return self._records(self.keys[[operator.index(index)]])[0]
+        return self._built(self._decode(self.keys[[operator.index(index)]]))[0]
 
     def __iter__(self):
         return iter(self._records(self.keys))
@@ -161,13 +169,15 @@ class SessionLog:
 
     Kept rounds are a ``SessionRounds`` view: one 4-byte key per round,
     read as ``RoundRecord``s in play order. A session that keeps no rounds
-    has ``rounds == ()`` and no header defaults in ``config``.
+    has ``rounds == ()`` and no header defaults in ``config``. The hash
+    reads ``num_rounds`` and ``successes`` only, so equal logs hash alike;
+    ``==`` compares every field.
     """
 
-    rounds: SessionRounds | tuple
+    rounds: SessionRounds | tuple = field(hash=False)
     num_rounds: int
     successes: int
-    config: dict = field(default_factory=dict)
+    config: dict = field(default_factory=dict, hash=False)
 
     @property
     def estimate(self) -> float:

@@ -20,14 +20,15 @@ Restarts draw independent initial Bloch vectors from spawned generator
 streams, so results are reproducible given (seed, options). They run as one
 batch on a leading restart axis: one sweep updates every restart still
 running, and each restart stops, takes its state step and rejoins by the
-same rule as it would alone.
+same rule as it would alone. One fixed gain, ``MIN_GAIN``, ends a run of
+sweeps, refuses a state step and ends the alternation; the first restart
+within it of the best final value wins.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
@@ -39,6 +40,9 @@ from .scenarios import BellInequality
 # Gradients shorter than this leave the slot's Bloch vector unchanged.
 DEGENERATE_GRADIENT = 1e-14
 
+# Gains below this count as converged, and final values within it tie.
+MIN_GAIN = 1e-12
+
 # Cap on observable/state alternations when state optimization is enabled.
 _MAX_ALTERNATIONS = 100
 
@@ -48,7 +52,6 @@ class OptimizerOptions:
     seed: int
     restarts: int = 32
     max_sweeps: int = 500
-    tol: float = 1e-12
     optimize_state: bool = False
 
     def __post_init__(self):
@@ -59,10 +62,6 @@ class OptimizerOptions:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
                 raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
-        # NaN fails both comparisons, and a NaN tol would never stop a restart.
-        if isinstance(self.tol, bool) or not (isinstance(self.tol, Real)
-                                              and 0 < self.tol < math.inf):
-            raise ValidationError(f"tol must be positive and finite, got {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -82,11 +81,11 @@ class _Restarts:
     """Coordinate ascent for every restart at once, on a leading restart axis.
 
     Holds one (R, settings, 3) Bloch table per party (a copy of ``tables``),
-    the restarts' Pauli tensors (R, 4, ..., 4), one shared tensor until a
-    restart keeps a state of its own, and their correlators (R, 2^n). Each
+    the restarts' Pauli tensors (R, 4, ..., 4), one writable copy of the
+    initial state's tensor per restart, and their correlators (R, 2^n). Each
     restart follows the sequential rule on its own: it sweeps until its
-    improvement drops below ``tol`` or it has used ``max_sweeps``; with state
-    optimization it then takes a state step and rejoins the batch.
+    improvement drops below ``MIN_GAIN`` or it has used ``max_sweeps``; with
+    state optimization it then takes a state step and rejoins the batch.
     """
 
     def __init__(self, ineq: BellInequality, state: PureState | MixedState,
@@ -96,7 +95,6 @@ class _Restarts:
             raise ValidationError(
                 f"state dimension {state.dim} does not match {scenario.n} parties")
         self.ineq = ineq
-        self.scenario = scenario
         self.q = ineq.coefficient_array().astype(float)
         self.index = scenario.setting_index()
         # weights[i][s, x] = Q(x) where party i+1 has setting s at x, else 0.
@@ -106,7 +104,7 @@ class _Restarts:
         restarts = len(self.bloch[0])
         self.states = [state] * restarts
         tensor = pauli_tensor(state)
-        self.tensors = np.broadcast_to(tensor, (restarts, *tensor.shape))
+        self.tensors = np.repeat(tensor[None], restarts, axis=0)
         self.correlators = correlations(self.tensors, self.bloch, self.index)
         self.traces: list[list[float]] = [[] for _ in range(restarts)]
         self.sweeps = np.zeros(restarts, dtype=int)
@@ -131,8 +129,9 @@ class _Restarts:
         self.sweeps[rows] += 1
 
     def run(self, opts: OptimizerOptions):
-        """Sweep every running restart until its improvement drops below tol
-        or it has used max_sweeps; with state optimization, alternate."""
+        """Sweep every running restart until its improvement drops below
+        ``MIN_GAIN`` or it has used max_sweeps; with state optimization,
+        alternate until a state step or a whole alternation gains less."""
         restarts = len(self.states)
         rows = np.arange(restarts)
         previous = self.correlators @ self.q        # what the next sweep must beat
@@ -145,14 +144,14 @@ class _Restarts:
             for r, value in zip(rows.tolist(), current.tolist()):
                 self.traces[r].append(value)
             run_sweeps[rows] += 1
-            ended = (current - previous[rows] < opts.tol) | (run_sweeps[rows] >= opts.max_sweeps)
+            ended = (current - previous[rows] < MIN_GAIN) | (run_sweeps[rows] >= opts.max_sweeps)
             previous[rows] = current
             if opts.optimize_state:
                 rejoin = []
                 for r in rows[ended].tolist():
                     alternations[r] += 1
-                    if (self.state_step(r, opts.tol)
-                            and self.traces[r][-1] - run_start[r] >= opts.tol
+                    if (self.state_step(r)
+                            and self.traces[r][-1] - run_start[r] >= MIN_GAIN
                             and alternations[r] < _MAX_ALTERNATIONS):
                         run_start[r] = previous[r] = self.traces[r][-1]
                         run_sweeps[r] = 0
@@ -161,28 +160,26 @@ class _Restarts:
             else:
                 rows = rows[~ended]
 
-    def state_step(self, r: int, tol: float) -> bool:
+    def state_step(self, r: int) -> bool:
         """Replace restart r's state by the top eigenvector of its operator,
-        unless the eigenvalue gains less than ``tol`` over the current value;
-        the exact top eigenvalue cannot fall below it, so a smaller gain
-        means the state has converged."""
+        unless the eigenvalue gains less than ``MIN_GAIN`` over the current
+        value; the exact top eigenvalue cannot fall below it, so a smaller
+        gain means the state has converged."""
         state, value = optimal_state(self.ineq, [table[r] for table in self.bloch])
-        if value - self.traces[r][-1] < tol:
+        if value - self.traces[r][-1] < MIN_GAIN:
             return False
-        if not self.tensors.flags.writeable:
-            self.tensors = self.tensors.copy()
         self.states[r] = state
         self.tensors[r] = pauli_tensor(state)
         self.traces[r].append(value)
         return True
 
     def best(self) -> OptimizationResult:
-        """The first restart within 1e-12 of the best final value."""
+        """The first restart within ``MIN_GAIN`` of the best final value."""
         finals = [trace[-1] for trace in self.traces]
         top = max(finals)
-        r = next(r for r, value in enumerate(finals) if value >= top - 1e-12)
+        r = next(r for r, value in enumerate(finals) if value >= top - MIN_GAIN)
         # Every row is a unit vector: drawn normalized or set to g / |g|.
-        strategy = QuantumStrategy(scenario=self.scenario, state=self.states[r],
+        strategy = QuantumStrategy(scenario=self.ineq.scenario, state=self.states[r],
                                    bloch_tables=[table[r] for table in self.bloch])
         return OptimizationResult(strategy=strategy, sweeps_used=int(self.sweeps[r]),
                                   value_trace=tuple(self.traces[r]),
@@ -194,21 +191,13 @@ def _restart_streams(seed: int, restarts: int) -> list[np.random.Generator]:
             for ss in np.random.SeedSequence(seed).spawn(restarts)]
 
 
-def _best_of_restarts(ineq: BellInequality, state: PureState | MixedState,
-                      opts: OptimizerOptions) -> OptimizationResult:
-    draws = [random_bloch_tables(ineq.scenario, rng)
-             for rng in _restart_streams(opts.seed, opts.restarts)]
-    restarts = _Restarts(ineq, state, [np.stack(party) for party in zip(*draws)])
-    restarts.run(opts)
-    return restarts.best()
-
-
 def seesaw_measurements(ineq: BellInequality, state: PureState | MixedState,
                         opts: OptimizerOptions) -> OptimizationResult:
-    """Maximize over observables on a fixed state, best of seeded restarts."""
+    """Maximize over observables on a fixed state, best of seeded restarts:
+    ``optimize`` from ``state`` with state optimization off."""
     if opts.optimize_state:
         raise ValidationError("seesaw_measurements keeps the state fixed; use optimize")
-    return _best_of_restarts(ineq, state, opts)
+    return optimize(ineq, opts, initial_state=state)
 
 
 def bell_operator(ineq: BellInequality, bloch_tables) -> np.ndarray:
@@ -249,4 +238,8 @@ def optimize(ineq: BellInequality, opts: OptimizerOptions,
     state = initial_state if initial_state is not None else ghz_state(ineq.scenario.n)
     if opts.optimize_state and isinstance(state, MixedState):
         raise ValidationError("optimize_state would replace the mixed initial state by a pure one")
-    return _best_of_restarts(ineq, state, opts)
+    draws = [random_bloch_tables(ineq.scenario, rng)
+             for rng in _restart_streams(opts.seed, opts.restarts)]
+    restarts = _Restarts(ineq, state, [np.stack(party) for party in zip(*draws)])
+    restarts.run(opts)
+    return restarts.best()

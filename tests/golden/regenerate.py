@@ -64,6 +64,10 @@ ENTRIES = {
     "optimize": ["optimize", "--ineq", "chsh", "--seed", "1", "--restarts", "3"],
     "optimize-state": ["optimize", "--ineq", "ring4.json", "--seed", "2", "--restarts", "2",
                        "--optimize-state"],
+    "optimize-noise": ["optimize", "--ineq", "gyni", "--seed", "3", "--restarts", "4",
+                       "--noise-v", "0.8"],
+    "optimize-max-sweeps": ["optimize", "--ineq", "ring4.json", "--seed", "5", "--restarts", "3",
+                            "--max-sweeps", "10"],
     "verify-gyni": ["verify", "--ineq", "gyni", "--seed", "1", "--strategies", "8"],
     "verify-ring5": ["verify", "--ineq", "ring5.json", "--seed", "4", "--strategies", "4"],
     "verify-ring6": ["verify", "--ineq", "ring6.json", "--seed", "6", "--strategies", "4"],

@@ -12,6 +12,7 @@ it out. The mode that ran is in the pytest report header and in every
 failure message.
 """
 
+import argparse
 import importlib.util
 import json
 import math
@@ -19,6 +20,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+from bellccp import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -85,6 +88,21 @@ def _header_without_hash(record: dict) -> str:
     header = json.loads(record["out"]["header"])["header"]
     header.pop("strategy_sha256")
     return json.dumps(header)
+
+
+# CLI flags that no golden entry runs, each with the reason it cannot.
+_UNPINNED_FLAGS = {
+    "--beacon-cache": "read only when beacon records are fetched by URL; the suite has no network",
+}
+
+
+def test_every_cli_flag_is_run_by_a_golden_entry():
+    sub = next(a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for parser in sub.choices.values() for action in parser._actions
+             for flag in action.option_strings if flag.startswith("--") and flag != "--help"}
+    assert set(_UNPINNED_FLAGS) <= flags
+    run = {token for argv in regenerate.ENTRIES.values() for token in argv}
+    assert sorted(flags - run - set(_UNPINNED_FLAGS)) == []
 
 
 def test_token_comparison_reads_numbers_in_text():

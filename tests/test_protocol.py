@@ -635,6 +635,31 @@ def test_rounds_index_slice_and_iteration_give_the_replayed_records():
     assert len(repr(rounds)) < 60
 
 
+def test_one_round_is_decoded_from_its_own_key():
+    # An index reads its one key's bits; it builds no table over all 2^(3n)
+    # keys, which at n = 6 would take 256 KB of flags and 2 MB of ranks.
+    rounds = _six_party_log().rounds
+    listed = list(rounds)
+    for index in (0, 1, -1, len(rounds) // 2):
+        assert rounds[index] == listed[index]
+    rounds[3]                                   # fill the per-object caches
+    record, peak = _traced_peak(lambda: rounds[2024])
+    assert record == listed[2024]
+    assert peak < 64 * 1024
+    for index in (len(rounds), -len(rounds) - 1):
+        with pytest.raises(IndexError):
+            rounds[index]
+
+
+@pytest.mark.parametrize("keep", [True, False], ids=["kept", "unkept"])
+def test_equal_sessions_hash_alike(keep):
+    logs = [run_session(_gyni_instance(), canonical_strategy("gyni-paper"), 300, SeededPrng(2),
+                        keep_rounds=keep, config={"command": "simulate"}) for _ in range(2)]
+    assert logs[0] == logs[1]
+    assert hash(logs[0]) == hash(logs[1])
+    assert len({*logs}) == 1
+
+
 def test_only_kept_rounds_are_written(tmp_path):
     with pytest.raises(ValidationError, match="written from the rounds run_session kept"):
         write_session_log(SessionLog(rounds=(), num_rounds=1, successes=0),
@@ -648,14 +673,19 @@ def _round_lines_digest(log, tmp_path):
     return hashlib.sha256(path.read_bytes().split(b"\n", 1)[1]).hexdigest()
 
 
-def test_six_party_round_lines_are_pinned(tmp_path):
-    # Six parties give 18-bit round keys; nearly every round is distinct.
+def _six_party_log():
+    """5000 rounds of a random strategy on a random six-party ring."""
     rng = np.random.default_rng(6)
     scenario = make_scenario(6, [(i, (i - 2) % 6 + 1) for i in range(1, 7)])
     ineq = BellInequality(scenario=scenario, coeffs=dict(
         zip(input_tuples(6), rng.integers(-3, 4, size=64).tolist())))
-    log = run_session(CcpInstance(inequality=ineq), random_strategy(scenario, rng), 5000,
-                      SeededPrng(6))
+    return run_session(CcpInstance(inequality=ineq), random_strategy(scenario, rng), 5000,
+                       SeededPrng(6))
+
+
+def test_six_party_round_lines_are_pinned(tmp_path):
+    # Six parties give 18-bit round keys; nearly every round is distinct.
+    log = _six_party_log()
     assert len(set(log.rounds)) == 4864
     assert _round_lines_digest(log, tmp_path) == (
         "b024213b749f1916349d762a4e2dd43fa4f8c2a04a7af71f52afed4d09e37a3f")

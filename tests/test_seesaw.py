@@ -25,7 +25,8 @@ from bellccp import (
 )
 from bellccp.qubits import MixedState, pauli_tensor
 from bellccp.quantum import correlations, random_bloch_tables
-from bellccp.seesaw import DEGENERATE_GRADIENT, _Restarts, _restart_streams, bell_operator
+from bellccp.seesaw import (DEGENERATE_GRADIENT, MIN_GAIN, _Restarts, _restart_streams,
+                            bell_operator)
 
 import oracles
 
@@ -33,11 +34,6 @@ import oracles
 def test_options_validation():
     with pytest.raises(ValidationError):
         OptimizerOptions(seed=1, restarts=0)
-    with pytest.raises(ValidationError):
-        OptimizerOptions(seed=1, tol=0.0)
-    for tol in (math.nan, math.inf, -math.inf, "1e-12"):
-        with pytest.raises(ValidationError, match="tol"):
-            OptimizerOptions(seed=1, tol=tol)
     for name in ("restarts", "max_sweeps"):
         for value in (2.5, 2.0, math.nan, "2"):
             with pytest.raises(ValidationError, match=name):
@@ -47,6 +43,9 @@ def test_options_validation():
         with pytest.raises(ValidationError, match="seed"):
             OptimizerOptions(seed=seed)
     assert type(OptimizerOptions(seed=np.int64(3)).seed) is int
+    # The see-saw's convergence threshold is the fixed MIN_GAIN, not an option.
+    with pytest.raises(TypeError, match="tol"):
+        OptimizerOptions(seed=1, tol=1e-9)
 
 
 def test_seesaw_reaches_known_optima():
@@ -186,9 +185,9 @@ def test_degenerate_slots_are_counted():
 def _replay_restarts(ineq, state, tables, opts):
     """The restarts one after another, each a plain loop in the arithmetic of
     one restart alone: whole-party sweeps until the improvement drops below
-    tol or max_sweeps is used, then, with state optimization, a state step
-    (kept only if its eigenvalue gains at least tol), until an alternation
-    gains less than tol.
+    MIN_GAIN or max_sweeps is used, then, with state optimization, a state
+    step (kept only if its eigenvalue gains at least MIN_GAIN), until an
+    alternation gains less than MIN_GAIN.
     Returns per-restart (trace, sweeps, final tables)."""
     scenario = ineq.scenario
     q = ineq.coefficient_array().astype(float)
@@ -217,17 +216,17 @@ def _replay_restarts(ineq, state, tables, opts):
                     correlators = np.einsum("xa,xa->x", table[0, index[i]], gradients)
                 sweeps += 1
                 trace.append(float(q @ correlators))
-                if trace[-1] - previous < opts.tol:
+                if trace[-1] - previous < MIN_GAIN:
                     break
                 previous = trace[-1]
             if not opts.optimize_state:
                 break
             new_state, top = optimal_state(ineq, [table[0] for table in bloch])
-            if top - trace[-1] < opts.tol:
+            if top - trace[-1] < MIN_GAIN:
                 break
             tensor = pauli_tensor(new_state)[None]
             trace.append(value())
-            if trace[-1] - start < opts.tol:
+            if trace[-1] - start < MIN_GAIN:
                 break
             start = trace[-1]
         runs.append((trace, sweeps, [table[0] for table in bloch]))
@@ -289,7 +288,7 @@ def test_restart_batch_replays_the_sequential_loop(make, restarts, mixed):
 @pytest.mark.parametrize("make, restarts", RESTART_CASES,
                          ids=["gyni", "svetlichny", "chsh", "ring4"])
 def test_restart_batch_with_state_steps_reaches_the_sequential_best(make, restarts):
-    # A state step must gain tol, so the winner's sweeps and trace replay
+    # A state step must gain MIN_GAIN, so the winner's sweeps and trace replay
     # too, not only its value.
     ineq = make()
     opts = OptimizerOptions(seed=9, restarts=restarts, optimize_state=True)
